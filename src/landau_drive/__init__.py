@@ -51,7 +51,6 @@ from .oracle import (
 )
 from .path_integrals import (
     DrivePath,
-    adaptive_complex_quadrature,
     build_drive_path,
     coherent_phase,
     displacement_amplitude,
@@ -86,7 +85,7 @@ __all__ = [
     "displacement_matrix", "matrix_exponential", "apply_operator",
     "suggested_dimension",
     "DrivePath", "signed_area", "magnetic_phase", "coherent_phase",
-    "displacement_amplitude", "build_drive_path", "adaptive_complex_quadrature",
+    "displacement_amplitude", "build_drive_path",
     "FactorizedPropagator", "GeometricRecord", "assemble",
     "displacement_argument", "j_matrix_element", "transition_probabilities",
     "adiabatic_estimates", "resonance_survival",

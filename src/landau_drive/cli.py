@@ -363,11 +363,6 @@ class SimulationReport:
     truncation_flagged_samples: list
     timing_seconds: float | None = None
 
-    def data_rows(self):
-        names = list(self.columns)
-        for i in range(len(self.columns[names[0]])):
-            yield [self.columns[name][i] for name in names]
-
 
 def _drive_table(cfg: RunConfig):
     times = np.linspace(0.0, cfg.t_final, cfg.samples)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from .errors import AccuracyError, TruncationWarning
+from .errors import AccuracyError, TruncationError, TruncationWarning
 
 __all__ = [
     "TruncatedOperator",
@@ -123,7 +123,8 @@ def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
         <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2),
     and the m < n block follows with alpha -> -alpha*.  Warns with
     TruncationWarning when |alpha|^2 > dim/4, where the displaced block
-    approaches the truncation edge.
+    approaches the truncation edge, and raises TruncationError when the
+    Laguerre table overflows (large |alpha|^2 or dim) into non-finite entries.
     """
     if isinstance(alpha, CoherentAmplitude):
         alpha = alpha.alpha
@@ -150,8 +151,14 @@ def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
         + d * math.log(abs(alpha))
     )
     ang = np.where(rows >= cols, np.angle(alpha), np.angle(-np.conj(alpha)))
-    lag = _laguerre_table(x, dim)[p, d]
-    mat = np.exp(log_mag + 1j * d * ang) * lag
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = _laguerre_table(x, dim)[p, d]
+        mat = np.exp(log_mag + 1j * d * ang) * lag
+    if not np.all(np.isfinite(mat)):
+        raise TruncationError(
+            f"displacement matrix overflows at |alpha|^2 = {x:.3g}, dim = {dim}: "
+            f"the Laguerre recurrence leaves entries that are not finite"
+        )
     return TruncatedOperator(mat, unitary=True)
 
 

@@ -35,8 +35,7 @@ from .field_model import (
     ZeroField,
     internalize,
 )
-from .fock_algebra import TruncatedOperator, displacement_matrix
-from .path_integrals import adaptive_complex_quadrature
+from .fock_algebra import TruncatedOperator, displacement_matrix, ladder_ops
 from .propagator import (
     assemble,
     resonance_survival,
@@ -82,11 +81,11 @@ class IntegratorConfig:
             raise ValueError("tolerance must be positive")
 
 
-def _ladder(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
+def _hamiltonian(w_i: FieldWaveform, t: float, a: np.ndarray, ad: np.ndarray):
+    """H(t) in internal units of hbar omega, built directly from E(t)."""
+    rdot = complex(-1j * w_i.field(t))
+    diag = np.diag(np.arange(a.shape[0]) + 0.5).astype(complex)
+    return diag - (_SQRT2 / 2.0) * (np.conj(rdot) * a + rdot * ad)
 
 
 def _spans(w: FieldWaveform, t_end: float):
@@ -104,11 +103,8 @@ def pi_sector_hamiltonian(
     w_i, scales, _ = internalize(sys, w)
     t_i = t / scales.time
     w_i._check_domain(t_i)
-    a = _ladder(dim)
-    rdot = complex(-1j * w_i.field(t_i))
-    h = np.diag(np.arange(dim) + 0.5).astype(complex)
-    h -= (_SQRT2 / 2.0) * (np.conj(rdot) * a + rdot * a.conj().T)
-    return TruncatedOperator(h)
+    a, ad = (op.matrix for op in ladder_ops(dim))
+    return TruncatedOperator(_hamiltonian(w_i, t_i, a, ad))
 
 
 def integrate_schrodinger(
@@ -131,8 +127,7 @@ def integrate_schrodinger(
     w_i, scales, _ = internalize(sys, w)
     t_i = t_final / scales.time
     dim = cfg.dim
-    a = _ladder(dim)
-    ad = a.conj().T
+    a, ad = (op.matrix for op in ladder_ops(dim))
     u_mat = np.eye(dim, dtype=complex)
 
     if cfg.scheme == "rk4":
@@ -158,18 +153,12 @@ def integrate_schrodinger(
         phases = np.exp(-1j * (np.arange(dim) + 0.5) * t_i)
         u_mat = phases[:, None] * u_mat
     else:
-        diag = np.diag(np.arange(dim) + 0.5).astype(complex)
-
-        def hamiltonian(t):
-            rdot = complex(-1j * w_i.field(t))
-            return diag - (_SQRT2 / 2.0) * (np.conj(rdot) * a + rdot * ad)
-
         for lo, hi in _spans(w_i, t_i):
             n = max(1, math.ceil((hi - lo) / cfg.dt))
             h = (hi - lo) / n
             t = lo
             for _ in range(n):
-                u_mat = expm(-1j * h * hamiltonian(t + h / 2.0)) @ u_mat
+                u_mat = expm(-1j * h * _hamiltonian(w_i, t + h / 2.0, a, ad)) @ u_mat
                 t += h
 
     edge = float(np.max(np.abs(u_mat[-2:, : dim // 2])))
@@ -181,6 +170,38 @@ def integrate_schrodinger(
             achieved=edge * edge,
         )
     return TruncatedOperator(u_mat, unitary=True)
+
+
+def _drive_integral(w_i: FieldWaveform, t_i: float) -> complex:
+    """Integral of e^{i s} Rdot(s) over [0, t_i] in internal units.
+
+    Gauss-Legendre rules from numpy, shared with no production integral,
+    on panels that never straddle a waveform kink and span at most pi/4 of
+    integrand phase.  The 8- and 16-point rules must agree to 1e-12, else
+    AccuracyError; the 16-point value is returned.
+    """
+    max_panel = math.pi / (4.0 * (1.0 + w_i.rate()))
+    edges = [
+        np.linspace(lo, hi, max(1, math.ceil((hi - lo) / max_panel)) + 1)
+        for lo, hi in _spans(w_i, t_i)
+    ]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    values = []
+    for order in (8, 16):
+        x, weights = np.polynomial.legendre.leggauss(order)
+        s = mid[:, None] + half[:, None] * x
+        e = np.asarray(w_i.field(s.ravel()), dtype=complex).reshape(s.shape)
+        values.append(np.sum(half * ((np.exp(1j * s) * (-1j * e)) @ weights)))
+    err = abs(values[1] - values[0])
+    if err > 1e-12:
+        raise AccuracyError(
+            f"Heisenberg drive integral: 8- and 16-point rules differ by "
+            f"{err:.3g} > 1e-12",
+            achieved=err,
+        )
+    return complex(values[1])
 
 
 def heisenberg_residual(
@@ -196,17 +217,8 @@ def heisenberg_residual(
     w_i, scales, _ = internalize(sys, w)
     t_i = t / scales.time
     dim = u_num.dim
-    a = _ladder(dim)
-    rate = 1.0 + w_i.rate()
-    integral, _ = adaptive_complex_quadrature(
-        lambda s: np.exp(1j * s) * (-1j * np.asarray(w_i.field(s), dtype=complex)),
-        0.0,
-        t_i,
-        abs_tol=1e-12,
-        max_panel=math.pi / (4.0 * rate),
-        breakpoints=w_i.breakpoints(),
-    )
-    sigma = 1j * np.exp(-1j * t_i) * integral / _SQRT2
+    a = ladder_ops(dim)[0].matrix
+    sigma = 1j * np.exp(-1j * t_i) * _drive_integral(w_i, t_i) / _SQRT2
     lhs = u_num.matrix.conj().T @ a @ u_num.matrix
     rhs = a * np.exp(-1j * t_i) + sigma * np.eye(dim)
     half = dim // 2

@@ -38,31 +38,9 @@ __all__ = [
     "displacement_amplitude",
     "DrivePath",
     "build_drive_path",
-    "adaptive_complex_quadrature",
 ]
 
 DEFAULT_ABS_TOL = 1e-10
-
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
 
 # 5-point Gauss-Legendre rule, used for cumulative integrals on fine grids.
 _XG5 = np.array([
@@ -73,75 +51,6 @@ _WG5 = np.array([
     0.236926885056189, 0.478628670499366, 0.568888888888889,
     0.478628670499366, 0.236926885056189,
 ])
-
-
-def adaptive_complex_quadrature(
-    f,
-    a: float,
-    b: float,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_panel: float = math.inf,
-    breakpoints=(),
-    panel_limit: int = 4096,
-):
-    """Integrate a complex-valued f over [a, b] by adaptive Gauss-Kronrod.
-
-    Panels are bisected until the local Kronrod error estimate fits a
-    width-proportional share of ``abs_tol``; no panel is allowed to exceed
-    ``max_panel`` (bounds the phase swing of oscillatory kernels), and
-    initial panel edges are placed at ``breakpoints`` so piecewise-smooth
-    integrands never straddle a kink.
-
-    Returns (value, error_estimate); raises AccuracyError when the panel
-    budget is exhausted before the tolerance is met.
-    """
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if b == a:
-        return 0.0 + 0.0j, 0.0
-    edges = [a]
-    for p in sorted(breakpoints):
-        if a < p < b:
-            edges.append(p)
-    edges.append(b)
-    stack: list[tuple[float, float]] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(1, math.ceil((hi - lo) / max_panel))
-        cuts = np.linspace(lo, hi, n + 1)
-        stack.extend(zip(cuts[:-1], cuts[1:]))
-
-    span = b - a
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    used = 0
-    while stack:
-        lo, hi = stack.pop()
-        half = (hi - lo) / 2.0
-        mid = (lo + hi) / 2.0
-        fx = np.asarray(f(mid + half * _XK), dtype=complex)
-        i_k = half * np.sum(_WK * fx)
-        i_g = half * np.sum(_WG * fx[1::2])
-        err = abs(i_k - i_g)
-        if err <= abs_tol * (hi - lo) / span or (hi - lo) <= span * 2.0**-45:
-            total += i_k
-            err_total += err
-            continue
-        used += 1
-        if used > panel_limit:
-            raise AccuracyError(
-                f"quadrature did not reach abs_tol={abs_tol:g} within "
-                f"{panel_limit} panel subdivisions",
-                achieved=err_total + err,
-            )
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    if err_total > abs_tol * 1.01:
-        raise AccuracyError(
-            f"quadrature error estimate {err_total:g} exceeds abs_tol={abs_tol:g}",
-            achieved=err_total,
-        )
-    return total, err_total
 
 
 def signed_area(points) -> float:
@@ -224,20 +133,6 @@ def _area_well_conditioned(path: ExpPath, t_end: float) -> bool:
     return all(abs(mu) * t_end >= 1e-3 for _, mu in path.terms)
 
 
-def _u_quadrature(w_internal: FieldWaveform, t: float, abs_tol: float) -> complex:
-    """u(t) by adaptive quadrature of -(1/2) e^{-i s} E*(s) in internal units."""
-    rate = 1.0 + w_internal.rate()
-    value, _ = adaptive_complex_quadrature(
-        lambda s: -0.5 * np.exp(-1j * s) * np.conj(w_internal.field(s)),
-        0.0,
-        t,
-        abs_tol=abs_tol,
-        max_panel=math.pi / (4.0 * rate),
-        breakpoints=w_internal.breakpoints(),
-    )
-    return value
-
-
 def displacement_amplitude(
     sys: PhysicalSystem,
     w: FieldWaveform,
@@ -248,25 +143,16 @@ def displacement_amplitude(
 ) -> complex:
     """Oscillatory drive amplitude u(t) = -(c/2B) int_0^t e^{-i omega s} E*(s) ds.
 
-    ``method`` selects "closed_form", "quadrature", or "auto" (closed form
-    when the waveform admits one, quadrature otherwise).
+    The end value of ``build_drive_path`` on the grid [0, t], with the same
+    ``method`` and route choice: "closed_form", "quadrature", or "auto"
+    (closed form when the waveform admits a well-conditioned one, the
+    refined-grid quadrature otherwise).
     """
     if t < 0:
         raise DomainError("displacement amplitude requires t >= 0")
-    w._check_domain(t)
-    w_i, scales, mirrored = internalize(sys, w)
-    t_i = t / scales.time
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    up = _u_exp_path(w_i) if method != "quadrature" else None
-    if method == "closed_form" and up is None:
-        raise ValueError("waveform has no closed-form drive amplitude")
-    if up is not None:
-        u_i = complex(up.evaluate(t_i))
-    else:
-        u_i = _u_quadrature(w_i, t_i, abs_tol)
-    u = u_i * scales.length
-    return u.conjugate() if mirrored else u
+    grid = [0.0, t] if t > 0 else [0.0]
+    dp = build_drive_path(sys, w, grid, method=method, abs_tol=abs_tol)
+    return complex(dp.u[-1])
 
 
 @dataclass(frozen=True)

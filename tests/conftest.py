@@ -1,3 +1,11 @@
+import os
+
+# Pin BLAS/OpenMP to one thread before anything imports numpy: threading
+# tiny matrix products on a few cores slows the oracle several-fold.  An
+# explicit setting in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 import landau_drive as ld

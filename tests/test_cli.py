@@ -249,6 +249,22 @@ class TestMainAndOutputs:
             assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_laguerre_overflow_is_numeric_error(self, tmp_path, capsys, command):
+        # resonant drive of amplitude 1 reaches |alpha|^2 = 200 by t = 20; the
+        # auto dimension overflows the displacement matrix's Laguerre table
+        doc = {
+            "task": command,
+            "waveform": {"type": "rotating", "amplitude": 1.0, "nu": 1.0},
+            "time": {"t_final": 20.0, "samples": 3},
+            "sweep": {"parameter": "nu_over_omega", "start": 1.0, "stop": 1.0,
+                      "steps": 1},
+            "output": {"directory": str(tmp_path / "o")},
+        }
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert "numeric error" in capsys.readouterr().err
+
     def test_json_data_format(self, tmp_path):
         cfg_path = write_config(
             tmp_path,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
-from landau_drive.errors import AccuracyError, TruncationWarning
+from landau_drive.errors import AccuracyError, TruncationError, TruncationWarning
 
 
 class TestTruncatedOperator:
@@ -103,6 +103,12 @@ class TestDisplacementMatrix:
     def test_truncation_warning(self):
         with pytest.warns(TruncationWarning):
             ld.displacement_matrix(3.0, 32)
+
+    def test_laguerre_overflow_is_truncation_error(self):
+        # a resonant drive of amplitude 1 reaches |alpha|^2 = 200 by t = 20,
+        # where the auto-sized dim-1616 Laguerre table overflows
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 200, dim = 1616"):
+            ld.displacement_matrix(math.sqrt(200.0), 1616)
 
     def test_accepts_coherent_amplitude(self):
         a1 = ld.displacement_matrix(ld.CoherentAmplitude(0.4j), 24)

@@ -4,6 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
+from landau_drive.errors import AccuracyError
 
 
 def dynamical_diag(dim, t):
@@ -120,8 +121,6 @@ class TestIntegrateSchrodinger:
         assert u.unitarity_defect(24) < 1e-7
 
     def test_undersized_basis_raises(self, natural):
-        from landau_drive.errors import AccuracyError
-
         w = ld.RotatingField(0.5, 1.0)  # resonant, k|u| ~ 3.5 by t = 10
         with pytest.raises(AccuracyError) as exc:
             ld.integrate_schrodinger(natural, w, 10.0, ld.IntegratorConfig(dim=16))
@@ -145,6 +144,21 @@ class TestHeisenbergResidual:
         t, dim = 9.0, 48
         u = ld.integrate_schrodinger(natural, w, t, ld.IntegratorConfig(dim=dim))
         assert ld.heisenberg_residual(u, natural, w, t) < 1e-6
+
+    def test_many_breakpoints(self, natural):
+        # 109 interior kinks, each a panel edge
+        w = ld.sample_waveform(ld.RotatingField(0.05, 0.9), np.linspace(-0.5, 10.5, 121))
+        t = 10.0
+        u = ld.integrate_schrodinger(natural, w, t, ld.IntegratorConfig(dt=0.05, dim=16))
+        assert ld.heisenberg_residual(u, natural, w, t) < 1e-6
+
+    def test_unresolved_drive_integral_raises(self, natural, monkeypatch):
+        # an understated rate leaves pi/4 panels under a 41-rad/unit integrand
+        monkeypatch.setattr(ld.RotatingField, "rate", lambda self: 0.0)
+        u = ld.TruncatedOperator(np.eye(8), unitary=True)
+        with pytest.raises(AccuracyError) as exc:
+            ld.heisenberg_residual(u, natural, ld.RotatingField(0.1, 40.0), 5.0)
+        assert exc.value.achieved > 1e-12
 
 
 class TestGuidingCenterResidual:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
-from landau_drive.errors import AccuracyError
 
 
 def rotating_u(r0, nu, t, omega=1.0):
@@ -176,42 +175,26 @@ class TestDisplacementAmplitude:
         )
         assert abs(du - 0.5j * np.exp(-1j * t) * dr_conj) < 1e-7
 
+    @pytest.mark.parametrize(
+        "charge, w",
+        [
+            # |mu| t = 1e-4 sends auto down the area fallback
+            (1.0, ld.RotatingField(0.1, 1.0 + 1e-5)),
+            (-1.0, ld.RotatingField(0.1, -1.0 - 1e-5)),
+            (1.0, ld.RotatingField(0.15, 0.8, 0.3)),
+            (1.0, ld.LinearSinusoidField(0.2, 0.4, 1.3, 0.2)),
+        ],
+    )
+    def test_one_route_with_assemble(self, charge, w):
+        sys_ = ld.PhysicalSystem(charge=charge, magnetic_field=1.0, mass=1.0)
+        assert ld.displacement_amplitude(sys_, w, 10.0) == ld.assemble(sys_, w, 10.0).u
+
     def test_mirrored_amplitude_conjugates(self, electron_si):
         om = electron_si.omega
         w = ld.RotatingField(500.0, -0.8 * om, 0.2)
         u_cf = ld.displacement_amplitude(electron_si, w, 3.0 / om)
         u_q = ld.displacement_amplitude(electron_si, w, 3.0 / om, method="quadrature")
         assert u_cf == pytest.approx(u_q, rel=1e-9)
-
-
-class TestAdaptiveQuadrature:
-    def test_oscillatory_kernel(self):
-        om = 37.0
-        val, err = ld.adaptive_complex_quadrature(
-            lambda s: np.exp(1j * om * s), 0.0, 2.0,
-            abs_tol=1e-12, max_panel=math.pi / (4 * om),
-        )
-        exact = (np.exp(2j * om) - 1.0) / (1j * om)
-        assert abs(val - exact) < 1e-12
-        assert err < 1e-12
-
-    def test_breakpoints_handle_kinks(self):
-        val, _ = ld.adaptive_complex_quadrature(
-            lambda s: np.abs(s - 0.5), 0.0, 1.0, abs_tol=1e-13, breakpoints=(0.5,)
-        )
-        assert val == pytest.approx(0.25, abs=1e-13)
-
-    def test_empty_interval(self):
-        val, err = ld.adaptive_complex_quadrature(lambda s: s, 1.0, 1.0)
-        assert val == 0j and err == 0.0
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(AccuracyError) as exc:
-            ld.adaptive_complex_quadrature(
-                lambda s: np.cos(200.0 / (s + 1e-3)), 0.0, 1.0,
-                abs_tol=1e-14, panel_limit=8,
-            )
-        assert exc.value.achieved is not None and exc.value.achieved > 0
 
 
 class TestBuildDrivePath:
