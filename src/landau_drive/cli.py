@@ -98,6 +98,43 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
 
 
+#: Keys each fixed config section accepts, and each waveform type besides
+#: "type".  Anything else is a ConfigError, so a misspelt setting never
+#: falls back to its default unnoticed.
+_SECTION_KEYS = {
+    "system": ("units", "charge", "magnetic_field", "mass"),
+    "time": ("t_final", "samples"),
+    "numerics": (
+        "dimension", "oracle_dimension", "quadrature_tol", "integrator_dt", "method"
+    ),
+    "initial_state": ("level",),
+    "report": ("population_levels",),
+    "sweep": ("parameter", "start", "stop", "steps"),
+    "output": ("directory", "format", "basename"),
+}
+_WAVEFORM_KEYS = {
+    "zero": (),
+    "constant": ("e1", "e2"),
+    "rotating": ("amplitude", "nu", "phase"),
+    "linear_sinusoid": ("amplitude", "direction", "angular_frequency", "phase"),
+    "sampled": ("times", "e1", "e2"),
+    "sum": ("terms",),
+}
+
+
+def _reject_unknown_keys(block: dict, allowed, path: str | None) -> None:
+    """ConfigError for the first key of ``block`` not in ``allowed``.
+
+    ``path`` is the section's config path, or None for the document root,
+    whose keys are sections.
+    """
+    for key in block:
+        if key not in allowed:
+            raise ConfigError(
+                f"{path}.{key}: unknown key" if path else f"{key}: unknown section"
+            )
+
+
 def _field(d: dict, key: str, kind, path: str, default=None, required=False):
     if key not in d:
         if required:
@@ -128,7 +165,12 @@ def _field(d: dict, key: str, kind, path: str, default=None, required=False):
 
 
 def _build_waveform(block: dict, path: str) -> FieldWaveform:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: expected a table/object")
     kind = _field(block, "type", str, path, required=True)
+    if kind not in _WAVEFORM_KEYS:
+        raise ConfigError(f"{path}.type: unknown waveform type {kind!r}")
+    _reject_unknown_keys(block, ("type", *_WAVEFORM_KEYS[kind]), path)
     if kind == "zero":
         return ZeroField()
     if kind == "constant":
@@ -162,15 +204,14 @@ def _build_waveform(block: dict, path: str) -> FieldWaveform:
             return SampledField(tuple(times), tuple(e1), tuple(e2))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}")
-    if kind == "sum":
-        terms = _field(block, "terms", list, path, required=True)
-        return SumField(
-            tuple(
-                _build_waveform(term, f"{path}.terms[{i}]")
-                for i, term in enumerate(terms)
-            )
+    # the one type left is "sum"
+    terms = _field(block, "terms", list, path, required=True)
+    return SumField(
+        tuple(
+            _build_waveform(term, f"{path}.terms[{i}]")
+            for i, term in enumerate(terms)
         )
-    raise ConfigError(f"{path}.type: unknown waveform type {kind!r}")
+    )
 
 
 @dataclass(frozen=True)
@@ -208,6 +249,10 @@ def resolve_config(
     """Validate a raw config document and fill in every default."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a table/object")
+    _reject_unknown_keys(raw, ("task", "waveform", *_SECTION_KEYS), None)
+    for section, keys in _SECTION_KEYS.items():
+        if isinstance(raw.get(section), dict):
+            _reject_unknown_keys(raw[section], keys, section)
     declared = _field(raw, "task", str, "config", task)
     if declared != task:
         raise ConfigError(f"task: config declares {declared!r} but command is {task!r}")

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,40 @@ class TestResolveConfig:
     def test_field_level_errors(self, doc, field):
         with pytest.raises(ConfigError, match=field.split(".")[-1]):
             cli.resolve_config(doc, "simulate")
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"numerics": {"dimenson": 8}}, "numerics.dimenson: unknown key"),
+            ({"tiem": {"t_final": 3}}, "tiem: unknown section"),
+            ({"output": {"dir": "x"}}, "output.dir: unknown key"),
+            ({"waveform": {"type": "zero", "amplitude": 1.0}},
+             "waveform.amplitude: unknown key"),
+            ({"waveform": {"type": "rotating", "amplitude": 0.1, "nu": 1.0,
+                           "phse": 0.2}}, "waveform.phse: unknown key"),
+            ({"waveform": {"type": "sum", "terms": [{"type": "constant",
+                                                     "e3": 0.1}]}},
+             "waveform.terms[0].e3: unknown key"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli.resolve_config(doc, "simulate")
+
+    def test_sum_term_must_be_table(self):
+        doc = {"waveform": {"type": "sum", "terms": [0.5]}}
+        with pytest.raises(ConfigError, match=re.escape("waveform.terms[0]: expected")):
+            cli.resolve_config(doc, "simulate")
+
+    def test_misspelt_settings_exit_1(self, tmp_path, capsys):
+        doc = {"numerics": {"dimenson": 8}, "time": {"t_final": 3.0}}
+        cfg_path = write_config(tmp_path, dict(BASE_SIM, **doc))
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "numerics.dimenson: unknown key" in capsys.readouterr().err
+        doc = dict(BASE_SIM, tiem={"t_final": 3.0})
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "tiem: unknown section" in capsys.readouterr().err
 
     def test_sweep_requires_rotating(self):
         doc = {"sweep": {"parameter": "amplitude"}, "waveform": {"type": "zero"}}

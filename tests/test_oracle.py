@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,75 @@ def dynamical_diag(dim, t):
 def factorized(sys_, w, t, dim):
     p = ld.assemble(sys_, w, t, dim=dim)
     return dynamical_diag(dim, sys_.omega * t)[:, None] * p.j_op.matrix
+
+
+def dense_rk4(sys_, w, t_final, dim, dt):
+    """The rk4 scheme of integrate_schrodinger, restated with dense products.
+
+    Builds G(t) = (i k / 2)(Rdot* e^{-it} a + Rdot e^{it} a^dag) as a full
+    matrix from one scalar field value per node, advances node times by a
+    running t += h, and multiplies G(t) @ U at every stage.
+    """
+    w_i, scales, _ = ld.internalize(sys_, w)
+    t_i = t_final / scales.time
+    a, ad = (op.matrix for op in ld.ladder_ops(dim))
+
+    def gen(t):
+        rdot = complex(-1j * w_i.field(t))
+        return (0.5j * math.sqrt(2.0)) * (
+            np.conj(rdot) * np.exp(-1j * t) * a + rdot * np.exp(1j * t) * ad
+        )
+
+    edges = [0.0] + [p for p in sorted(w_i.breakpoints()) if 0.0 < p < t_i] + [t_i]
+    u = np.eye(dim, dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = max(1, math.ceil((hi - lo) / dt))
+        h = (hi - lo) / n
+        t = lo
+        for _ in range(n):
+            k1 = gen(t) @ u
+            g_mid = gen(t + h / 2.0)
+            k2 = g_mid @ (u + (h / 2.0) * k1)
+            k3 = g_mid @ (u + (h / 2.0) * k2)
+            k4 = gen(t + h) @ (u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+    return dynamical_diag(dim, t_i)[:, None] * u
+
+
+def loop_guiding_center(sys_, w, t_grid, phase_per_step=0.005):
+    """guiding_center_residual restated as a scalar step loop.
+
+    One field call per node, node times from a running t += h, and the
+    Simpson steps added to the drift one at a time.
+    """
+    w_i, scales, _ = ld.internalize(sys_, w)
+    grid_i = np.asarray(t_grid, dtype=float) / scales.time
+    rate = max(w_i.rate(), 1e-12)
+
+    def f(t):
+        return complex(w_i.field(t))
+
+    breaks = sorted(w_i.breakpoints())
+    residual, wc = 0.0, 0.0 + 0.0j
+    for t0, t1 in zip(grid_i[:-1], grid_i[1:]):
+        edges = [t0] + [p for p in breaks if t0 < p < t1] + [t1]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            n = max(1, math.ceil((hi - lo) * rate / phase_per_step))
+            h = (hi - lo) / n
+            t = lo
+            for _ in range(n):
+                wc += (h / 6.0) * (f(t) + 4.0 * f(t + h / 2.0) + f(t + h))
+                t += h
+        residual = max(residual, abs(wc - complex(w_i.field_integral(t1))))
+    return residual
+
+
+# piecewise linear with a kink every 0.5, so t = 3.0 lands on one
+KINKED = ld.sample_waveform(
+    ld.SumField((ld.RotatingField(0.08, 0.7, 0.2), ld.ConstantField(0.03, -0.02))),
+    np.linspace(-0.5, 5.0, 12),
+)
 
 
 class TestIntegratorConfig:
@@ -120,6 +191,29 @@ class TestIntegrateSchrodinger:
         u = ld.integrate_schrodinger(natural, w, 10.0, ld.IntegratorConfig(dim=48))
         assert u.unitarity_defect(24) < 1e-7
 
+    @pytest.mark.parametrize(
+        "w,t_final",
+        [
+            (ld.ZeroField(), 4.0),
+            (ld.ConstantField(0.1, -0.05), 4.0),
+            (ld.RotatingField(0.1, 0.9, 0.3), 4.0),
+            (ld.RotatingField(0.1, 0.9, 0.3), 0.0),
+            (ld.LinearSinusoidField(0.12, 0.3, 0.8, 0.1), 4.0),
+            (KINKED, 3.3),
+            (KINKED, 3.0),
+            (ld.SumField((ld.RotatingField(0.06, 1.0), KINKED)), 3.3),
+        ],
+        ids=["zero", "constant", "rotating", "rotating_t0", "linear_sinusoid",
+             "sampled", "sampled_at_kink", "sum"],
+    )
+    def test_banded_rk4_matches_dense_products(self, natural, w, t_final):
+        dim, dt = 12, 0.02
+        u = ld.integrate_schrodinger(
+            natural, w, t_final, ld.IntegratorConfig(dt=dt, dim=dim)
+        )
+        ref = dense_rk4(natural, w, t_final, dim, dt)
+        assert np.max(np.abs(u.matrix - ref)) <= 1e-13
+
     def test_undersized_basis_raises(self, natural):
         w = ld.RotatingField(0.5, 1.0)  # resonant, k|u| ~ 3.5 by t = 10
         with pytest.raises(AccuracyError) as exc:
@@ -180,6 +274,27 @@ class TestGuidingCenterResidual:
         w = ld.sample_waveform(ld.RotatingField(0.2, 0.9), np.linspace(-0.5, 12.0, 60))
         grid = np.linspace(0.0, 11.0, 12)
         assert ld.guiding_center_residual(natural, w, grid) < 1e-12
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            ld.LinearSinusoidField(0.12, 0.3, 0.8, 0.1),
+            ld.RotatingField(0.2, 1.2),
+            KINKED,
+            ld.SumField((ld.RotatingField(0.06, 1.0), KINKED)),
+        ],
+        ids=["linear_sinusoid", "rotating", "sampled", "sum"],
+    )
+    def test_matches_scalar_step_loop(self, natural, w):
+        # same nodes and summation order, so only the field values' last
+        # bits may differ between the vectorized and the scalar calls
+        grid = np.linspace(0.0, 4.5, 7)
+        got = ld.guiding_center_residual(natural, w, grid)
+        assert abs(got - loop_guiding_center(natural, w, grid)) <= 1e-16
+
+    def test_single_point_grid(self, natural):
+        w = ld.RotatingField(0.2, 1.2)
+        assert ld.guiding_center_residual(natural, w, [0.0]) == 0.0
 
     def test_grid_validation(self, natural):
         with pytest.raises(ValueError):
