@@ -33,6 +33,7 @@ from .fock_algebra import (
     CoherentAmplitude,
     TruncatedOperator,
     apply_operator,
+    displacement_columns,
     displacement_matrix,
     ladder_ops,
     matrix_exponential,
@@ -67,6 +68,7 @@ from .propagator import (
     evolve_state,
     healthy_dim,
     j_matrix_element,
+    level_populations,
     resonance_survival,
     resonance_survival_alt_prefactor,
     transition_probabilities,
@@ -82,13 +84,14 @@ __all__ = [
     "SumField", "eval_field", "guiding_center_path", "internalize",
     "sample_waveform",
     "TruncatedOperator", "CoherentAmplitude", "ladder_ops",
-    "displacement_matrix", "matrix_exponential", "apply_operator",
+    "displacement_matrix", "displacement_columns", "matrix_exponential",
+    "apply_operator",
     "suggested_dimension",
     "DrivePath", "signed_area", "magnetic_phase", "coherent_phase",
     "displacement_amplitude", "build_drive_path",
     "FactorizedPropagator", "GeometricRecord", "assemble",
     "displacement_argument", "j_matrix_element", "transition_probabilities",
-    "adiabatic_estimates", "resonance_survival",
+    "level_populations", "adiabatic_estimates", "resonance_survival",
     "resonance_survival_alt_prefactor", "drive_strength_coefficient",
     "evolve_state", "healthy_dim",
     "IntegratorConfig", "pi_sector_hamiltonian", "integrate_schrodinger",

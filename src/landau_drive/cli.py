@@ -32,13 +32,12 @@ from .field_model import (
     SumField,
     ZeroField,
 )
-from .fock_algebra import displacement_matrix, suggested_dimension
+from .fock_algebra import displacement_columns, suggested_dimension
 from .path_integrals import build_drive_path
 from .propagator import (
-    assemble,
     displacement_argument,
     drive_strength_coefficient,
-    transition_probabilities,
+    level_populations,
 )
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_sweep",
@@ -437,10 +436,7 @@ def run_simulate(cfg: RunConfig) -> SimulationReport:
     if cfg.initial_level >= dim:
         raise ConfigError("initial_state.level: exceeds truncation dimension")
     n_pop = min(cfg.population_levels, dim)
-    pops = np.empty((cfg.samples, dim))
-    for j, alpha in enumerate(alphas):
-        d_op = displacement_matrix(alpha, dim)
-        pops[j] = np.abs(d_op.matrix[:, cfg.initial_level]) ** 2
+    pops = np.abs(displacement_columns(alphas, cfg.initial_level, dim)) ** 2
     columns["survival"] = list(map(float, pops[:, cfg.initial_level]))
     for m in range(n_pop):
         columns[f"pop_{m}"] = list(map(float, pops[:, m]))
@@ -478,15 +474,12 @@ def run_phases(cfg: RunConfig) -> SimulationReport:
 def run_sweep(cfg: RunConfig) -> SimulationReport:
     """One row per swept parameter value, evaluated at t_final."""
     start = time.perf_counter()
+    if cfg.dimension is not None and cfg.initial_level >= cfg.dimension:
+        raise ConfigError("initial_state.level: exceeds truncation dimension")
     base = cfg.waveform
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
-    columns = {
-        cfg.sweep_parameter: [],
-        "survival": [],
-        "abs_u": [],
-        "beta": [],
-        "gamma": [],
-    }
+    grid = [0.0, cfg.t_final] if cfg.t_final > 0 else [0.0]
+    us, betas, gammas = [], [], []
     for value in values:
         if cfg.sweep_parameter == "nu_over_omega":
             w = RotatingField(base.amplitude, float(value) * cfg.system.omega, base.phase)
@@ -494,16 +487,20 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
             if value < 0:
                 raise ConfigError("sweep: amplitude values must be nonnegative")
             w = RotatingField(float(value), base.nu, base.phase)
-        p = assemble(
-            cfg.system, w, cfg.t_final, dim=cfg.dimension,
-            method=cfg.method, abs_tol=cfg.quadrature_tol,
+        dp = build_drive_path(
+            cfg.system, w, grid, method=cfg.method, abs_tol=cfg.quadrature_tol
         )
-        probs = transition_probabilities(p, cfg.initial_level)
-        columns[cfg.sweep_parameter].append(float(value))
-        columns["survival"].append(float(probs[cfg.initial_level]))
-        columns["abs_u"].append(float(abs(p.u)))
-        columns["beta"].append(float(p.beta))
-        columns["gamma"].append(float(p.gamma))
+        us.append(complex(dp.u[-1]))
+        betas.append(float(dp.beta[-1]))
+        gammas.append(float(dp.gamma[-1]))
+    pops = level_populations(cfg.system, us, cfg.initial_level, cfg.dimension)
+    columns = {
+        cfg.sweep_parameter: list(map(float, values)),
+        "survival": list(map(float, pops[:, cfg.initial_level])),
+        "abs_u": [abs(u) for u in us],
+        "beta": betas,
+        "gamma": gammas,
+    }
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,

@@ -1,10 +1,12 @@
 """Truncated Fock-space operator algebra.
 
-Ladder operators, closed-form displacement matrices, and a matrix
+Ladder operators, closed-form displacement matrix elements, and a matrix
 exponential used as the independent cross-check for the closed form.
-The displacement matrix is evaluated from the normal-ordered form via
+The elements are evaluated in one place, from the normal-ordered form via
 associated Laguerre polynomials with logarithmic prefactor accumulation,
-so it stays finite well past the range where raw factorials overflow.
+so they stay finite well past the range where raw factorials overflow;
+``displacement_matrix`` takes every column of one amplitude and
+``displacement_columns`` one column of many.
 """
 
 from __future__ import annotations
@@ -24,10 +26,14 @@ __all__ = [
     "CoherentAmplitude",
     "ladder_ops",
     "displacement_matrix",
+    "displacement_columns",
     "matrix_exponential",
     "apply_operator",
     "suggested_dimension",
 ]
+
+#: Elements evaluated per block of amplitudes in ``_displacement_elements``.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,67 +105,126 @@ def ladder_ops(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     return TruncatedOperator(a), TruncatedOperator(a.conj().T)
 
 
-def _laguerre_table(x: float, dim: int) -> np.ndarray:
-    """L[p, d] = L_p^{(d)}(x) for all p + d < dim, by upward recurrence.
+def _laguerre_rows(x: np.ndarray, rows: int, dim: int) -> np.ndarray:
+    """L[s, p, d] = L_p^{(d)}(x[s]) for p < ``rows``, d < ``dim``, by upward
+    recurrence in the degree.
 
-    Upward recurrence in the degree is stable here: the values grow like
-    binomial coefficients (the dominant solution), and for desk-scale
-    dimensions they stay far below overflow.
+    The recurrence runs on each order d independently, so a row does not
+    depend on ``dim`` or on how many rows are built.  Upward recurrence is
+    stable here: the values grow like binomial coefficients (the dominant
+    solution), and for desk-scale dimensions they stay far below overflow.
     """
     d = np.arange(dim, dtype=float)
-    table = np.empty((dim, dim))
-    table[0] = 1.0
-    if dim > 1:
-        table[1] = 1.0 + d - x
-    for p in range(1, dim - 1):
-        table[p + 1] = ((2 * p + d + 1 - x) * table[p] - (p + d) * table[p - 1]) / (p + 1)
+    x = x[:, None]
+    table = np.empty((x.shape[0], rows, dim))
+    table[:, 0] = 1.0
+    if rows > 1:
+        table[:, 1] = 1.0 + d - x
+    for p in range(1, rows - 1):
+        table[:, p + 1] = (
+            (2 * p + d + 1 - x) * table[:, p] - (p + d) * table[:, p - 1]
+        ) / (p + 1)
     return table
+
+
+def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
+    """E[s, m, j] = <m|D(alphas[s])|cols[j]> for m < ``dim``: the one
+    evaluation of the displacement matrix elements.
+
+    For m >= n,
+        <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2),
+    and the m < n elements follow with alpha -> -alpha*.  The magnitude
+    prefactor is accumulated in logs, and only the Laguerre rows
+    p <= max(cols) are built, so S amplitudes and C columns cost
+    O(S (max(cols) + 1) dim) for the table plus O(S dim C) for the elements.
+    Warns with TruncationWarning when some |alpha|^2 > dim/4 and raises
+    TruncationError when an element is not finite.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    cols = np.asarray(cols)
+    # |alpha| and log|alpha| by Python's complex abs and math.log, one
+    # amplitude at a time: numpy's vectorized versions round differently
+    # in the last bit
+    mods = [abs(a) for a in alphas.tolist()]
+    x = np.array([r**2 for r in mods], dtype=float)
+    log_mod = np.array([math.log(r) if r else 0.0 for r in mods], dtype=float)
+    x_max = float(x.max(initial=0.0))
+    if x_max > dim / 4.0:
+        warnings.warn(
+            f"|alpha|^2 = {x_max:.3g} crowds the truncation edge at dim = {dim}",
+            TruncationWarning,
+            stacklevel=3,
+        )
+
+    rows = np.arange(dim)[:, None]
+    p = np.minimum(rows, cols[None, :])
+    d = np.abs(rows - cols[None, :])
+    lower = rows >= cols[None, :]
+    gamma_part = 0.5 * (gammaln(p + 1.0) - gammaln(p + d + 1.0))
+    degrees = int(cols.max()) + 1
+    out = np.empty((alphas.size, dim, cols.size), dtype=complex)
+    # amplitudes go in blocks of about _BLOCK_ELEMENTS elements, which
+    # bounds the temporaries whatever the number of amplitudes
+    step = max(1, _BLOCK_ELEMENTS // (dim * cols.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, alphas.size, step):
+            blk = slice(lo, lo + step)
+            a = alphas[blk, None, None]
+            ang = np.where(lower, np.angle(a), np.angle(-np.conj(a)))
+            log_mag = (
+                -x[blk, None, None] / 2.0 + gamma_part + d * log_mod[blk, None, None]
+            )
+            lag = _laguerre_rows(x[blk], degrees, dim)[:, p, d]
+            out[blk] = np.exp(log_mag + 1j * d * ang) * lag
+    # D(0) is the identity exactly
+    out[alphas == 0] = rows == cols[None, :]
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        raise TruncationError(
+            f"displacement matrix overflows at |alpha|^2 = {x[bad].max():.3g}, "
+            f"dim = {dim}: the Laguerre recurrence leaves entries that are not finite"
+        )
+    return out
 
 
 def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
     """D(alpha) = exp(alpha a^dag - alpha* a) on ``dim`` Fock states.
 
-    Matrix elements in closed form: for m >= n,
-        <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2),
-    and the m < n block follows with alpha -> -alpha*.  Warns with
-    TruncationWarning when |alpha|^2 > dim/4, where the displaced block
-    approaches the truncation edge, and raises TruncationError when the
-    Laguerre table overflows (large |alpha|^2 or dim) into non-finite entries.
+    All columns of the closed-form elements (see ``displacement_columns``).
+    Warns with TruncationWarning when |alpha|^2 > dim/4, where the displaced
+    block approaches the truncation edge, and raises TruncationError when
+    the Laguerre table overflows (large |alpha|^2 or dim) into non-finite
+    entries.
     """
     if isinstance(alpha, CoherentAmplitude):
         alpha = alpha.alpha
     alpha = complex(alpha)
     if dim < 2:
         raise ValueError("need at least two Fock states")
-    x = abs(alpha) ** 2
-    if x > dim / 4.0:
-        warnings.warn(
-            f"|alpha|^2 = {x:.3g} crowds the truncation edge at dim = {dim}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    if alpha == 0:
-        return TruncatedOperator(np.eye(dim, dtype=complex), unitary=True)
-
-    rows = np.arange(dim)[:, None]
-    cols = np.arange(dim)[None, :]
-    p = np.minimum(rows, cols)
-    d = np.abs(rows - cols)
-    log_mag = (
-        -x / 2.0
-        + 0.5 * (gammaln(p + 1.0) - gammaln(p + d + 1.0))
-        + d * math.log(abs(alpha))
-    )
-    ang = np.where(rows >= cols, np.angle(alpha), np.angle(-np.conj(alpha)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        lag = _laguerre_table(x, dim)[p, d]
-        mat = np.exp(log_mag + 1j * d * ang) * lag
-    if not np.all(np.isfinite(mat)):
-        raise TruncationError(
-            f"displacement matrix overflows at |alpha|^2 = {x:.3g}, dim = {dim}: "
-            f"the Laguerre recurrence leaves entries that are not finite"
-        )
+    mat = _displacement_elements([alpha], np.arange(dim), dim)[0]
     return TruncatedOperator(mat, unitary=True)
+
+
+def displacement_columns(alphas, n: int, dim: int) -> np.ndarray:
+    """Column n of D(alpha) for every amplitude: an (S, dim) array whose
+    row s is <m|D(alphas[s])|n> for m = 0 .. dim-1.
+
+    Bit-identical to ``displacement_matrix(alphas[s], dim).matrix[:, n]``
+    but built from the Laguerre rows p <= n only, at O(S (n+1) dim) cost.
+    The elements do not depend on ``dim``: a larger ``dim`` extends each
+    column without changing its leading entries.  Same TruncationWarning
+    and TruncationError as ``displacement_matrix``; since only rows up to
+    n are built, a low column stays finite where the full matrix
+    overflows.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    if alphas.ndim != 1:
+        raise ValueError("amplitudes must be a one-dimensional sequence")
+    if dim < 2:
+        raise ValueError("need at least two Fock states")
+    if not 0 <= n < dim:
+        raise IndexError(f"level {n} outside dimension {dim}")
+    return _displacement_elements(alphas, np.array([n]), dim)[:, :, 0]
 
 
 def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:

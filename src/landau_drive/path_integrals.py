@@ -182,29 +182,29 @@ class DrivePath:
 def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float):
     """Fine grid through every user node and waveform breakpoint.
 
-    Each smooth span gets a multiple of four equal substeps no wider than
-    ``step``, so the half- and quarter-resolution subsets share all span
-    boundaries with the fine grid.
+    Each smooth span [a, b] gets n equal substeps no wider than ``step``,
+    n a multiple of four, so the half- and quarter-resolution subsets share
+    all span boundaries with the fine grid.  Its nodes are a + k (b - a)/n
+    for k = 1 .. n with the last set to b, which is ``np.linspace``'s own
+    arithmetic, built for all spans at once.
     """
-    cuts = set(t_grid.tolist())
     lo, hi = t_grid[0], t_grid[-1]
-    cuts.update(p for p in w.breakpoints() if lo < p < hi)
-    edges = np.array(sorted(cuts))
-    fine = [np.array([edges[0]])]
-    user_index = {edges[0]: 0}
-    count = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        # multiples of 4 so the half- and quarter-rate subsets share all
-        # span boundaries with the fine grid
-        n = max(4, 4 * math.ceil((b - a) / (4.0 * step)))
-        count += n
-        if count > 4_000_000:
-            raise AccuracyError("drive-path refinement grid exceeds 4e6 nodes")
-        seg = np.linspace(a, b, n + 1)[1:]
-        fine.append(seg)
-        user_index[b] = count
-    nodes = np.concatenate(fine)
-    idx = np.array([user_index[t] for t in t_grid.tolist()])
+    cuts = np.asarray(w.breakpoints(), dtype=float)
+    edges = np.unique(np.concatenate([t_grid, cuts[(lo < cuts) & (cuts < hi)]]))
+    a, b = edges[:-1], edges[1:]
+    counts = np.maximum(4.0, 4.0 * np.ceil((b - a) / (4.0 * step)))
+    total = counts.sum()
+    if total > 4_000_000:
+        raise AccuracyError("drive-path refinement grid exceeds 4e6 nodes")
+    counts = counts.astype(np.int64)
+    ends = np.cumsum(counts)
+    # k = 1 .. n within each span
+    k = np.arange(1, int(total) + 1) - np.repeat(ends - counts, counts)
+    nodes = np.empty(k.size + 1)
+    nodes[0] = edges[0]
+    nodes[1:] = k * np.repeat((b - a) / counts, counts) + np.repeat(a, counts)
+    nodes[ends] = b
+    idx = np.concatenate([[0], ends])[np.searchsorted(edges, t_grid)]
     return nodes, idx
 
 

@@ -21,6 +21,7 @@ from .field_model import FieldWaveform, PhysicalSystem
 from .fock_algebra import (
     CoherentAmplitude,
     TruncatedOperator,
+    displacement_columns,
     displacement_matrix,
     suggested_dimension,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "displacement_argument",
     "j_matrix_element",
     "transition_probabilities",
+    "level_populations",
     "adiabatic_estimates",
     "resonance_survival",
     "resonance_survival_alt_prefactor",
@@ -138,9 +140,13 @@ def assemble(
     )
 
 
+def _healthy_size(dim: int, mean_level: float) -> int:
+    return max(0, dim - math.ceil(4.0 * mean_level + 8.0))
+
+
 def healthy_dim(p: FactorizedPropagator) -> int:
     """Leading block where truncation effects stay below tolerance."""
-    return max(0, p.dim - math.ceil(4.0 * p.alpha.mean_level + 8.0))
+    return _healthy_size(p.dim, p.alpha.mean_level)
 
 
 def j_matrix_element(p: FactorizedPropagator, m: int, n: int) -> complex:
@@ -167,6 +173,33 @@ def transition_probabilities(p: FactorizedPropagator, n: int) -> np.ndarray:
     if n >= h:
         raise TruncationError(f"level {n} reaches the unhealthy block (healthy dim {h})")
     return np.abs(p.j_op.matrix[:, n]) ** 2
+
+
+def level_populations(
+    sys: PhysicalSystem, u, n: int, dim: int | None = None
+) -> np.ndarray:
+    """P(n -> m) = |<m|J|n>|^2 for every drive amplitude in ``u``: (S, D).
+
+    Sample s is truncated at ``dim``, or with dim omitted at the
+    |alpha|-based size ``assemble`` would choose for it; D is the largest
+    of those sizes.  Matrix elements do not depend on the truncation, so
+    the leading entries of row s equal ``transition_probabilities`` of
+    that sample's propagator, and the rest extend the same column to D.
+    Raises TruncationError when n reaches a sample's unhealthy block (or
+    lies past its truncation) or an element is not finite.  One column
+    evaluation serves all samples.
+    """
+    u = np.asarray(u, dtype=complex).tolist()
+    alphas = [displacement_argument(sys, v) for v in u]
+    dims = [suggested_dimension(a) if dim is None else dim for a in alphas]
+    for alpha, size in zip(alphas, dims):
+        h = _healthy_size(size, abs(alpha) ** 2)
+        if n >= h:
+            raise TruncationError(
+                f"level {n} reaches the unhealthy block (healthy dim {h})"
+            )
+    size = dim or max(dims)
+    return np.abs(displacement_columns(alphas, n, size)) ** 2
 
 
 def adiabatic_estimates(sys: PhysicalSystem, n: int, u: complex) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import landau_drive as ld
 from landau_drive import cli
-from landau_drive.errors import ConfigError
+from landau_drive.errors import ConfigError, TruncationError
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -247,6 +248,58 @@ class TestRunSweep:
         assert report.columns["survival"][0] == 1.0
 
 
+    SWEEP_DOC = {
+        "waveform": {"type": "rotating", "amplitude": 0.3, "nu": 1.0},
+        "time": {"t_final": 20.0},
+        "sweep": {"parameter": "nu_over_omega", "start": 0.5, "stop": 1.5,
+                  "steps": 11},
+    }
+
+    @pytest.mark.parametrize("dimension", [0, 100])
+    def test_matches_per_point_propagators(self, natural, dimension):
+        doc = dict(self.SWEEP_DOC, numerics={"dimension": dimension},
+                   initial_state={"level": 2})
+        report = cli.run_sweep(cli.resolve_config(doc, "sweep"))
+        for i, ratio in enumerate(report.columns["nu_over_omega"]):
+            p = ld.assemble(natural, ld.RotatingField(0.3, ratio), 20.0,
+                            dim=dimension or None)
+            assert report.columns["survival"][i] == pytest.approx(
+                ld.transition_probabilities(p, 2)[2], rel=1e-15, abs=0.0
+            )
+            assert report.columns["abs_u"][i] == abs(p.u)
+            assert report.columns["beta"][i] == p.beta
+            assert report.columns["gamma"][i] == p.gamma
+
+    def test_unhealthy_point_is_truncation_error(self, tmp_path, capsys, natural):
+        # dim 100, level 25: healthy off resonance, but at nu = omega
+        # |alpha|^2 = 18 (in floating point just above) leaves 19 levels
+        doc = dict(self.SWEEP_DOC, numerics={"dimension": 100},
+                   initial_state={"level": 25})
+        healthy = [
+            ld.healthy_dim(ld.assemble(natural, ld.RotatingField(0.3, r), 20.0, dim=100))
+            for r in np.linspace(0.5, 1.5, 11)
+        ]
+        assert sum(h <= 25 for h in healthy) == 1
+        with pytest.raises(TruncationError, match="healthy dim 19"):
+            cli.run_sweep(cli.resolve_config(doc, "sweep"))
+        cfg_path = write_config(tmp_path, dict(doc, task="sweep",
+                                               output={"directory": str(tmp_path / "o")}))
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+        assert "numeric error" in capsys.readouterr().err
+
+
+    def test_level_past_explicit_dimension_is_config_error(self):
+        doc = dict(self.SWEEP_DOC, numerics={"dimension": 10},
+                   initial_state={"level": 12})
+        with pytest.raises(ConfigError, match="initial_state.level"):
+            cli.run_sweep(cli.resolve_config(doc, "sweep"))
+
+    def test_level_past_auto_dimension_is_truncation_error(self):
+        doc = dict(self.SWEEP_DOC, initial_state={"level": 40})
+        with pytest.raises(TruncationError):
+            cli.run_sweep(cli.resolve_config(doc, "sweep"))
+
+
 class TestMainAndOutputs:
     def test_simulate_writes_deterministic_csv(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(BASE_SIM, output={"directory": str(tmp_path / "a")}))
@@ -287,11 +340,40 @@ class TestMainAndOutputs:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_laguerre_overflow_is_numeric_error(self, tmp_path, capsys, command):
         # resonant drive of amplitude 1 reaches |alpha|^2 = 200 by t = 20; the
-        # auto dimension overflows the displacement matrix's Laguerre table
+        # full dim-1617 matrix would overflow its Laguerre table, but the
+        # level-0 column needs only the p = 0 row and stays finite
         doc = {
             "task": command,
             "waveform": {"type": "rotating", "amplitude": 1.0, "nu": 1.0},
             "time": {"t_final": 20.0, "samples": 3},
+            "sweep": {"parameter": "nu_over_omega", "start": 1.0, "stop": 1.0,
+                      "steps": 1},
+            "output": {"directory": str(tmp_path / "o")},
+        }
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", str(cfg_path)]) == 0
+        suffix = "samples" if command == "simulate" else "sweep"
+        last = read_csv(tmp_path / "o" / f"{command}_{suffix}.csv")[-1]
+        if command == "simulate":
+            abs_u = abs(complex(float(last["re_u"]), float(last["im_u"])))
+            report = json.loads((tmp_path / "o" / "simulate_report.json").read_text())
+            assert report["population_sum_max_dev"] <= 1e-8
+        else:
+            abs_u = float(last["abs_u"])
+        expected = math.exp(-2.0 * abs_u**2)   # k^2 = 2 in natural units
+        assert expected == pytest.approx(math.exp(-200.0), rel=1e-12)
+        assert float(last["survival"]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_laguerre_column_overflow_is_numeric_error(self, tmp_path, capsys, command):
+        # |alpha|^2 = 100 by t = 20: column 300 of a dim-1700 basis needs
+        # Laguerre rows up to p = 300, which overflow
+        doc = {
+            "task": command,
+            "waveform": {"type": "rotating", "amplitude": math.sqrt(0.5), "nu": 1.0},
+            "time": {"t_final": 20.0, "samples": 3},
+            "numerics": {"dimension": 1700},
+            "initial_state": {"level": 300},
             "sweep": {"parameter": "nu_over_omega", "start": 1.0, "stop": 1.0,
                       "steps": 1},
             "output": {"directory": str(tmp_path / "o")},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,72 @@ class TestDisplacementMatrix:
             alpha + beta, n
         ).matrix
         assert np.max(np.abs((lhs - rhs)[:16, :16])) < 1e-8
+
+
+class TestDisplacementColumns:
+    # alpha = 0, a tiny amplitude, |alpha|^2 = 40 in three directions, and
+    # generic ones
+    AMPLITUDES = [
+        0j, 1e-9 + 2e-9j, 3e-12j, complex(math.sqrt(40.0), 0.0),
+        complex(0.0, -math.sqrt(40.0)), complex(-math.sqrt(20.0), math.sqrt(20.0)),
+        0.3 - 0.4j, -1.7 + 0.2j, 2.5j,
+    ]
+
+    @pytest.mark.parametrize(
+        "n, dim", [(n, dim) for dim in (2, 32, 161) for n in (0, 1, 3, 10) if n < dim]
+    )
+    def test_bit_identical_to_matrix_column(self, n, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            cols = ld.displacement_columns(self.AMPLITUDES, n, dim)
+            assert cols.shape == (len(self.AMPLITUDES), dim)
+            for s, alpha in enumerate(self.AMPLITUDES):
+                ref = ld.displacement_matrix(alpha, dim).matrix[:, n]
+                assert np.array_equal(cols[s], ref), (alpha, n, dim)
+
+    def test_many_amplitudes_bit_identical(self):
+        # enough amplitudes that they are evaluated in several blocks
+        rng = np.random.default_rng(7)
+        alphas = 1.5 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
+        cols = ld.displacement_columns(alphas, 3, 161)
+        for s in (0, 101, 102, 250, 399):
+            ref = ld.displacement_matrix(alphas[s], 161).matrix[:, 3]
+            assert np.array_equal(cols[s], ref)
+
+    def test_longer_basis_extends_column(self):
+        short = ld.displacement_columns([1.1 - 0.6j], 4, 40)
+        long = ld.displacement_columns([1.1 - 0.6j], 4, 90)
+        assert np.array_equal(long[:, :40], short)
+
+    def test_low_column_finite_where_matrix_overflows(self):
+        alpha = math.sqrt(200.0)
+        with pytest.raises(TruncationError):
+            ld.displacement_matrix(alpha, 1616)
+        col = ld.displacement_columns([alpha], 0, 1616)[0]
+        assert abs(col[0]) ** 2 == pytest.approx(math.exp(-200.0), rel=1e-12)
+        assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_column_overflow_is_truncation_error(self):
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 100, dim = 1700"):
+            ld.displacement_columns([0.5, 10.0], 300, 1700)
+        assert np.all(np.isfinite(ld.displacement_columns([10.0], 200, 1500)))
+
+    def test_truncation_warning(self):
+        with pytest.warns(TruncationWarning):
+            ld.displacement_columns([0.1, 3.0], 0, 32)
+
+    def test_argument_checks(self):
+        with pytest.raises(IndexError):
+            ld.displacement_columns([0.5], 8, 8)
+        with pytest.raises(IndexError):
+            ld.displacement_columns([0.5], -1, 8)
+        with pytest.raises(ValueError):
+            ld.displacement_columns([0.5], 0, 1)
+        with pytest.raises(ValueError):
+            ld.displacement_columns([[0.5]], 0, 8)
+
+    def test_no_amplitudes(self):
+        assert ld.displacement_columns([], 2, 8).shape == (0, 8)
 
 
 class TestCoherentAmplitude:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
+from landau_drive.errors import AccuracyError
+from landau_drive.path_integrals import _refined_grid
 
 
 def rotating_u(r0, nu, t, omega=1.0):
@@ -388,3 +390,47 @@ def test_area_concatenation_identity(coeffs, split):
     s_b = ld.signed_area(z[cut:])
     tri = 0.5 * np.imag(np.conj(z[cut]) * z[-1])
     assert s_ab == pytest.approx(s_a + s_b + tri, abs=1e-10)
+
+
+def linspace_refined_grid(t_grid, w, step):
+    """Reference fine grid: one np.linspace per smooth span."""
+    cuts = set(t_grid.tolist())
+    cuts.update(p for p in w.breakpoints() if t_grid[0] < p < t_grid[-1])
+    edges = sorted(cuts)
+    fine, index = [np.array([edges[0]])], {edges[0]: 0}
+    count = 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        n = max(4, 4 * math.ceil((b - a) / (4.0 * step)))
+        count += n
+        fine.append(np.linspace(a, b, n + 1)[1:])
+        index[b] = count
+    return np.concatenate(fine), np.array([index[t] for t in t_grid.tolist()])
+
+
+class TestRefinedGrid:
+    @pytest.fixture
+    def trace(self):
+        # 2001 unevenly spaced samples: about 2000 breakpoints
+        rng = np.random.default_rng(11)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.001, 0.02, 2000))])
+        e1, e2 = rng.standard_normal((2, times.size))
+        return ld.SampledField(tuple(times), tuple(e1), tuple(e2))
+
+    @pytest.mark.parametrize("step", [0.02, 0.005, 0.00125, 0.3])
+    def test_matches_per_span_linspace(self, trace, step):
+        t_end = trace.times[-1]
+        for t_grid in (
+            np.linspace(0.0, t_end, 101),
+            np.array([0.0, trace.times[700], 7.3, t_end]),   # on and off breakpoints
+            np.array([0.0]),
+        ):
+            nodes, idx = _refined_grid(t_grid, trace, step)
+            ref_nodes, ref_idx = linspace_refined_grid(t_grid, trace, step)
+            assert np.array_equal(nodes, ref_nodes)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(nodes[idx], t_grid)
+
+    def test_node_budget_checked_before_building(self):
+        # 1e9 substeps would need 8 GB; the count alone must refuse them
+        with pytest.raises(AccuracyError, match="4e6"):
+            _refined_grid(np.array([0.0, 1.0]), ld.ZeroField(), 1e-9)

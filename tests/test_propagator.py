@@ -182,6 +182,45 @@ class TestTransitionProbabilities:
             ld.transition_probabilities(p, ld.healthy_dim(p))
 
 
+class TestLevelPopulations:
+    CASES = [
+        (ld.RotatingField(0.16, 0.8), 10.0),
+        (ld.RotatingField(0.3, 1.0), 20.0),
+        (ld.RotatingField(0.05, 1.3, 0.4), 7.5),
+        (ld.ZeroField(), 3.0),
+        (ld.LinearSinusoidField(0.2, 0.7, 1.1), 6.0),
+    ]
+
+    @pytest.mark.parametrize("dim", [None, 200])
+    @pytest.mark.parametrize("n", [0, 2, 5])
+    def test_matches_transition_probabilities(self, natural, n, dim):
+        props = [ld.assemble(natural, w, t, dim=dim) for w, t in self.CASES]
+        pops = ld.level_populations(natural, [p.u for p in props], n, dim)
+        assert pops.shape == (len(props), max(p.dim for p in props))
+        for row, p in zip(pops, props):
+            ref = ld.transition_probabilities(p, n)
+            assert np.max(np.abs(row[: p.dim] - ref)) <= 1e-15
+
+    def test_mirrored_system(self):
+        electron = ld.PhysicalSystem(charge=-1.0, magnetic_field=1.0, mass=1.0)
+        p = ld.assemble(electron, ld.RotatingField(0.2, 0.9), 8.0)
+        pops = ld.level_populations(electron, [p.u], 1)
+        assert np.max(np.abs(pops[0] - ld.transition_probabilities(p, 1))) <= 1e-15
+
+    def test_unhealthy_level_rejected(self, rotating, natural):
+        p, *_ = rotating
+        h = ld.healthy_dim(p)
+        ld.level_populations(natural, [0.0, p.u], h - 1, p.dim)
+        with pytest.raises(TruncationError):
+            ld.level_populations(natural, [0.0, p.u], h, p.dim)
+
+    def test_level_outside_truncation(self, natural):
+        with pytest.raises(TruncationError):
+            ld.level_populations(natural, [0.1], 40, 40)
+        with pytest.raises(TruncationError):
+            ld.level_populations(natural, [0.1], 40)   # auto size 32
+
+
 class TestAdiabaticEstimates:
     def test_ground_state_has_no_lower_level(self, natural):
         down, up = ld.adiabatic_estimates(natural, 0, 0.01)
