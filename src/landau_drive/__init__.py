@@ -32,7 +32,6 @@ from .field_model import (
 from .fock_algebra import (
     CoherentAmplitude,
     TruncatedOperator,
-    apply_operator,
     displacement_columns,
     displacement_matrix,
     ladder_ops,
@@ -85,7 +84,6 @@ __all__ = [
     "sample_waveform",
     "TruncatedOperator", "CoherentAmplitude", "ladder_ops",
     "displacement_matrix", "displacement_columns", "matrix_exponential",
-    "apply_operator",
     "suggested_dimension",
     "DrivePath", "signed_area", "magnetic_phase", "coherent_phase",
     "displacement_amplitude", "build_drive_path",

@@ -69,14 +69,6 @@ class ExpPath:
             z = z + amp * cis_minus_one(mu * t)
         return z
 
-    def derivative(self, t):
-        """dz/dt, vectorized over t."""
-        t = np.asarray(t, dtype=float)
-        dz = np.full(t.shape, complex(self.drift))
-        for amp, mu in self.terms:
-            dz = dz + amp * 1j * mu * np.exp(1j * mu * t)
-        return dz
-
     def enclosed_area(self, t):
         """Signed area between the path on [0, t] and the chord back to z(0).
 
@@ -96,7 +88,3 @@ class ExpPath:
             acc += np.conj(amp_j) * v * eps0(-mu_j, t)
         acc += np.conj(c0) * v * t
         return 0.5 * np.imag(acc)
-
-    def max_rate(self) -> float:
-        """Largest angular rate appearing in the path."""
-        return max((abs(mu) for _, mu in self.terms), default=0.0)

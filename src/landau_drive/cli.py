@@ -15,8 +15,9 @@ import json
 import math
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,144 +98,181 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
 
 
-#: Keys each fixed config section accepts, and each waveform type besides
-#: "type".  Anything else is a ConfigError, so a misspelt setting never
-#: falls back to its default unnoticed.
-_SECTION_KEYS = {
-    "system": ("units", "charge", "magnetic_field", "mass"),
-    "time": ("t_final", "samples"),
-    "numerics": (
-        "dimension", "oracle_dimension", "quadrature_tol", "integrator_dt", "method"
-    ),
-    "initial_state": ("level",),
-    "report": ("population_levels",),
-    "sweep": ("parameter", "start", "stop", "steps"),
-    "output": ("directory", "format", "basename"),
-}
-_WAVEFORM_KEYS = {
-    "zero": (),
-    "constant": ("e1", "e2"),
-    "rotating": ("amplitude", "nu", "phase"),
-    "linear_sinusoid": ("amplitude", "direction", "angular_frequency", "phase"),
-    "sampled": ("times", "e1", "e2"),
-    "sum": ("terms",),
+#: Kinds of config value: kind -> (accepted Python types, what the error
+#: says is expected, conversion of (value, config path) or None).  A
+#: rejected table or list is not repeated in the error: it may be large.
+_KINDS = {
+    "number": ((int, float), "a number", lambda v, where: float(v)),
+    "integer": (int, "an integer", None),
+    "string": (str, "a string", None),
+    "lowercase": (str, "a string", lambda v, where: v.lower()),
+    "path": (str, "a string", lambda v, where: str(Path(v))),
+    "table": (dict, "a table/object", None),
+    "list": (list, "a list", lambda v, where: tuple(v)),
+    "waveforms": (list, "a list", lambda v, where: tuple(
+        _build_waveform(term, f"{where}[{i}]") for i, term in enumerate(v))),
 }
 
 
-def _reject_unknown_keys(block: dict, allowed, path: str | None) -> None:
-    """ConfigError for the first key of ``block`` not in ``allowed``.
+def _typed(value, kind: str, where: str):
+    """``value`` checked against ``kind`` and converted; numbers must be finite."""
+    accepted, expected, convert = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        shown = "" if accepted in (dict, list) else f", got {value!r}"
+        raise ConfigError(f"{where}: expected {expected}{shown}")
+    if kind == "number" and not abs(value) <= _sys.float_info.max:  # NaN, inf, huge int
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value if convert is None else convert(value, where)
 
-    ``path`` is the section's config path, or None for the document root,
-    whose keys are sections.
-    """
+
+class _Key(NamedTuple):
+    """One config key: its kind (see _KINDS), its default, and an optional
+    check on the typed value with the message it fails with ("{!r}"
+    receives the value).  A callable default takes the task and the
+    physical system."""
+
+    kind: str
+    default: object = None
+    check: Callable | None = None
+    message: str = ""
+
+
+#: Default of a waveform key that must be given.
+_REQUIRED = object()
+
+#: Waveform keys: an optional number, a required number, a sample list.
+_num = _Key("number", 0.0)
+_needed = _Key("number", _REQUIRED)
+_samples = _Key("list", _REQUIRED)
+
+#: The config document, declared once: section -> key -> _Key.  This
+#: table drives unknown-key rejection, type checks, defaults, range checks
+#: and the ``resolved`` echo of every report.  The sweep section is checked
+#: only by the sweep task, which alone reads it.
+_SCHEMA = {
+    "system": {
+        "units": _Key("lowercase", "natural", UNIT_CONSTANTS.__contains__,
+                      "unknown unit system {!r}"),
+        "charge": _Key("number", 1.0),
+        "magnetic_field": _Key("number", 1.0),
+        "mass": _Key("number", 1.0),
+    },
+    "time": {
+        "t_final": _Key("number", lambda task, system: 10.0 / system.omega,
+                        lambda v: v >= 0, "must be nonnegative"),
+        "samples": _Key("integer", 101, lambda v: v >= 2, "must be at least 2"),
+    },
+    "numerics": {
+        "dimension": _Key("integer", 0, lambda v: v == 0 or v >= 2,
+                          "must be 0 (auto) or at least 2"),
+        "oracle_dimension": _Key("integer", 64, lambda v: v >= 2, "must be at least 2"),
+        "quadrature_tol": _Key("number", 1e-10, lambda v: 0 < v <= 1e-4,
+                               "must lie in (0, 1e-4]"),
+        "integrator_dt": _Key("number", 0.01, lambda v: 0 < v <= 0.05,
+                              "must lie in (0, 0.05] (units of 1/omega)"),
+        "method": _Key("string", "auto", ("auto", "closed_form", "quadrature").__contains__,
+                       "unknown method {!r}"),
+    },
+    "initial_state": {
+        "level": _Key("integer", 0, lambda v: v >= 0, "must be nonnegative"),
+    },
+    "report": {
+        "population_levels": _Key("integer", 8, lambda v: v >= 1, "must be positive"),
+    },
+    "sweep": {
+        "parameter": _Key("string", None, ("nu_over_omega", "amplitude").__contains__,
+                          "must be 'nu_over_omega' or 'amplitude'"),
+        "start": _Key("number", 0.5),
+        "stop": _Key("number", 1.5),
+        "steps": _Key("integer", 21, lambda v: v >= 1, "must be positive"),
+    },
+    "output": {
+        "directory": _Key("path", "out"),
+        "format": _Key("lowercase", "csv", ("csv", "json").__contains__,
+                       "must be 'csv' or 'json', got {!r}"),
+        "basename": _Key("string", lambda task, system: task),
+    },
+}
+
+#: Keys of the document root; any other root key is an unknown section.
+_ROOT = {
+    "task": _Key("string", lambda task, system: task),
+    "waveform": _Key("table", lambda task, system: {"type": "zero"}),  # new per call: echoed
+    **{section: _Key("table", {}) for section in _SCHEMA},
+}
+
+#: Waveform type -> (class, key -> _Key).  The keys are the class's
+#: constructor arguments; the class checks their values (ValueError).
+_WAVEFORMS = {
+    "zero": (ZeroField, {}),
+    "constant": (ConstantField, {"e1": _num, "e2": _num}),
+    "rotating": (RotatingField, {"amplitude": _needed, "nu": _needed, "phase": _num}),
+    "linear_sinusoid": (LinearSinusoidField, {
+        "amplitude": _needed, "direction": _num, "angular_frequency": _num, "phase": _num,
+    }),
+    "sampled": (SampledField, {"times": _samples, "e1": _samples, "e2": _samples}),
+    "sum": (SumField, {"terms": _Key("waveforms", _REQUIRED)}),
+}
+
+
+def _resolve(block: dict, keys: dict, path: str, task: str | None = None, system=None, *,
+             checked: bool = True, unknown: str = "{path}.{key}: unknown key") -> dict:
+    """Every key of ``keys`` typed, defaulted and (if ``checked``) checked;
+    a key of ``block`` not in ``keys`` is a ConfigError."""
     for key in block:
-        if key not in allowed:
-            raise ConfigError(
-                f"{path}.{key}: unknown key" if path else f"{key}: unknown section"
-            )
+        if key not in keys:
+            raise ConfigError(unknown.format(path=path, key=key))
+    values = {}
+    for key, (kind, default, check, message) in keys.items():
+        where = f"{path}.{key}"
+        if key in block:
+            value = _typed(block[key], kind, where)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}: required field missing")
+        else:
+            value = default(task, system) if callable(default) else default
+        if checked and check is not None and not check(value):
+            raise ConfigError(f"{where}: {message.format(value)}")
+        values[key] = value
+    return values
 
 
-def _field(d: dict, key: str, kind, path: str, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field missing")
-        return default
-    value = d[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}.{key}: expected a table/object")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}.{key}: expected a list")
-        return value
-    raise AssertionError(kind)
-
-
-def _build_waveform(block: dict, path: str) -> FieldWaveform:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected a table/object")
-    kind = _field(block, "type", str, path, required=True)
-    if kind not in _WAVEFORM_KEYS:
+def _build_waveform(block, path: str) -> FieldWaveform:
+    if "type" not in _typed(block, "table", path):
+        raise ConfigError(f"{path}.type: required field missing")
+    kind = _typed(block["type"], "string", f"{path}.type")
+    if kind not in _WAVEFORMS:
         raise ConfigError(f"{path}.type: unknown waveform type {kind!r}")
-    _reject_unknown_keys(block, ("type", *_WAVEFORM_KEYS[kind]), path)
-    if kind == "zero":
-        return ZeroField()
-    if kind == "constant":
-        return ConstantField(
-            _field(block, "e1", float, path, 0.0), _field(block, "e2", float, path, 0.0)
-        )
-    if kind == "rotating":
-        try:
-            return RotatingField(
-                _field(block, "amplitude", float, path, required=True),
-                _field(block, "nu", float, path, required=True),
-                _field(block, "phase", float, path, 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}")
-    if kind == "linear_sinusoid":
-        try:
-            return LinearSinusoidField(
-                _field(block, "amplitude", float, path, required=True),
-                _field(block, "direction", float, path, 0.0),
-                _field(block, "angular_frequency", float, path, 0.0),
-                _field(block, "phase", float, path, 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}")
-    if kind == "sampled":
-        times = _field(block, "times", list, path, required=True)
-        e1 = _field(block, "e1", list, path, required=True)
-        e2 = _field(block, "e2", list, path, required=True)
-        try:
-            return SampledField(tuple(times), tuple(e1), tuple(e2))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}")
-    # the one type left is "sum"
-    terms = _field(block, "terms", list, path, required=True)
-    return SumField(
-        tuple(
-            _build_waveform(term, f"{path}.terms[{i}]")
-            for i, term in enumerate(terms)
-        )
+    cls, keys = _WAVEFORMS[kind]
+    args = _resolve({k: v for k, v in block.items() if k != "type"}, keys, path)
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
+def _physical_system(units: str, charge: float, magnetic_field: float,
+                     mass: float) -> PhysicalSystem:
+    """The system of a ``system`` config section: in the si and gaussian
+    unit systems charge and mass count elementary charges and electron
+    masses."""
+    consts = UNIT_CONSTANTS[units]
+    return PhysicalSystem(
+        charge=charge * consts["elementary_charge"],
+        magnetic_field=magnetic_field,
+        mass=mass * consts["electron_mass"],
+        hbar=consts["hbar"],
+        c=consts["c"],
     )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    task: str
-    unit_system: str
+    """A checked run: the physical system, the waveform and ``resolved``,
+    every setting with its default filled in, as echoed by each report."""
+
     system: PhysicalSystem
     waveform: FieldWaveform
-    t_final: float
-    samples: int
-    dimension: int | None
-    oracle_dim: int
-    quadrature_tol: float
-    integrator_dt: float
-    method: str
-    initial_level: int
-    population_levels: int
-    sweep_parameter: str | None
-    sweep_start: float
-    sweep_stop: float
-    sweep_steps: int
-    out_dir: Path
-    out_format: str
-    basename: str
     resolved: dict
 
 
@@ -248,170 +286,53 @@ def resolve_config(
     """Validate a raw config document and fill in every default."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a table/object")
-    _reject_unknown_keys(raw, ("task", "waveform", *_SECTION_KEYS), None)
-    for section, keys in _SECTION_KEYS.items():
-        if isinstance(raw.get(section), dict):
-            _reject_unknown_keys(raw[section], keys, section)
-    declared = _field(raw, "task", str, "config", task)
-    if declared != task:
-        raise ConfigError(f"task: config declares {declared!r} but command is {task!r}")
+    top = _resolve(raw, _ROOT, "config", task, unknown="{key}: unknown section")
+    if top["task"] != task:
+        raise ConfigError(f"task: config declares {top['task']!r} but command is {task!r}")
+    overrides = {"directory": out_override, "format": format_override}
+    top["output"] = {**top["output"], **{k: v for k, v in overrides.items() if v}}
 
-    sysblock = _field(raw, "system", dict, "config", {})
-    unit_system = _field(sysblock, "units", str, "system", "natural").lower()
-    if unit_system not in UNIT_CONSTANTS:
-        raise ConfigError(f"system.units: unknown unit system {unit_system!r}")
-    consts = UNIT_CONSTANTS[unit_system]
-    charge_mult = _field(sysblock, "charge", float, "system", 1.0)
-    b_value = _field(sysblock, "magnetic_field", float, "system", 1.0)
-    mass_mult = _field(sysblock, "mass", float, "system", 1.0)
+    settings = _resolve(top["system"], _SCHEMA["system"], "system", task)
     try:
-        system = PhysicalSystem(
-            charge=charge_mult * consts["elementary_charge"],
-            magnetic_field=b_value,
-            mass=mass_mult * consts["electron_mass"],
-            hbar=consts["hbar"],
-            c=consts["c"],
-        )
+        system = _physical_system(**settings)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}")
-
-    waveform = _build_waveform(_field(raw, "waveform", dict, "config", {"type": "zero"}), "waveform")
-
-    timeblock = _field(raw, "time", dict, "config", {})
-    t_final = _field(timeblock, "t_final", float, "time", 10.0 / system.omega)
-    if t_final < 0:
-        raise ConfigError("time.t_final: must be nonnegative")
-    samples = _field(timeblock, "samples", int, "time", 101)
-    if samples < 2:
-        raise ConfigError("time.samples: must be at least 2")
-
-    numblock = _field(raw, "numerics", dict, "config", {})
-    dimension = _field(numblock, "dimension", int, "numerics", 0)
-    if dimension < 0 or dimension == 1:
-        raise ConfigError("numerics.dimension: must be 0 (auto) or at least 2")
-    oracle_dim = _field(numblock, "oracle_dimension", int, "numerics", 64)
-    if oracle_dim < 2:
-        raise ConfigError("numerics.oracle_dimension: must be at least 2")
-    quadrature_tol = _field(numblock, "quadrature_tol", float, "numerics", 1e-10)
-    if not 0 < quadrature_tol <= 1e-4:
-        raise ConfigError("numerics.quadrature_tol: must lie in (0, 1e-4]")
-    integrator_dt = _field(numblock, "integrator_dt", float, "numerics", 0.01)
-    if not 0 < integrator_dt <= 0.05:
-        raise ConfigError(
-            "numerics.integrator_dt: must lie in (0, 0.05] (units of 1/omega)"
-        )
-    method = _field(numblock, "method", str, "numerics", "auto")
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ConfigError(f"numerics.method: unknown method {method!r}")
-
-    stateblock = _field(raw, "initial_state", dict, "config", {})
-    initial_level = _field(stateblock, "level", int, "initial_state", 0)
-    if initial_level < 0:
-        raise ConfigError("initial_state.level: must be nonnegative")
-
-    reportblock = _field(raw, "report", dict, "config", {})
-    population_levels = _field(reportblock, "population_levels", int, "report", 8)
-    if population_levels < 1:
-        raise ConfigError("report.population_levels: must be positive")
-
-    sweepblock = _field(raw, "sweep", dict, "config", {})
-    sweep_parameter = _field(sweepblock, "parameter", str, "sweep", None)
-    sweep_start = _field(sweepblock, "start", float, "sweep", 0.5)
-    sweep_stop = _field(sweepblock, "stop", float, "sweep", 1.5)
-    sweep_steps = _field(sweepblock, "steps", int, "sweep", 21)
-    if task == "sweep":
-        if sweep_parameter not in ("nu_over_omega", "amplitude"):
-            raise ConfigError(
-                "sweep.parameter: must be 'nu_over_omega' or 'amplitude'"
-            )
-        if sweep_steps < 1:
-            raise ConfigError("sweep.steps: must be positive")
-        if not isinstance(waveform, RotatingField):
-            raise ConfigError("sweep: waveform must be 'rotating' for sweeps")
-
-    outblock = _field(raw, "output", dict, "config", {})
-    out_dir = Path(out_override or _field(outblock, "directory", str, "output", "out"))
-    out_format = (format_override or _field(outblock, "format", str, "output", "csv")).lower()
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format: must be 'csv' or 'json', got {out_format!r}")
-    basename = _field(outblock, "basename", str, "output", task)
-
+    waveform = _build_waveform(top["waveform"], "waveform")
     resolved = {
         "task": task,
-        "system": {
-            "units": unit_system,
-            "charge": charge_mult,
-            "magnetic_field": b_value,
-            "mass": mass_mult,
-            "constants": consts,
-            "derived": {
-                "omega": system.omega,
-                "l_b": system.l_b,
-                "k": system.k,
-                "mirrored": system.mirrored,
-            },
-        },
-        "waveform": _field(raw, "waveform", dict, "config", {"type": "zero"}),
-        "time": {"t_final": t_final, "samples": samples},
-        "numerics": {
-            "dimension": dimension,
-            "oracle_dimension": oracle_dim,
-            "quadrature_tol": quadrature_tol,
-            "integrator_dt": integrator_dt,
-            "method": method,
-        },
-        "initial_state": {"level": initial_level},
-        "report": {"population_levels": population_levels},
-        "sweep": {
-            "parameter": sweep_parameter,
-            "start": sweep_start,
-            "stop": sweep_stop,
-            "steps": sweep_steps,
-        },
-        "output": {
-            "directory": str(out_dir),
-            "format": out_format,
-            "basename": basename,
-        },
+        "system": dict(settings, constants=UNIT_CONSTANTS[settings["units"]], derived={
+            "omega": system.omega, "l_b": system.l_b, "k": system.k,
+            "mirrored": system.mirrored,
+        }),
+        "waveform": top["waveform"],
     }
-    return RunConfig(
-        task=task,
-        unit_system=unit_system,
-        system=system,
-        waveform=waveform,
-        t_final=t_final,
-        samples=samples,
-        dimension=dimension or None,
-        oracle_dim=oracle_dim,
-        quadrature_tol=quadrature_tol,
-        integrator_dt=integrator_dt,
-        method=method,
-        initial_level=initial_level,
-        population_levels=population_levels,
-        sweep_parameter=sweep_parameter,
-        sweep_start=sweep_start,
-        sweep_stop=sweep_stop,
-        sweep_steps=sweep_steps,
-        out_dir=out_dir,
-        out_format=out_format,
-        basename=basename,
-        resolved=resolved,
-    )
+    for section, keys in _SCHEMA.items():
+        if section != "system":
+            resolved[section] = _resolve(top[section], keys, section, task, system,
+                                         checked=section != "sweep" or task == "sweep")
+    if task == "sweep":
+        sweep = resolved["sweep"]
+        if not isinstance(waveform, RotatingField):
+            raise ConfigError("sweep: waveform must be 'rotating' for sweeps")
+        if sweep["parameter"] == "amplitude" and min(sweep["start"], sweep["stop"]) < 0:
+            raise ConfigError("sweep: amplitude values must be nonnegative")
+    return RunConfig(system=system, waveform=waveform, resolved=resolved)
 
 
 @dataclass
 class SimulationReport:
     config: dict
     columns: dict
-    population_sum_max_dev: float
-    truncation_flagged_samples: list
+    population_sum_max_dev: float = 0.0
+    truncation_flagged_samples: list = field(default_factory=list)
     timing_seconds: float | None = None
 
 
 def _drive_table(cfg: RunConfig):
-    times = np.linspace(0.0, cfg.t_final, cfg.samples)
+    span, num = cfg.resolved["time"], cfg.resolved["numerics"]
+    times = np.linspace(0.0, span["t_final"], span["samples"])
     dp = build_drive_path(
-        cfg.system, cfg.waveform, times, method=cfg.method, abs_tol=cfg.quadrature_tol
+        cfg.system, cfg.waveform, times, method=num["method"], abs_tol=num["quadrature_tol"]
     )
     columns = {
         "t": list(map(float, dp.times)),
@@ -431,13 +352,15 @@ def run_simulate(cfg: RunConfig) -> SimulationReport:
     """Per-sample drive history plus level populations from the initial level."""
     start = time.perf_counter()
     dp, columns = _drive_table(cfg)
+    level = cfg.resolved["initial_state"]["level"]
     alphas = [displacement_argument(cfg.system, u) for u in dp.u]
-    dim = cfg.dimension or suggested_dimension(max(abs(a) for a in alphas))
-    if cfg.initial_level >= dim:
+    dim = cfg.resolved["numerics"]["dimension"] or suggested_dimension(
+        max(abs(a) for a in alphas))
+    if level >= dim:
         raise ConfigError("initial_state.level: exceeds truncation dimension")
-    n_pop = min(cfg.population_levels, dim)
-    pops = np.abs(displacement_columns(alphas, cfg.initial_level, dim)) ** 2
-    columns["survival"] = list(map(float, pops[:, cfg.initial_level]))
+    n_pop = min(cfg.resolved["report"]["population_levels"], dim)
+    pops = np.abs(displacement_columns(alphas, level, dim)) ** 2
+    columns["survival"] = list(map(float, pops[:, level]))
     for m in range(n_pop):
         columns[f"pop_{m}"] = list(map(float, pops[:, m]))
     sum_dev = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
@@ -448,7 +371,7 @@ def run_simulate(cfg: RunConfig) -> SimulationReport:
             achieved=sum_dev,
         )
     edge = dim - dim // 4
-    flagged = [int(j) for j in range(cfg.samples) if pops[j, edge:].sum() > 1e-8]
+    flagged = [int(j) for j in range(len(pops)) if pops[j, edge:].sum() > 1e-8]
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
@@ -465,8 +388,6 @@ def run_phases(cfg: RunConfig) -> SimulationReport:
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
-        population_sum_max_dev=0.0,
-        truncation_flagged_samples=[],
         timing_seconds=time.perf_counter() - start,
     )
 
@@ -474,29 +395,30 @@ def run_phases(cfg: RunConfig) -> SimulationReport:
 def run_sweep(cfg: RunConfig) -> SimulationReport:
     """One row per swept parameter value, evaluated at t_final."""
     start = time.perf_counter()
-    if cfg.dimension is not None and cfg.initial_level >= cfg.dimension:
+    num, sweep = cfg.resolved["numerics"], cfg.resolved["sweep"]
+    level, dim = cfg.resolved["initial_state"]["level"], num["dimension"] or None
+    if dim is not None and level >= dim:
         raise ConfigError("initial_state.level: exceeds truncation dimension")
     base = cfg.waveform
-    values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
-    grid = [0.0, cfg.t_final] if cfg.t_final > 0 else [0.0]
+    values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
+    t_final = cfg.resolved["time"]["t_final"]
+    grid = [0.0, t_final] if t_final > 0 else [0.0]
     us, betas, gammas = [], [], []
     for value in values:
-        if cfg.sweep_parameter == "nu_over_omega":
+        if sweep["parameter"] == "nu_over_omega":
             w = RotatingField(base.amplitude, float(value) * cfg.system.omega, base.phase)
         else:
-            if value < 0:
-                raise ConfigError("sweep: amplitude values must be nonnegative")
             w = RotatingField(float(value), base.nu, base.phase)
         dp = build_drive_path(
-            cfg.system, w, grid, method=cfg.method, abs_tol=cfg.quadrature_tol
+            cfg.system, w, grid, method=num["method"], abs_tol=num["quadrature_tol"]
         )
         us.append(complex(dp.u[-1]))
         betas.append(float(dp.beta[-1]))
         gammas.append(float(dp.gamma[-1]))
-    pops = level_populations(cfg.system, us, cfg.initial_level, cfg.dimension)
+    pops = level_populations(cfg.system, us, level, dim)
     columns = {
-        cfg.sweep_parameter: list(map(float, values)),
-        "survival": list(map(float, pops[:, cfg.initial_level])),
+        sweep["parameter"]: list(map(float, values)),
+        "survival": list(map(float, pops[:, level])),
         "abs_u": [abs(u) for u in us],
         "beta": betas,
         "gamma": gammas,
@@ -504,21 +426,12 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
-        population_sum_max_dev=0.0,
-        truncation_flagged_samples=[],
         timing_seconds=time.perf_counter() - start,
     )
 
 
 def _electron_benchmark() -> dict:
-    consts = UNIT_CONSTANTS["si"]
-    electron = PhysicalSystem(
-        charge=-consts["elementary_charge"],
-        magnetic_field=BENCHMARK_FIELD_T,
-        mass=consts["electron_mass"],
-        hbar=consts["hbar"],
-        c=1.0,
-    )
+    electron = _physical_system("si", -1.0, BENCHMARK_FIELD_T, 1.0)
     coeff = drive_strength_coefficient(electron, BENCHMARK_DRIVE_V_PER_M)
     duration = (_C_SI * BENCHMARK_FIELD_T / BENCHMARK_DRIVE_V_PER_M) / electron.omega
     return {
@@ -549,8 +462,8 @@ def run_validate(
     start = time.perf_counter()
     checks = oracle.run_validation(
         cfg.system,
-        dim=cfg.oracle_dim,
-        dt=cfg.integrator_dt,
+        dim=cfg.resolved["numerics"]["oracle_dimension"],
+        dt=cfg.resolved["numerics"]["integrator_dt"],
         corrupt_displacement_sign=corrupt_displacement_sign,
         include_convergence=include_convergence,
     )
@@ -590,11 +503,10 @@ def _write_table(path: Path, columns: dict, fmt: str) -> None:
             for i in range(len(columns[names[0]])):
                 writer.writerow([repr(columns[name][i]) for name in names])
     else:
-        rows = [
+        _write_json(path, [
             {name: columns[name][i] for name in names}
             for i in range(len(columns[names[0]]))
-        ]
-        path.write_text(json.dumps(_jsonable(rows), indent=2, sort_keys=True) + "\n")
+        ])
 
 
 def _gnuplot_script(data_name: str, columns: list[str]) -> str:
@@ -611,15 +523,22 @@ def _gnuplot_script(data_name: str, columns: list[str]) -> str:
     )
 
 
+def _output_path(cfg: RunConfig, name: str) -> Path:
+    """<directory>/<basename>_<name> of the output settings; makes the directory."""
+    out = cfg.resolved["output"]
+    directory = Path(out["directory"])
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / f"{out['basename']}_{name}"
+
+
 def _emit(cfg: RunConfig, report: SimulationReport, suffix: str) -> list[Path]:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if cfg.out_format == "csv" else "json"
-    data_path = cfg.out_dir / f"{cfg.basename}_{suffix}.{ext}"
-    _write_table(data_path, report.columns, cfg.out_format)
-    if cfg.out_format == "csv":
+    fmt = cfg.resolved["output"]["format"]
+    data_path = _output_path(cfg, f"{suffix}.{fmt}")
+    _write_table(data_path, report.columns, fmt)
+    if fmt == "csv":
         script = _gnuplot_script(data_path.name, list(report.columns))
-        (cfg.out_dir / f"{cfg.basename}_{suffix}.gp").write_text(script)
-    report_path = cfg.out_dir / f"{cfg.basename}_report.json"
+        _output_path(cfg, f"{suffix}.gp").write_text(script)
+    report_path = _output_path(cfg, "report.json")
     _write_json(
         report_path,
         {
@@ -661,8 +580,7 @@ def main(argv=None) -> int:
         )
         if args.command == "validate":
             report, code = run_validate(cfg)
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            path = cfg.out_dir / f"{cfg.basename}_validation.json"
+            path = _output_path(cfg, "validation.json")
             _write_json(path, report)
             failed = [c["name"] for c in report["checks"] if not c["passed"]]
             for c in report["checks"]:

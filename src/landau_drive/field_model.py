@@ -290,7 +290,8 @@ class LinearSinusoidField(FieldWaveform):
 
 @dataclass(frozen=True)
 class SampledField(FieldWaveform):
-    """Linearly interpolated samples (t_i, E1_i, E2_i), strictly increasing t."""
+    """Linearly interpolated samples (t_i, E1_i, E2_i), strictly increasing t;
+    every time and field value must be finite."""
 
     times: tuple[float, ...]
     e1: tuple[float, ...]
@@ -303,9 +304,14 @@ class SampledField(FieldWaveform):
             raise ValueError("need at least two samples")
         if len(self.e1) != t.size or len(self.e2) != t.size:
             raise ValueError("sample arrays must have equal length")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("sample timestamps must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample timestamps must be strictly increasing")
-        values = np.asarray(self.e1, dtype=float) + 1j * np.asarray(self.e2, dtype=float)
+        e1, e2 = np.asarray(self.e1, dtype=float), np.asarray(self.e2, dtype=float)
+        if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
+            raise ValueError("sample field values must be finite")
+        values = e1 + 1j * e2
         # exact running trapezoid of the interpolant up to each node
         prefix = np.concatenate(
             ([0.0 + 0.0j], np.cumsum(np.diff(t) * (values[1:] + values[:-1]) / 2.0))

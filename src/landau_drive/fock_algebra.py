@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,7 +28,6 @@ __all__ = [
     "displacement_matrix",
     "displacement_columns",
     "matrix_exponential",
-    "apply_operator",
     "suggested_dimension",
 ]
 
@@ -38,15 +37,9 @@ _BLOCK_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense complex operator on the first N Fock states |0> .. |N-1>.
-
-    ``unitary`` labels operators constructed to be unitary on the healthy
-    block; ``tail_estimate`` (largest magnitude in the last two rows and
-    columns) indicates how much weight the truncation edge carries.
-    """
+    """Dense complex operator on the first N Fock states |0> .. |N-1>."""
 
     matrix: np.ndarray
-    unitary: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -63,13 +56,8 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def tail_estimate(self) -> float:
-        m = np.abs(self.matrix)
-        return float(max(m[-2:, :].max(), m[:, -2:].max()))
-
     def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.matrix.conj().T, unitary=self.unitary)
+        return TruncatedOperator(self.matrix.conj().T)
 
     def unitarity_defect(self, block: int | None = None) -> float:
         """max |(U^dag U - I)| restricted to the leading ``block`` states."""
@@ -202,7 +190,7 @@ def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
     if dim < 2:
         raise ValueError("need at least two Fock states")
     mat = _displacement_elements([alpha], np.arange(dim), dim)[0]
-    return TruncatedOperator(mat, unitary=True)
+    return TruncatedOperator(mat)
 
 
 def displacement_columns(alphas, n: int, dim: int) -> np.ndarray:
@@ -236,14 +224,6 @@ def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
             achieved=norm,
         )
     return TruncatedOperator(expm(op.matrix))
-
-
-def apply_operator(op: TruncatedOperator, psi) -> np.ndarray:
-    """Matrix-vector product op @ psi with dimension checking."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (op.dim,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({op.dim},)")
-    return op.matrix @ psi
 
 
 def suggested_dimension(alpha) -> int:

@@ -209,7 +209,7 @@ def integrate_schrodinger(
             f"increase the truncation",
             achieved=edge * edge,
         )
-    return TruncatedOperator(u_mat, unitary=True)
+    return TruncatedOperator(u_mat)
 
 
 def _drive_integral(w_i: FieldWaveform, t_i: float) -> complex:

@@ -126,7 +126,7 @@ def assemble(
     alpha = CoherentAmplitude(displacement_argument(sys, u))
     n = suggested_dimension(alpha) if dim is None else dim
     d_op = displacement_matrix(alpha, n)
-    j = TruncatedOperator(np.exp(1j * gamma) * d_op.matrix, unitary=True)
+    j = TruncatedOperator(np.exp(1j * gamma) * d_op.matrix)
     return FactorizedPropagator(
         system=sys,
         time=t,

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,9 +60,109 @@ class TestConfigLoading:
 class TestResolveConfig:
     def test_defaults_filled(self):
         cfg = cli.resolve_config({}, "simulate")
-        assert cfg.samples == 101 and cfg.out_format == "csv"
+        assert cfg.resolved["time"]["samples"] == 101
+        assert cfg.resolved["output"]["format"] == "csv"
         assert cfg.resolved["numerics"]["quadrature_tol"] == 1e-10
         assert cfg.waveform == ld.ZeroField()
+
+    def test_resolved_echo_of_empty_config(self):
+        # every key of the schema, defaulted, as each report echoes it
+        assert cli.resolve_config({}, "phases").resolved == {
+            "task": "phases",
+            "system": {
+                "units": "natural", "charge": 1.0, "magnetic_field": 1.0, "mass": 1.0,
+                "constants": cli.UNIT_CONSTANTS["natural"],
+                "derived": {"omega": 1.0, "l_b": 1.0, "k": math.sqrt(2.0),
+                            "mirrored": False},
+            },
+            "waveform": {"type": "zero"},
+            "time": {"t_final": 10.0, "samples": 101},
+            "numerics": {"dimension": 0, "oracle_dimension": 64,
+                         "quadrature_tol": 1e-10, "integrator_dt": 0.01,
+                         "method": "auto"},
+            "initial_state": {"level": 0},
+            "report": {"population_levels": 8},
+            "sweep": {"parameter": None, "start": 0.5, "stop": 1.5, "steps": 21},
+            "output": {"directory": "out", "format": "csv", "basename": "phases"},
+        }
+
+    def test_readme_config_block_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//[^\n]*", "", block))
+        assert set(doc) == {"task", "waveform", *cli._SCHEMA}
+        for section, keys in cli._SCHEMA.items():
+            assert set(doc[section]) == set(keys), section
+        _, waveform_keys = cli._WAVEFORMS[doc["waveform"]["type"]]
+        assert set(doc["waveform"]) == {"type", *waveform_keys}
+        cfg = cli.resolve_config(doc, "simulate")
+        assert cfg.resolved["output"]["basename"] == "run"
+
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            ("simulate", {"time": {"t_final": math.nan}}, "time.t_final"),
+            ("simulate", {"system": {"charge": math.nan}}, "system.charge"),
+            ("simulate", {"system": {"magnetic_field": math.inf}}, "system.magnetic_field"),
+            ("simulate", {"system": {"mass": 10**400}}, "system.mass"),
+            ("simulate", {"waveform": {"type": "rotating", "amplitude": math.nan, "nu": 1.0}},
+             "waveform.amplitude"),
+            ("simulate", {"waveform": {"type": "rotating", "amplitude": 0.1, "nu": math.inf}},
+             "waveform.nu"),
+            ("simulate", {"waveform": {"type": "rotating", "amplitude": 0.1, "nu": 1.0,
+                                       "phase": math.nan}}, "waveform.phase"),
+            ("simulate", {"waveform": {"type": "constant", "e1": -math.inf}}, "waveform.e1"),
+            ("simulate", {"waveform": {"type": "linear_sinusoid", "amplitude": 0.1,
+                                       "direction": math.nan}}, "waveform.direction"),
+            ("sweep", {"waveform": {"type": "rotating", "amplitude": 0.1, "nu": 1.0},
+                       "sweep": {"parameter": "nu_over_omega", "start": math.nan}},
+             "sweep.start"),
+        ],
+    )
+    def test_non_finite_numbers_exit_1(self, tmp_path, capsys, command, doc, key):
+        message = f"{key}: expected a finite number"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli.resolve_config(doc, command)
+        cfg_path = write_config(tmp_path, dict(doc, output={"directory": str(tmp_path / "o")}))
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            {"times": [0.0, 1.0, math.inf], "e1": [0.1, 0.1, 0.1], "e2": [0.0, 0.0, 0.0]},
+            {"times": [0.0, 1.0, 2.0], "e1": [0.1, math.nan, 0.1], "e2": [0.0, 0.0, 0.0]},
+        ],
+    )
+    def test_non_finite_samples_exit_1(self, tmp_path, capsys, samples):
+        doc = {"waveform": dict(samples, type="sampled"), "time": {"t_final": 2.0},
+               "output": {"directory": str(tmp_path / "o")}}
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "waveform: sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "waveform,message",
+        [
+            ({"type": "rotating", "amplitude": "x", "nu": 1},
+             "waveform.amplitude: expected a number, got 'x'"),
+            ({"type": "linear_sinusoid"}, "waveform.amplitude: required field missing"),
+            ({"type": "sum", "terms": [{"type": "rotating", "amplitude": 0.1}]},
+             "waveform.terms[0].nu: required field missing"),
+        ],
+    )
+    def test_waveform_messages_name_the_key_once(self, waveform, message):
+        with pytest.raises(ConfigError) as caught:
+            cli.resolve_config({"waveform": waveform}, "simulate")
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("start,stop", [(-0.1, 0.2), (0.2, -0.1)])
+    def test_negative_sweep_amplitude_rejected_before_running(self, start, stop):
+        doc = {"waveform": {"type": "rotating", "amplitude": 0.2, "nu": 1.0},
+               "sweep": {"parameter": "amplitude", "start": start, "stop": stop,
+                         "steps": 3}}
+        with pytest.raises(ConfigError, match="sweep: amplitude values must be nonnegative"):
+            cli.resolve_config(doc, "sweep")
 
     def test_task_mismatch(self):
         with pytest.raises(ConfigError, match="task"):

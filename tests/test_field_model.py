@@ -82,6 +82,19 @@ class TestEvalField:
         with pytest.raises(ValueError):
             ld.SampledField((0.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "times,e1,e2",
+        [
+            ((0.0, 1.0, math.inf), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            ((0.0, math.nan, 2.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            ((0.0, 1.0, 2.0), (0.0, math.nan, 0.0), (0.0, 0.0, 0.0)),
+            ((0.0, 1.0, 2.0), (0.0, 0.0, 0.0), (0.0, 0.0, -math.inf)),
+        ],
+    )
+    def test_sampled_requires_finite_values(self, times, e1, e2):
+        with pytest.raises(ValueError, match="finite"):
+            ld.SampledField(times, e1, e2)
+
     def test_sum_termwise_and_empty(self):
         w = ld.SumField((ld.ConstantField(1.0, 0.0), ld.ConstantField(0.0, 2.0)))
         assert ld.eval_field(w, 0.3) == 1.0 + 2.0j

@@ -25,11 +25,6 @@ class TestTruncatedOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 2.0
 
-    def test_tail_estimate(self):
-        m = np.zeros((4, 4))
-        m[3, 0] = 0.25
-        assert ld.TruncatedOperator(m).tail_estimate == 0.25
-
     def test_dagger(self):
         m = np.array([[0, 1j], [0, 0]])
         assert_allclose(ld.TruncatedOperator(m).dagger().matrix, m.conj().T)
@@ -62,7 +57,20 @@ class TestDisplacementMatrix:
     def test_identity_at_zero(self):
         op = ld.displacement_matrix(0.0, 16)
         assert_allclose(op.matrix, np.eye(16))
-        assert op.unitary
+
+    def test_coherent_state_amplitudes(self):
+        # D(alpha)|0> is the coherent state: column 0 holds
+        # e^{-|alpha|^2/2} alpha^m / sqrt(m!)
+        alpha = 0.9 - 0.4j
+        n = 48
+        column = ld.displacement_matrix(alpha, n).matrix[:, 0]
+        ns = np.arange(n)
+        from scipy.special import gammaln
+
+        expected = np.exp(
+            -abs(alpha) ** 2 / 2 + ns * np.log(abs(alpha) + 0j) - gammaln(ns + 1.0) / 2
+        ) * np.exp(1j * ns * np.angle(alpha))
+        assert_allclose(column, expected, atol=1e-12)
 
     def test_vacuum_element(self):
         for alpha in (0.3, 1.2 - 0.8j, 2.5j):
@@ -221,38 +229,6 @@ class TestMatrixExponential:
         op = ld.TruncatedOperator(np.diag([5e3, 0.0]))
         with pytest.raises(AccuracyError):
             ld.matrix_exponential(op)
-
-
-class TestApplyOperator:
-    def test_identity(self):
-        op = ld.TruncatedOperator(np.eye(4))
-        psi = np.array([0.5, 0.5j, -0.5, 0.5])
-        assert_allclose(ld.apply_operator(op, psi), psi)
-
-    def test_lowering(self):
-        a, _ = ld.ladder_ops(4)
-        psi = np.array([0, 1, 0, 0], dtype=complex)
-        assert_allclose(ld.apply_operator(a, psi), [1, 0, 0, 0])
-
-    def test_coherent_state_amplitudes(self):
-        alpha = 0.9 - 0.4j
-        n = 48
-        op = ld.displacement_matrix(alpha, n)
-        psi = np.zeros(n, dtype=complex)
-        psi[0] = 1.0
-        out = ld.apply_operator(op, psi)
-        ns = np.arange(n)
-        from scipy.special import gammaln
-
-        expected = np.exp(
-            -abs(alpha) ** 2 / 2 + ns * np.log(abs(alpha) + 0j) - gammaln(ns + 1.0) / 2
-        ) * np.exp(1j * ns * np.angle(alpha))
-        assert_allclose(out, expected, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        op = ld.TruncatedOperator(np.eye(4))
-        with pytest.raises(ValueError):
-            ld.apply_operator(op, np.zeros(5))
 
 
 def test_suggested_dimension_rule():

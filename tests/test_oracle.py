@@ -224,13 +224,13 @@ class TestIntegrateSchrodinger:
 class TestHeisenbergResidual:
     def test_zero_field_pure_rotation(self, natural):
         dim = 24
-        u = ld.TruncatedOperator(np.diag(dynamical_diag(dim, 5.0)), unitary=True)
+        u = ld.TruncatedOperator(np.diag(dynamical_diag(dim, 5.0)))
         assert ld.heisenberg_residual(u, natural, ld.ZeroField(), 5.0) < 1e-10
 
     def test_factorized_operator(self, natural):
         w = ld.RotatingField(0.12, 0.75)
         t, dim = 9.0, 48
-        u = ld.TruncatedOperator(factorized(natural, w, t, dim), unitary=True)
+        u = ld.TruncatedOperator(factorized(natural, w, t, dim))
         assert ld.heisenberg_residual(u, natural, w, t) < 1e-7
 
     def test_numerical_operator(self, natural):
@@ -249,7 +249,7 @@ class TestHeisenbergResidual:
     def test_unresolved_drive_integral_raises(self, natural, monkeypatch):
         # an understated rate leaves pi/4 panels under a 41-rad/unit integrand
         monkeypatch.setattr(ld.RotatingField, "rate", lambda self: 0.0)
-        u = ld.TruncatedOperator(np.eye(8), unitary=True)
+        u = ld.TruncatedOperator(np.eye(8))
         with pytest.raises(AccuracyError) as exc:
             ld.heisenberg_residual(u, natural, ld.RotatingField(0.1, 40.0), 5.0)
         assert exc.value.achieved > 1e-12

@@ -170,7 +170,6 @@ class TestTransitionProbabilities:
             beta=p.beta + 0.37, u=p.u, gamma=p.gamma + 1.1, alpha=p.alpha,
             j_op=ld.TruncatedOperator(
                 np.exp(1j * (p.gamma + 1.1)) * ld.displacement_matrix(p.alpha, p.dim).matrix,
-                unitary=True,
             ),
             provenance=p.provenance,
         )
