@@ -15,7 +15,7 @@ import json
 import math
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -33,13 +33,8 @@ from .field_model import (
     SumField,
     ZeroField,
 )
-from .fock_algebra import displacement_columns, suggested_dimension
 from .path_integrals import build_drive_path
-from .propagator import (
-    displacement_argument,
-    drive_strength_coefficient,
-    level_populations,
-)
+from .propagator import _norm_deficit, drive_strength_coefficient, level_populations
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_sweep",
            "run_validate", "run_phases", "RunConfig", "SimulationReport"]
@@ -321,10 +316,13 @@ def resolve_config(
 
 @dataclass
 class SimulationReport:
+    """A run's table and report: the worst |1 - sum_m P(n -> m)| and the
+    dimension of its level populations (None without populations)."""
+
     config: dict
     columns: dict
-    population_sum_max_dev: float = 0.0
-    truncation_flagged_samples: list = field(default_factory=list)
+    population_sum_max_dev: float | None = None
+    dimension: int | None = None
     timing_seconds: float | None = None
 
 
@@ -348,35 +346,29 @@ def _drive_table(cfg: RunConfig):
     return dp, columns
 
 
+def _populations(cfg: RunConfig, us) -> tuple[np.ndarray, dict]:
+    """``level_populations`` from the initial level for drive amplitudes
+    ``us``, and the report fields that say how healthy their truncation was."""
+    level, dim = cfg.resolved["initial_state"]["level"], cfg.resolved["numerics"]["dimension"]
+    if dim and level >= dim:
+        raise ConfigError("initial_state.level: exceeds truncation dimension")
+    pops = level_populations(cfg.system, us, level, dim or None)
+    return pops, {"population_sum_max_dev": float(_norm_deficit(pops).max(initial=0.0)),
+                  "dimension": pops.shape[1]}
+
+
 def run_simulate(cfg: RunConfig) -> SimulationReport:
     """Per-sample drive history plus level populations from the initial level."""
     start = time.perf_counter()
     dp, columns = _drive_table(cfg)
-    level = cfg.resolved["initial_state"]["level"]
-    alphas = [displacement_argument(cfg.system, u) for u in dp.u]
-    dim = cfg.resolved["numerics"]["dimension"] or suggested_dimension(
-        max(abs(a) for a in alphas))
-    if level >= dim:
-        raise ConfigError("initial_state.level: exceeds truncation dimension")
-    n_pop = min(cfg.resolved["report"]["population_levels"], dim)
-    pops = np.abs(displacement_columns(alphas, level, dim)) ** 2
-    columns["survival"] = list(map(float, pops[:, level]))
-    for m in range(n_pop):
+    pops, health = _populations(cfg, dp.u)
+    columns["survival"] = list(map(float, pops[:, cfg.resolved["initial_state"]["level"]]))
+    for m in range(min(cfg.resolved["report"]["population_levels"], pops.shape[1])):
         columns[f"pop_{m}"] = list(map(float, pops[:, m]))
-    sum_dev = float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
-    if sum_dev > 1e-8:
-        raise AccuracyError(
-            f"level populations sum to 1 only within {sum_dev:.3g}; "
-            f"increase numerics.dimension (currently {dim})",
-            achieved=sum_dev,
-        )
-    edge = dim - dim // 4
-    flagged = [int(j) for j in range(len(pops)) if pops[j, edge:].sum() > 1e-8]
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
-        population_sum_max_dev=sum_dev,
-        truncation_flagged_samples=flagged,
+        **health,
         timing_seconds=time.perf_counter() - start,
     )
 
@@ -396,9 +388,6 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
     """One row per swept parameter value, evaluated at t_final."""
     start = time.perf_counter()
     num, sweep = cfg.resolved["numerics"], cfg.resolved["sweep"]
-    level, dim = cfg.resolved["initial_state"]["level"], num["dimension"] or None
-    if dim is not None and level >= dim:
-        raise ConfigError("initial_state.level: exceeds truncation dimension")
     base = cfg.waveform
     values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
     t_final = cfg.resolved["time"]["t_final"]
@@ -415,10 +404,10 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
         us.append(complex(dp.u[-1]))
         betas.append(float(dp.beta[-1]))
         gammas.append(float(dp.gamma[-1]))
-    pops = level_populations(cfg.system, us, level, dim)
+    pops, health = _populations(cfg, us)
     columns = {
         sweep["parameter"]: list(map(float, values)),
-        "survival": list(map(float, pops[:, level])),
+        "survival": list(map(float, pops[:, cfg.resolved["initial_state"]["level"]])),
         "abs_u": [abs(u) for u in us],
         "beta": betas,
         "gamma": gammas,
@@ -426,6 +415,7 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
+        **health,
         timing_seconds=time.perf_counter() - start,
     )
 
@@ -539,15 +529,7 @@ def _emit(cfg: RunConfig, report: SimulationReport, suffix: str) -> list[Path]:
         script = _gnuplot_script(data_path.name, list(report.columns))
         _output_path(cfg, f"{suffix}.gp").write_text(script)
     report_path = _output_path(cfg, "report.json")
-    _write_json(
-        report_path,
-        {
-            "config": report.config,
-            "population_sum_max_dev": report.population_sum_max_dev,
-            "truncation_flagged_samples": report.truncation_flagged_samples,
-            "timing_seconds": report.timing_seconds,
-        },
-    )
+    _write_json(report_path, {k: v for k, v in vars(report).items() if k != "columns"})
     return [data_path, report_path]
 
 

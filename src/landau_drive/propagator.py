@@ -113,7 +113,8 @@ def assemble(
 
     R and beta come from the guiding-center path, u and gamma from the
     drive-amplitude path, and j_op = e^{i gamma} D(-u* k).  With dim
-    omitted, the truncation follows the |alpha|-based sizing rule.
+    omitted, the truncation is ``suggested_dimension(alpha)``, which knows
+    no level; ``healthy_dim`` measures how many columns it keeps healthy.
     """
     if t < 0:
         raise ValueError("propagator time must be nonnegative")
@@ -140,17 +141,28 @@ def assemble(
     )
 
 
-def _healthy_size(dim: int, mean_level: float) -> int:
-    return max(0, dim - math.ceil(4.0 * mean_level + 8.0))
+#: A column of J is healthy when its probabilities sum to 1 within this.
+NORM_TOL = 1e-10
+
+#: Doublings of the auto dimension ``level_populations`` tries at most.
+_MAX_DOUBLINGS = 3
+
+
+def _norm_deficit(probs: np.ndarray) -> np.ndarray:
+    """|1 - sum_m P(m)| along the last axis: the measured truncation loss."""
+    return np.abs(1.0 - probs.sum(axis=-1))
 
 
 def healthy_dim(p: FactorizedPropagator) -> int:
-    """Leading block where truncation effects stay below tolerance."""
-    return _healthy_size(p.dim, p.alpha.mean_level)
+    """Number of leading columns of J whose probabilities sum to 1 within
+    ``NORM_TOL``: measured on ``p.j_op``, so exact for the array in hand."""
+    healthy = _norm_deficit(np.abs(p.j_op.matrix.T) ** 2) <= NORM_TOL
+    return p.dim if healthy.all() else int(np.argmin(healthy))
 
 
 def j_matrix_element(p: FactorizedPropagator, m: int, n: int) -> complex:
-    """<m|J|n> including the e^{i gamma} phase."""
+    """<m|J|n> including the e^{i gamma} phase; both indices must lie in
+    the healthy block (see ``healthy_dim``)."""
     h = healthy_dim(p)
     if not (0 <= m < p.dim and 0 <= n < p.dim):
         raise IndexError(f"indices ({m}, {n}) outside dimension {p.dim}")
@@ -164,8 +176,9 @@ def j_matrix_element(p: FactorizedPropagator, m: int, n: int) -> complex:
 def transition_probabilities(p: FactorizedPropagator, n: int) -> np.ndarray:
     """P(n -> m) = |<m|J|n>|^2 for m = 0 .. dim-1.
 
-    Independent of beta, gamma, and the dynamical phases; sums to one
-    within truncation accuracy for n in the healthy block.
+    Independent of beta, gamma, and the dynamical phases.  Raises
+    TruncationError unless n lies in the healthy block (see
+    ``healthy_dim``), so the returned row sums to 1 within ``NORM_TOL``.
     """
     h = healthy_dim(p)
     if not 0 <= n < p.dim:
@@ -180,26 +193,29 @@ def level_populations(
 ) -> np.ndarray:
     """P(n -> m) = |<m|J|n>|^2 for every drive amplitude in ``u``: (S, D).
 
-    Sample s is truncated at ``dim``, or with dim omitted at the
-    |alpha|-based size ``assemble`` would choose for it; D is the largest
-    of those sizes.  Matrix elements do not depend on the truncation, so
-    the leading entries of row s equal ``transition_probabilities`` of
-    that sample's propagator, and the rest extend the same column to D.
-    Raises TruncationError when n reaches a sample's unhealthy block (or
-    lies past its truncation) or an element is not finite.  One column
-    evaluation serves all samples.
+    Column n of D(alpha) is evaluated once for all samples, and every row
+    must sum to 1 within ``NORM_TOL``, else TruncationError.  D = ``dim``
+    if given; else D starts at the largest size ``assemble`` would choose
+    for a sample, and at least 2 (n + 1), and doubles (``_MAX_DOUBLINGS``
+    times at most) until every row is healthy.  Matrix elements do not
+    depend on D, so the leading entries of row s equal
+    ``transition_probabilities`` of that sample's propagator.  Also raises
+    TruncationError when n >= dim or an element is not finite.
     """
     u = np.asarray(u, dtype=complex).tolist()
     alphas = [displacement_argument(sys, v) for v in u]
-    dims = [suggested_dimension(a) if dim is None else dim for a in alphas]
-    for alpha, size in zip(alphas, dims):
-        h = _healthy_size(size, abs(alpha) ** 2)
-        if n >= h:
-            raise TruncationError(
-                f"level {n} reaches the unhealthy block (healthy dim {h})"
-            )
-    size = dim or max(dims)
-    return np.abs(displacement_columns(alphas, n, size)) ** 2
+    if dim is not None and n >= dim:
+        raise TruncationError(f"level {n} lies outside dimension {dim}")
+    start = max(suggested_dimension(max(map(abs, alphas), default=0.0)), 2 * (n + 1))
+    for size in [dim] if dim else [start << k for k in range(_MAX_DOUBLINGS + 1)]:
+        pops = np.abs(displacement_columns(alphas, n, size)) ** 2
+        worst = float(_norm_deficit(pops).max(initial=0.0))
+        if worst <= NORM_TOL:
+            return pops
+    raise TruncationError(
+        f"level {n} populations sum to 1 only within {worst:.3g} at dimension "
+        f"{pops.shape[1]}; increase numerics.dimension"
+    )
 
 
 def adiabatic_estimates(sys: PhysicalSystem, n: int, u: complex) -> tuple[float, float]:
@@ -259,18 +275,20 @@ def evolve_state(p: FactorizedPropagator, psi) -> tuple[np.ndarray, GeometricRec
 
     The magnetic-translation factor acts on the degenerate center-of-orbit
     sector; its observable content (R, beta) is returned as a record
-    rather than applied to the Fock amplitudes.
+    rather than applied to the Fock amplitudes.  Warns with
+    TruncationWarning when the truncated J loses more than ``NORM_TOL``
+    of the norm of psi.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (p.dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({p.dim},)")
     out = np.exp(1j * p.dynamical_phases) * (p.j_op.matrix @ psi)
-    edge = p.dim - p.dim // 4
-    leak = float(np.sum(np.abs(out[edge:]) ** 2))
-    if leak > 1e-8:
+    norm = float(np.vdot(psi, psi).real)
+    loss = norm - float(np.vdot(out, out).real)
+    if loss > NORM_TOL * norm:
         warnings.warn(
-            f"evolved state carries {leak:.3g} probability in the last "
-            f"quarter of the basis",
+            f"evolved state lost {loss / norm:.3g} of its norm to the truncation "
+            f"at dimension {p.dim}",
             TruncationWarning,
             stacklevel=2,
         )

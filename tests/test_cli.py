@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 
 import landau_drive as ld
 from landau_drive import cli
-from landau_drive.errors import ConfigError, TruncationError
+from landau_drive.errors import ConfigError, TruncationError, TruncationWarning
+from landau_drive.propagator import NORM_TOL
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -373,15 +374,15 @@ class TestRunSweep:
 
     def test_unhealthy_point_is_truncation_error(self, tmp_path, capsys, natural):
         # dim 100, level 25: healthy off resonance, but at nu = omega
-        # |alpha|^2 = 18 (in floating point just above) leaves 19 levels
+        # (|alpha|^2 = 18) only the leading 20 columns sum to 1
         doc = dict(self.SWEEP_DOC, numerics={"dimension": 100},
                    initial_state={"level": 25})
         healthy = [
             ld.healthy_dim(ld.assemble(natural, ld.RotatingField(0.3, r), 20.0, dim=100))
             for r in np.linspace(0.5, 1.5, 11)
         ]
-        assert sum(h <= 25 for h in healthy) == 1
-        with pytest.raises(TruncationError, match="healthy dim 19"):
+        assert sorted(healthy)[:2] == [20, 28]
+        with pytest.raises(TruncationError, match="at dimension 100"):
             cli.run_sweep(cli.resolve_config(doc, "sweep"))
         cfg_path = write_config(tmp_path, dict(doc, task="sweep",
                                                output={"directory": str(tmp_path / "o")}))
@@ -395,10 +396,34 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="initial_state.level"):
             cli.run_sweep(cli.resolve_config(doc, "sweep"))
 
-    def test_level_past_auto_dimension_is_truncation_error(self):
+    def test_level_past_smallest_auto_dimension_runs(self, natural):
+        # off resonance |alpha|^2 alone would size the basis at 32 < 40; the
+        # whole sweep shares the size of its strongest point, 161
         doc = dict(self.SWEEP_DOC, initial_state={"level": 40})
-        with pytest.raises(TruncationError):
-            cli.run_sweep(cli.resolve_config(doc, "sweep"))
+        report = cli.run_sweep(cli.resolve_config(doc, "sweep"))
+        assert report.dimension == 161
+        assert report.population_sum_max_dev <= NORM_TOL
+        p = ld.assemble(natural, ld.RotatingField(0.3, 1.0), 20.0)
+        assert report.columns["survival"][5] == ld.transition_probabilities(p, 40)[40]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_high_level_auto_dimension_matches_explicit(self, command):
+        # level 20 under the README drive: |alpha|^2 alone gives dim 32, too
+        # small for level 20; the auto size starts at 2 (20 + 1) = 42, and
+        # the sweep, whose strongest points lose probability there, doubles it
+        doc = {
+            "waveform": {"type": "rotating", "amplitude": 0.16, "nu": 0.8},
+            "time": {"t_final": 10.0, "samples": 21},
+            "initial_state": {"level": 20},
+            "sweep": {"parameter": "nu_over_omega", "start": 0.5, "stop": 1.5,
+                      "steps": 21},
+        }
+        run = cli.run_simulate if command == "simulate" else cli.run_sweep
+        auto = run(cli.resolve_config(doc, command))
+        explicit = run(cli.resolve_config(dict(doc, numerics={"dimension": 64}), command))
+        assert auto.population_sum_max_dev <= NORM_TOL
+        assert auto.dimension == {"simulate": 42, "sweep": 84}[command]
+        assert auto.columns == explicit.columns
 
 
 class TestMainAndOutputs:
@@ -418,6 +443,22 @@ class TestMainAndOutputs:
         assert report["config"]["numerics"]["quadrature_tol"] == 1e-10
         assert "timing_seconds" in report
 
+    @pytest.mark.parametrize("command, dimension", [
+        ("simulate", 48), ("sweep", 48), ("phases", None),
+    ])
+    def test_report_states_truncation_health(self, tmp_path, command, dimension):
+        doc = dict(BASE_SIM, task=command, output={"directory": str(tmp_path / "o")},
+                   sweep={"parameter": "nu_over_omega", "steps": 3})
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 0
+        report = json.loads((tmp_path / "o" / f"{command}_report.json").read_text())
+        assert set(report) == {"config", "population_sum_max_dev", "dimension",
+                               "timing_seconds"}
+        assert report["dimension"] == dimension
+        if dimension is None:
+            assert report["population_sum_max_dev"] is None
+        else:
+            assert 0.0 <= report["population_sum_max_dev"] <= NORM_TOL
+
     def test_gnuplot_companion_script(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(BASE_SIM, output={"directory": str(tmp_path / "o")}))
         cli.main(["simulate", "--config", str(cfg_path)])
@@ -431,12 +472,9 @@ class TestMainAndOutputs:
             "numerics": {"dimension": 8},
         }
         cfg_path = write_config(tmp_path, dict(doc, output={"directory": str(tmp_path / "o")}))
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(TruncationWarning):
             assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
-        assert "dimension" in capsys.readouterr().err
+        assert "increase numerics.dimension" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_laguerre_overflow_is_numeric_error(self, tmp_path, capsys, command):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
+from landau_drive import propagator
 from landau_drive.errors import TruncationError, TruncationWarning
+from landau_drive.propagator import NORM_TOL
 
 
 @pytest.fixture
@@ -126,10 +130,25 @@ class TestJMatrixElement:
         with pytest.raises(IndexError):
             ld.j_matrix_element(p, 0, p.dim)
 
-    def test_healthy_dim_rule(self, rotating):
-        p, *_ = rotating
-        expected = p.dim - math.ceil(4 * p.alpha.mean_level + 8)
-        assert ld.healthy_dim(p) == expected
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(0.0, 40.0), n=st.integers(0, 40))
+    def test_healthy_dim_rule(self, natural, x, n):
+        # resonant drive with |alpha|^2 = k^2 |u|^2 = x, in the basis that
+        # level_populations starts from for level n
+        dim = max(ld.suggested_dimension(math.sqrt(x)), 2 * (n + 1))
+        p = ld.assemble(natural, ld.RotatingField(math.sqrt(2.0 * x) / 10.0, 1.0), 10.0,
+                        dim=dim)
+        h = ld.healthy_dim(p)
+        loss = np.abs(1.0 - np.sum(np.abs(p.j_op.matrix) ** 2, axis=0))
+        assert np.all(loss[:h] <= NORM_TOL)
+        assert h == dim or loss[h] > NORM_TOL
+        if n < h:
+            assert abs(1.0 - ld.transition_probabilities(p, n).sum()) <= NORM_TOL
+        else:
+            with pytest.raises(TruncationError):
+                ld.transition_probabilities(p, n)
+        pops = ld.level_populations(natural, [p.u], n)
+        assert abs(1.0 - pops.sum()) <= NORM_TOL
 
 
 class TestTransitionProbabilities:
@@ -180,6 +199,17 @@ class TestTransitionProbabilities:
         with pytest.raises(TruncationError):
             ld.transition_probabilities(p, ld.healthy_dim(p))
 
+    def test_lossy_level_of_auto_dimension_rejected(self, natural):
+        # the resonant point of the benchmark sweep: |alpha|^2 = 18, auto
+        # dim 161; column 79 keeps only 83% of its probability there
+        p = ld.assemble(natural, ld.RotatingField(0.3, 1.0), 20.0)
+        assert p.dim == 161
+        assert np.sum(np.abs(p.j_op.matrix[:, 79]) ** 2) < 0.83
+        with pytest.raises(TruncationError):
+            ld.transition_probabilities(p, 79)
+        with pytest.raises(TruncationError):
+            ld.j_matrix_element(p, 0, 79)
+
 
 class TestLevelPopulations:
     CASES = [
@@ -216,8 +246,29 @@ class TestLevelPopulations:
     def test_level_outside_truncation(self, natural):
         with pytest.raises(TruncationError):
             ld.level_populations(natural, [0.1], 40, 40)
-        with pytest.raises(TruncationError):
-            ld.level_populations(natural, [0.1], 40)   # auto size 32
+        # |alpha| alone sizes the basis at 32; the auto size covers level 40
+        pops = ld.level_populations(natural, [0.1], 40)
+        assert pops.shape == (1, 82)
+        assert abs(1.0 - pops.sum()) <= NORM_TOL
+
+    @pytest.mark.parametrize("x, dim, n", [(0.5, 32, 21), (4.5, 52, 25), (10.1, 97, 47)])
+    def test_lossy_level_rejected(self, natural, x, dim, n):
+        # dim is the auto size for |alpha|^2 = x; column n loses 1.7e-4,
+        # 2.2e-2 and 1.4e-1 of its probability
+        u = math.sqrt(x / 2.0)   # k^2 = 2
+        with pytest.raises(TruncationError, match=f"at dimension {dim}"):
+            ld.level_populations(natural, [u], n, dim)
+        assert abs(1.0 - ld.level_populations(natural, [u], n).sum()) <= NORM_TOL
+
+    def test_auto_dimension_doubles_at_most_max_times(self, natural, monkeypatch):
+        monkeypatch.setattr(propagator, "_MAX_DOUBLINGS", 0)
+        with pytest.raises(TruncationError, match="at dimension 97"):
+            ld.level_populations(natural, [math.sqrt(10.1 / 2.0)], 47)
+
+    def test_no_samples(self, natural):
+        assert ld.level_populations(natural, [], 3).shape == (0, 32)
+        assert ld.level_populations(natural, [], 20).shape == (0, 42)
+        assert ld.level_populations(natural, [], 3, 10).shape == (0, 10)
 
 
 class TestAdiabaticEstimates:
@@ -308,9 +359,10 @@ class TestEvolveState:
         expected = np.exp(-x) * x**ms / np.array([math.factorial(m) for m in ms])
         assert_allclose(np.abs(out[:8]) ** 2, expected, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error::landau_drive.errors.TruncationWarning")
     def test_norm_preserved(self, rotating):
         # high levels spread roughly sqrt(n) faster than the vacuum, so
-        # keep the support well inside the leading quarter
+        # keep the support well inside the healthy block
         p, *_ = rotating
         rng = np.random.default_rng(7)
         psi = np.zeros(p.dim, dtype=complex)
