@@ -50,10 +50,12 @@ from .oracle import (
     validation_corpus,
 )
 from .path_integrals import (
+    DriveEndpoints,
     DrivePath,
     build_drive_path,
     coherent_phase,
     displacement_amplitude,
+    drive_endpoints,
     magnetic_phase,
     signed_area,
 )
@@ -86,7 +88,8 @@ __all__ = [
     "displacement_matrix", "displacement_columns", "matrix_exponential",
     "suggested_dimension",
     "DrivePath", "signed_area", "magnetic_phase", "coherent_phase",
-    "displacement_amplitude", "build_drive_path",
+    "displacement_amplitude", "build_drive_path", "DriveEndpoints",
+    "drive_endpoints",
     "FactorizedPropagator", "GeometricRecord", "assemble",
     "displacement_argument", "j_matrix_element", "transition_probabilities",
     "level_populations", "adiabatic_estimates", "resonance_survival",

@@ -3,7 +3,8 @@
 Guiding-center and drive-amplitude trajectories of every analytic waveform
 family fall in this class, which makes displacements and enclosed areas
 available in closed form.  The helpers below are numerically stable near
-mu -> 0 and at small phase arguments.
+mu -> 0 and at small phase arguments, and broadcast over mu and t, so one
+call serves many paths at once.
 """
 
 from __future__ import annotations
@@ -21,24 +22,21 @@ def cis_minus_one(z):
     return -2.0 * np.sin(z / 2.0) ** 2 + 1j * np.sin(z)
 
 
-def eps0(mu: float, t):
-    """Integral of e^{i mu s} over [0, t]."""
+def eps0(mu, t):
+    """Integral of e^{i mu s} over [0, t]; mu = 0 elementwise included."""
     t = np.asarray(t, dtype=float)
-    if mu == 0.0:
-        return t.astype(complex)
-    return cis_minus_one(mu * t) / (1j * mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.equal(mu, 0.0), t, cis_minus_one(mu * t) / (1j * mu))[()]
 
 
-def eps1(mu: float, t):
-    """Integral of s e^{i mu s} over [0, t]."""
+def eps1(mu, t):
+    """Integral of s e^{i mu s} over [0, t]; mu = 0 elementwise included."""
     t = np.asarray(t, dtype=float)
-    if mu == 0.0:
-        return (t * t / 2.0).astype(complex)
     small = np.abs(mu * t) < 1e-3
     # direct form loses ~|mu t|^-1 digits of cancellation; switch to series
-    with np.errstate(invalid="ignore", over="ignore"):
-        direct = (t * np.exp(1j * mu * t) - eps0(mu, t)) / (1j * mu)
     imu = 1j * mu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = (t * np.exp(imu * t) - eps0(mu, t)) / imu
     series = (
         t * t / 2.0
         + imu * t**3 / 3.0
@@ -55,11 +53,24 @@ class ExpPath:
     """Closed-form path z(s) = sum_j A_j (e^{i mu_j s} - 1) + drift * s.
 
     ``terms`` is a tuple of (amplitude, angular rate) pairs; z(0) = 0 by
-    construction.
+    construction.  The amplitudes, rates and drift are scalars for one
+    path, or arrays with a leading point axis for many paths (see
+    ``stack``), evaluated at one time t.
     """
 
     terms: tuple[tuple[complex, float], ...] = ()
     drift: complex = 0.0
+
+    @classmethod
+    def stack(cls, paths) -> "ExpPath":
+        """Paths with equal term counts as one: entry p of every
+        coefficient array is path p's."""
+        terms = tuple(
+            (np.array([p.terms[j][0] for p in paths], dtype=complex),
+             np.array([p.terms[j][1] for p in paths], dtype=float))
+            for j in range(len(paths[0].terms))
+        )
+        return cls(terms, np.array([p.drift for p in paths], dtype=complex))
 
     def evaluate(self, t):
         """z(t), vectorized over t."""
@@ -77,8 +88,8 @@ class ExpPath:
         """
         t = np.asarray(t, dtype=float)
         c0 = -sum(amp for amp, _ in self.terms)
-        v = complex(self.drift)
-        acc = np.zeros(t.shape, dtype=complex)
+        v = self.drift
+        acc = np.zeros(np.broadcast(t, c0, v).shape, dtype=complex)
         for amp_k, mu_k in self.terms:
             for amp_j, mu_j in self.terms:
                 acc += np.conj(amp_k) * (1j * mu_j) * amp_j * eps0(mu_j - mu_k, t)

@@ -15,6 +15,7 @@ import json
 import math
 import sys as _sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -33,7 +34,7 @@ from .field_model import (
     SumField,
     ZeroField,
 )
-from .path_integrals import build_drive_path
+from .path_integrals import build_drive_path, drive_endpoints
 from .propagator import _norm_deficit, drive_strength_coefficient, level_populations
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_sweep",
@@ -317,12 +318,17 @@ def resolve_config(
 @dataclass
 class SimulationReport:
     """A run's table and report: the worst |1 - sum_m P(n -> m)| and the
-    dimension of its level populations (None without populations)."""
+    dimension of its level populations (None without populations), the
+    number of samples or grid points each drive-path route produced, and
+    for a sweep how many of them "auto" moved off an ill-conditioned
+    closed form (None for the other tasks)."""
 
     config: dict
     columns: dict
     population_sum_max_dev: float | None = None
     dimension: int | None = None
+    routes: dict | None = None
+    ill_conditioned_points: int | None = None
     timing_seconds: float | None = None
 
 
@@ -369,6 +375,7 @@ def run_simulate(cfg: RunConfig) -> SimulationReport:
         config=cfg.resolved,
         columns=columns,
         **health,
+        routes={dp.provenance: dp.times.size},
         timing_seconds=time.perf_counter() - start,
     )
 
@@ -376,10 +383,11 @@ def run_simulate(cfg: RunConfig) -> SimulationReport:
 def run_phases(cfg: RunConfig) -> SimulationReport:
     """Fast path: drive history and phases only, no Fock-space content."""
     start = time.perf_counter()
-    _, columns = _drive_table(cfg)
+    dp, columns = _drive_table(cfg)
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
+        routes={dp.provenance: dp.times.size},
         timing_seconds=time.perf_counter() - start,
     )
 
@@ -390,32 +398,27 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
     num, sweep = cfg.resolved["numerics"], cfg.resolved["sweep"]
     base = cfg.waveform
     values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
-    t_final = cfg.resolved["time"]["t_final"]
-    grid = [0.0, t_final] if t_final > 0 else [0.0]
-    us, betas, gammas = [], [], []
-    for value in values:
-        if sweep["parameter"] == "nu_over_omega":
-            w = RotatingField(base.amplitude, float(value) * cfg.system.omega, base.phase)
-        else:
-            w = RotatingField(float(value), base.nu, base.phase)
-        dp = build_drive_path(
-            cfg.system, w, grid, method=num["method"], abs_tol=num["quadrature_tol"]
-        )
-        us.append(complex(dp.u[-1]))
-        betas.append(float(dp.beta[-1]))
-        gammas.append(float(dp.gamma[-1]))
-    pops, health = _populations(cfg, us)
+    if sweep["parameter"] == "nu_over_omega":
+        waves = [RotatingField(base.amplitude, v * cfg.system.omega, base.phase)
+                 for v in values.tolist()]
+    else:
+        waves = [RotatingField(v, base.nu, base.phase) for v in values.tolist()]
+    ends = drive_endpoints(cfg.system, waves, cfg.resolved["time"]["t_final"],
+                           method=num["method"], abs_tol=num["quadrature_tol"])
+    pops, health = _populations(cfg, ends.u)
     columns = {
         sweep["parameter"]: list(map(float, values)),
         "survival": list(map(float, pops[:, cfg.resolved["initial_state"]["level"]])),
-        "abs_u": [abs(u) for u in us],
-        "beta": betas,
-        "gamma": gammas,
+        "abs_u": [abs(u) for u in ends.u.tolist()],
+        "beta": ends.beta.tolist(),
+        "gamma": ends.gamma.tolist(),
     }
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
         **health,
+        routes=dict(Counter(ends.provenance)),
+        ill_conditioned_points=ends.ill_conditioned,
         timing_seconds=time.perf_counter() - start,
     )
 

@@ -148,6 +148,8 @@ class FieldWaveform:
 
     def _check_domain(self, t) -> None:
         lo, hi = self.domain()
+        if lo == -math.inf and hi == math.inf:
+            return
         t = np.asarray(t, dtype=float)
         if np.any(t < lo) or np.any(t > hi):
             raise DomainError(

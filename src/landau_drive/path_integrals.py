@@ -38,9 +38,14 @@ __all__ = [
     "displacement_amplitude",
     "DrivePath",
     "build_drive_path",
+    "DriveEndpoints",
+    "drive_endpoints",
 ]
 
 DEFAULT_ABS_TOL = 1e-10
+
+#: Drive-path routes a caller may ask for.
+_METHODS = ("auto", "closed_form", "quadrature")
 
 # 5-point Gauss-Legendre rule, used for cumulative integrals on fine grids.
 _XG5 = np.array([
@@ -90,8 +95,8 @@ def coherent_phase(sys: PhysicalSystem, u_path) -> float:
     return -4.0 * sys.area_phase * signed_area(z)
 
 
-def _u_exp_path(w_internal: FieldWaveform) -> ExpPath | None:
-    """Closed-form u(t) for an internal-unit waveform, when R(t) has one.
+def _u_exp_path(rp: ExpPath) -> ExpPath:
+    """Closed-form u(t) for the internal-unit guiding path ``rp`` of R(t).
 
     With omega = 1 and R(s) = sum_j A_j (e^{i mu_j s} - 1) + V s,
 
@@ -100,9 +105,6 @@ def _u_exp_path(w_internal: FieldWaveform) -> ExpPath | None:
 
     every term of which is again exponential or linear in s.
     """
-    rp = w_internal.guiding_path(INTERNAL_SYSTEM)
-    if rp is None:
-        return None
     terms: list[tuple[complex, float]] = []
     drift = 0.0 + 0.0j
 
@@ -131,6 +133,27 @@ def _area_well_conditioned(path: ExpPath, t_end: float) -> bool:
     the comparison tolerances and the grid route is preferable.
     """
     return all(abs(mu) * t_end >= 1e-3 for _, mu in path.terms)
+
+
+def _exp_paths(w_internal: FieldWaveform, method: str, t_end: float):
+    """The route of an internal-unit waveform up to time ``t_end``.
+
+    Returns ((R path, u path), False) for the closed form, or (None,
+    ill_conditioned) for the quadrature route, where ill_conditioned says
+    that "auto" declined a closed form whose area is not well conditioned
+    (see ``_area_well_conditioned``).
+    """
+    rp = w_internal.guiding_path(INTERNAL_SYSTEM) if method != "quadrature" else None
+    if rp is None:
+        if method == "closed_form":
+            raise ValueError("waveform has no closed-form drive path")
+        return None, False
+    paths = (rp, _u_exp_path(rp))
+    if method == "auto" and t_end > 0.0 and not all(
+        _area_well_conditioned(p, t_end) for p in paths
+    ):
+        return None, True
+    return paths, False
 
 
 def displacement_amplitude(
@@ -274,6 +297,23 @@ def _quadrature_path_samples(
     )
 
 
+def _closed_form_samples(rp: ExpPath, up: ExpPath, t_i):
+    """R, u, S_R, S_u at internal time(s) ``t_i`` from closed-form paths."""
+    return rp.evaluate(t_i), up.evaluate(t_i), rp.enclosed_area(t_i), up.enclosed_area(t_i)
+
+
+def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
+    """Internal R, u, S_R, S_u as user-unit (r, u, beta, gamma, area_r,
+    area_u), the reflection of a mirrored system undone."""
+    beta = -s_r + 0.0
+    gamma = -4.0 * s_u + 0.0
+    if mirrored:
+        r_i, u_i, s_r, s_u = np.conj(r_i), np.conj(u_i), -s_r, -s_u
+    length2 = scales.length**2
+    return (r_i * scales.length, u_i * scales.length, beta, gamma,
+            s_r * length2, s_u * length2)
+
+
 def build_drive_path(
     sys: PhysicalSystem,
     w: FieldWaveform,
@@ -296,54 +336,99 @@ def build_drive_path(
         raise ValueError("t_grid must start at 0")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if method not in ("auto", "closed_form", "quadrature"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     w._check_domain(t_grid)
 
     w_i, scales, mirrored = internalize(sys, w)
     t_i = t_grid / scales.time
-
-    up = _u_exp_path(w_i) if method != "quadrature" else None
-    if method == "closed_form" and up is None:
-        raise ValueError("waveform has no closed-form drive path")
-    if up is not None and method == "auto" and t_i[-1] > 0.0:
-        rp = w_i.guiding_path(INTERNAL_SYSTEM)
-        if not (
-            _area_well_conditioned(up, t_i[-1])
-            and _area_well_conditioned(rp, t_i[-1])
-        ):
-            up = None
-    if up is not None:
-        rp = w_i.guiding_path(INTERNAL_SYSTEM)
-        r_i = rp.evaluate(t_i)
-        u_i = up.evaluate(t_i)
-        s_r = rp.enclosed_area(t_i)
-        s_u = up.enclosed_area(t_i)
+    paths, _ = _exp_paths(w_i, method, t_i[-1])
+    if paths is not None:
+        samples = _closed_form_samples(*paths, t_i)
         provenance = "closed-form"
     else:
-        r_i, u_i, s_r, s_u = _quadrature_path_samples(w_i, t_i, abs_tol)
+        samples = _quadrature_path_samples(w_i, t_i, abs_tol)
         provenance = "quadrature"
-
-    beta = -s_r + 0.0
-    gamma = -4.0 * s_u + 0.0
-    length2 = scales.length**2
-    if mirrored:
-        r_out = np.conj(r_i) * scales.length
-        u_out = np.conj(u_i) * scales.length
-        s_r_out = -s_r * length2
-        s_u_out = -s_u * length2
-    else:
-        r_out = r_i * scales.length
-        u_out = u_i * scales.length
-        s_r_out = s_r * length2
-        s_u_out = s_u * length2
+    r, u, beta, gamma, area_r, area_u = _user_frame(*samples, scales, mirrored)
     return DrivePath(
         times=t_grid.copy(),
-        r=r_out,
-        u=u_out,
-        beta=beta.copy(),
-        gamma=gamma.copy(),
-        area_r=s_r_out,
-        area_u=s_u_out,
+        r=r,
+        u=u,
+        beta=beta,
+        gamma=gamma,
+        area_r=area_r,
+        area_u=area_u,
         provenance=provenance,
     )
+
+
+@dataclass(frozen=True)
+class DriveEndpoints:
+    """R, u, beta, gamma and signed areas at one time for many waveforms,
+    one entry per waveform, with the route that produced each.
+
+    ``ill_conditioned`` counts the waveforms whose closed form "auto"
+    declined because some term has |mu| t < 1e-3 (they took quadrature).
+    """
+
+    r: np.ndarray
+    u: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    area_r: np.ndarray
+    area_u: np.ndarray
+    provenance: tuple[str, ...]
+    ill_conditioned: int
+
+
+def drive_endpoints(
+    sys: PhysicalSystem,
+    waveforms,
+    t: float,
+    *,
+    method: str = "auto",
+    abs_tol: float = DEFAULT_ABS_TOL,
+) -> DriveEndpoints:
+    """``build_drive_path`` on [0, t] for each waveform, read at t.
+
+    The waveforms the route choice sends to the closed form are evaluated
+    in one call per term structure on their stacked paths
+    (``ExpPath.stack``); the others go one by one through
+    ``build_drive_path``.  R and u equal the per-waveform values bit for
+    bit; beta, gamma and the areas agree to rounding, since array and
+    scalar complex products may round differently.
+    """
+    if t < 0:
+        raise DomainError("drive endpoints require t >= 0")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    waveforms = list(waveforms)
+    grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
+    scales, mirrored = sys.internal_scales(), sys.mirrored
+    t_i = grid[-1] / scales.time
+    groups, rest, ill = {}, [], 0
+    for p, w in enumerate(waveforms):
+        w._check_domain(grid)
+        paths, declined = _exp_paths(w.rescaled(scales, mirrored), method, t_i)
+        ill += declined
+        if paths is None:
+            rest.append(p)
+        else:  # stacked in groups of equal term counts
+            groups.setdefault(tuple(len(q.terms) for q in paths), []).append((p, paths))
+    n = len(waveforms)
+    out = [np.empty(n, dtype=kind) for kind in (complex, complex, float, float, float, float)]
+    provenance = ["closed-form"] * n
+    for members in groups.values():
+        index = [p for p, _ in members]
+        rp, up = (ExpPath.stack(col) for col in zip(*(paths for _, paths in members)))
+        samples = _user_frame(*_closed_form_samples(rp, up, t_i), scales, mirrored)
+        for arr, values in zip(out, samples):
+            arr[index] = values
+    for p in rest:
+        dp = build_drive_path(sys, waveforms[p], grid, method=method, abs_tol=abs_tol)
+        for arr, values in zip(out, (dp.r, dp.u, dp.beta, dp.gamma, dp.area_r, dp.area_u)):
+            arr[p] = values[-1]
+        provenance[p] = dp.provenance
+    for arr in out:
+        arr.setflags(write=False)
+    return DriveEndpoints(*out, provenance=tuple(provenance), ill_conditioned=ill)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +86,12 @@ class FactorizedPropagator:
     def geometric_record(self) -> GeometricRecord:
         return GeometricRecord(self.displacement, self.beta)
 
+    @cached_property
+    def _healthy_dim(self) -> int:
+        """``healthy_dim``, measured on the first call only."""
+        healthy = _norm_deficit(np.abs(self.j_op.matrix.T) ** 2) <= NORM_TOL
+        return self.dim if healthy.all() else int(np.argmin(healthy))
+
 
 def displacement_argument(sys: PhysicalSystem, u: complex) -> complex:
     """Coherent argument alpha of the level-mixing factor for amplitude u.
@@ -155,9 +162,9 @@ def _norm_deficit(probs: np.ndarray) -> np.ndarray:
 
 def healthy_dim(p: FactorizedPropagator) -> int:
     """Number of leading columns of J whose probabilities sum to 1 within
-    ``NORM_TOL``: measured on ``p.j_op``, so exact for the array in hand."""
-    healthy = _norm_deficit(np.abs(p.j_op.matrix.T) ** 2) <= NORM_TOL
-    return p.dim if healthy.all() else int(np.argmin(healthy))
+    ``NORM_TOL``: measured on ``p.j_op``, so exact for the array in hand,
+    once per propagator."""
+    return p._healthy_dim
 
 
 def j_matrix_element(p: FactorizedPropagator, m: int, n: int) -> complex:

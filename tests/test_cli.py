@@ -372,6 +372,20 @@ class TestRunSweep:
             assert report.columns["beta"][i] == p.beta
             assert report.columns["gamma"][i] == p.gamma
 
+    @pytest.mark.parametrize("method, routes, ill_conditioned", [
+        ("auto", {"closed-form": 1, "quadrature": 2}, 2),
+        ("closed_form", {"closed-form": 3}, 0),
+        ("quadrature", {"quadrature": 3}, 0),
+    ])
+    def test_report_counts_routes(self, method, routes, ill_conditioned):
+        # nu/omega = 1 -+ 1e-5 at t = 20: |mu| t = 2e-4 takes auto off the closed form
+        doc = dict(self.SWEEP_DOC, numerics={"method": method},
+                   sweep={"parameter": "nu_over_omega", "start": 1.0 - 1e-5,
+                          "stop": 1.0 + 1e-5, "steps": 3})
+        report = cli.run_sweep(cli.resolve_config(doc, "sweep"))
+        assert report.routes == routes
+        assert report.ill_conditioned_points == ill_conditioned
+
     def test_unhealthy_point_is_truncation_error(self, tmp_path, capsys, natural):
         # dim 100, level 25: healthy off resonance, but at nu = omega
         # (|alpha|^2 = 18) only the leading 20 columns sum to 1
@@ -452,7 +466,9 @@ class TestMainAndOutputs:
         assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 0
         report = json.loads((tmp_path / "o" / f"{command}_report.json").read_text())
         assert set(report) == {"config", "population_sum_max_dev", "dimension",
-                               "timing_seconds"}
+                               "routes", "ill_conditioned_points", "timing_seconds"}
+        assert report["routes"] == {"closed-form": 3 if command == "sweep" else 11}
+        assert report["ill_conditioned_points"] == (0 if command == "sweep" else None)
         assert report["dimension"] == dimension
         if dimension is None:
             assert report["population_sum_max_dev"] is None

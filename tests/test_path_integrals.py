@@ -392,6 +392,105 @@ def test_area_concatenation_identity(coeffs, split):
     assert s_ab == pytest.approx(s_a + s_b + tri, abs=1e-10)
 
 
+def per_point_endpoints(sys_, waves, t, method):
+    """build_drive_path on [0, t] for each waveform, read at t."""
+    grid = [0.0, t] if t > 0 else [0.0]
+    return [ld.build_drive_path(sys_, w, grid, method=method) for w in waves]
+
+
+def assert_endpoints_match(sys_, waves, t, method):
+    """drive_endpoints against per-point build_drive_path: R and u bit for
+    bit, phases and areas to 2e-14, routes identical; returns the batch."""
+    ends = ld.drive_endpoints(sys_, waves, t, method=method)
+    ref = per_point_endpoints(sys_, waves, t, method)
+    for name in ("r", "u"):
+        expected = np.array([getattr(dp, name)[-1] for dp in ref])
+        assert getattr(ends, name).tobytes() == expected.tobytes(), name
+    l2 = sys_.l_b**2
+    for name, scale in (("beta", 1.0), ("gamma", 1.0), ("area_r", l2), ("area_u", l2)):
+        expected = np.array([getattr(dp, name)[-1] for dp in ref])
+        assert_allclose(getattr(ends, name), expected, rtol=0, atol=2e-14 * scale, err_msg=name)
+    assert ends.provenance == tuple(dp.provenance for dp in ref)
+    return ends
+
+
+class TestDriveEndpoints:
+    """The batched closed form of a sweep against one build_drive_path per point."""
+
+    @pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature"])
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_nu_sweep(self, method, charge):
+        # nu = 0 (R drift only), nu = omega (u drift only), and
+        # nu/omega = 1 +- 1e-5 at t = 20: |mu| t = 2e-4 sends auto to quadrature
+        sys_ = ld.PhysicalSystem(charge, 2.0, 0.7)
+        ratios = [*np.linspace(-0.5, 2.0, 11), 1.0 - 1e-5, 1.0 + 1e-5]
+        assert 0.0 in ratios and 1.0 in ratios
+        t = 20.0 / sys_.omega
+        waves = [ld.RotatingField(0.3, charge * r * sys_.omega, 0.4) for r in ratios]
+        ends = assert_endpoints_match(sys_, waves, t, method)
+        near = 2 if method == "auto" else 0
+        quad = len(waves) if method == "quadrature" else near
+        assert ends.provenance.count("quadrature") == quad
+        assert ends.provenance.count("closed-form") == len(waves) - quad
+        assert ends.ill_conditioned == near
+
+    @pytest.mark.parametrize("method", ["auto", "closed_form", "quadrature"])
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_amplitude_sweep_with_zero(self, natural, method, charge):
+        sys_ = ld.PhysicalSystem(charge, 1.0, 1.0)
+        waves = [ld.RotatingField(a, 0.7, 0.3) for a in np.linspace(0.0, 0.3, 7)]
+        ends = assert_endpoints_match(sys_, waves, 9.0, method)
+        assert ends.u[0] == 0 and ends.gamma[0] == 0
+        assert ends.ill_conditioned == 0
+
+    def test_mixed_term_structures(self, natural):
+        # different term counts are padded; the sampled field has no closed form
+        waves = [
+            ld.RotatingField(0.2, 0.8, 0.1),
+            ld.LinearSinusoidField(0.15, 0.3, 1.3, 0.2),
+            ld.SumField((ld.RotatingField(0.1, 1.0), ld.ConstantField(0.05, -0.02),
+                         ld.RotatingField(0.07, 0.0, 1.0))),
+            ld.ZeroField(),
+            ld.ConstantField(0.1, 0.2),
+            ld.sample_waveform(ld.RotatingField(0.1, 0.9), np.linspace(0.0, 6.0, 61)),
+        ]
+        ends = assert_endpoints_match(natural, waves, 6.0, "auto")
+        assert ends.provenance[-1] == "quadrature" and ends.ill_conditioned == 0
+
+    def test_time_zero(self, natural):
+        waves = [ld.RotatingField(0.2, nu) for nu in (0.0, 0.5, 1.0)]
+        ends = assert_endpoints_match(natural, waves, 0.0, "auto")
+        assert not np.any(ends.u) and not np.any(ends.gamma)
+
+    def test_errors_match_build_drive_path(self, natural):
+        w = ld.RotatingField(0.2, 0.5)
+        with pytest.raises(ld.DomainError):
+            ld.drive_endpoints(natural, [w], -1.0)
+        with pytest.raises(ValueError, match="unknown method"):
+            ld.drive_endpoints(natural, [w], 1.0, method="simpson")
+        sampled = ld.sample_waveform(w, np.linspace(0.0, 2.0, 5))
+        with pytest.raises(ValueError, match="no closed-form"):
+            ld.drive_endpoints(natural, [w, sampled], 1.0, method="closed_form")
+        with pytest.raises(ld.DomainError):
+            ld.drive_endpoints(natural, [sampled], 3.0)
+
+    def test_resonance_gamma_against_exact_area(self, natural):
+        # gamma = (1/2) |A|^2 (r T - sin r T), A = E0 / r, r = omega - nu, on the
+        # 401-point grid of the resonance benchmark, against 50-digit mpmath
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        e0, t = 0.3, 20.0
+        nus = np.linspace(0.5, 1.5, 401)
+        ends = ld.drive_endpoints(natural, [ld.RotatingField(e0, nu, 1.1) for nu in nus], t)
+        assert ends.provenance == ("closed-form",) * nus.size
+        worst = 0.0
+        for nu, gamma in zip(nus.tolist(), ends.gamma.tolist()):
+            r = 1 - mpmath.mpf(nu)
+            exact = 0 if r == 0 else (mpmath.mpf(e0) / r) ** 2 * (r * t - mpmath.sin(r * t)) / 2
+            worst = max(worst, abs(float(gamma - exact)))
+        assert worst <= 5e-14
+
+
 def linspace_refined_grid(t_grid, w, step):
     """Reference fine grid: one np.linspace per smooth span."""
     cuts = set(t_grid.tolist())

@@ -150,6 +150,16 @@ class TestJMatrixElement:
         pops = ld.level_populations(natural, [p.u], n)
         assert abs(1.0 - pops.sum()) <= NORM_TOL
 
+    def test_healthy_dim_measured_once(self, natural):
+        # the resonant benchmark point: dim 161 with an unhealthy tail
+        p = ld.assemble(natural, ld.RotatingField(0.3, 1.0), 20.0)
+        loss = np.abs(1.0 - np.sum(np.abs(p.j_op.matrix) ** 2, axis=0))
+        expected = int(np.argmax(loss > NORM_TOL))
+        assert 0 < expected < p.dim
+        assert ld.healthy_dim(p) == expected
+        object.__setattr__(p, "j_op", None)  # a call that re-read j_op would fail
+        assert ld.healthy_dim(p) == expected
+
 
 class TestTransitionProbabilities:
     def test_zero_drive(self, natural):
