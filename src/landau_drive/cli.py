@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys as _sys
@@ -247,6 +248,24 @@ def _build_waveform(block, path: str) -> FieldWaveform:
         raise ConfigError(f"{path}: {exc}")
 
 
+def _waveform_echo(block: dict, waveform: FieldWaveform) -> dict:
+    """A checked waveform block as reports echo it, given the waveform built
+    from it: a sampled block (also a ``sum`` term) as its node count, first
+    and last time and the SHA-256 of the little-endian float64 bytes of
+    times, e1 and e2, in that order; every other block as given."""
+    if isinstance(waveform, SumField):
+        return dict(block, terms=[_waveform_echo(b, w)
+                                  for b, w in zip(block["terms"], waveform.terms)])
+    if not isinstance(waveform, SampledField):
+        return block
+    digest = hashlib.sha256()
+    for array in waveform._nodes:
+        digest.update(array.astype("<f8", copy=False).tobytes())
+    return {"type": "sampled", "nodes": len(waveform.times),
+            "t_first": float(waveform.times[0]), "t_last": float(waveform.times[-1]),
+            "sha256": digest.hexdigest()}
+
+
 def _physical_system(units: str, charge: float, magnetic_field: float,
                      mass: float) -> PhysicalSystem:
     """The system of a ``system`` config section: in the si and gaussian
@@ -300,7 +319,7 @@ def resolve_config(
             "omega": system.omega, "l_b": system.l_b, "k": system.k,
             "mirrored": system.mirrored,
         }),
-        "waveform": top["waveform"],
+        "waveform": _waveform_echo(top["waveform"], waveform),
     }
     for section, keys in _SCHEMA.items():
         if section != "system":

@@ -293,15 +293,22 @@ class LinearSinusoidField(FieldWaveform):
 @dataclass(frozen=True)
 class SampledField(FieldWaveform):
     """Linearly interpolated samples (t_i, E1_i, E2_i), strictly increasing t;
-    every time and field value must be finite."""
+    every time and field value must be finite.
+
+    The float64 arrays of ``times``, ``e1`` and ``e2`` are built once, at
+    construction, and kept read-only in ``_nodes``; ``field``,
+    ``field_integral``, ``rescaled`` and the CLI's report digest compute on
+    them.  Equality, hash and repr use the tuples.
+    """
 
     times: tuple[float, ...]
     e1: tuple[float, ...]
     e2: tuple[float, ...]
+    _nodes: tuple[np.ndarray, ...] = dataclass_field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)
         if t.size < 2:
             raise ValueError("need at least two samples")
         if len(self.e1) != t.size or len(self.e2) != t.size:
@@ -310,7 +317,7 @@ class SampledField(FieldWaveform):
             raise ValueError("sample timestamps must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample timestamps must be strictly increasing")
-        e1, e2 = np.asarray(self.e1, dtype=float), np.asarray(self.e2, dtype=float)
+        e1, e2 = np.array(self.e1, dtype=float), np.array(self.e2, dtype=float)
         if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
             raise ValueError("sample field values must be finite")
         values = e1 + 1j * e2
@@ -318,8 +325,10 @@ class SampledField(FieldWaveform):
         prefix = np.concatenate(
             ([0.0 + 0.0j], np.cumsum(np.diff(t) * (values[1:] + values[:-1]) / 2.0))
         )
+        for array in (t, e1, e2, prefix):
+            array.setflags(write=False)
+        object.__setattr__(self, "_nodes", (t, e1, e2))
         object.__setattr__(self, "_prefix", prefix)
-        self._prefix.setflags(write=False)
 
     def domain(self):
         return (self.times[0], self.times[-1])
@@ -329,15 +338,14 @@ class SampledField(FieldWaveform):
 
     def field(self, t):
         self._check_domain(t)
+        tn, e1, e2 = self._nodes
         t = np.asarray(t, dtype=float)
-        tn = np.asarray(self.times, dtype=float)
-        return (np.interp(t, tn, np.asarray(self.e1, dtype=float))
-                + 1j * np.interp(t, tn, np.asarray(self.e2, dtype=float)))[()]
+        return (np.interp(t, tn, e1) + 1j * np.interp(t, tn, e2))[()]
 
     def _integral_from_first_node(self, t):
         """Exact integral of the interpolant from times[0] to t."""
         t = np.asarray(t, dtype=float)
-        tn = np.asarray(self.times, dtype=float)
+        tn = self._nodes[0]
         idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
         seg = (self.field(tn[idx]) + self.field(t)) / 2.0 * (t - tn[idx])
         return self._prefix[idx] + seg
@@ -351,11 +359,12 @@ class SampledField(FieldWaveform):
         return out[()]
 
     def rescaled(self, scales, mirror):
+        t, e1, e2 = self._nodes
         sign = -1.0 if mirror else 1.0
         return SampledField(
-            tuple(ti / scales.time for ti in self.times),
-            tuple(sign * v / scales.field for v in self.e1),
-            tuple(v / scales.field for v in self.e2),
+            tuple((t / scales.time).tolist()),
+            tuple((sign * e1 / scales.field).tolist()),
+            tuple((e2 / scales.field).tolist()),
         )
 
 

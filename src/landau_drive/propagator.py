@@ -107,6 +107,13 @@ def displacement_argument(sys: PhysicalSystem, u: complex) -> complex:
     return -u.conjugate() * sys.k
 
 
+def _displacement_arguments(sys: PhysicalSystem, u) -> np.ndarray:
+    """``displacement_argument`` of every amplitude in ``u`` in one array
+    operation, bit for bit (signed zeros included)."""
+    u = np.asarray(u, dtype=complex)
+    return -(u if sys.mirrored else np.conj(u)) * sys.k
+
+
 def assemble(
     sys: PhysicalSystem,
     w: FieldWaveform,
@@ -209,11 +216,12 @@ def level_populations(
     ``transition_probabilities`` of that sample's propagator.  Also raises
     TruncationError when n >= dim or an element is not finite.
     """
-    u = np.asarray(u, dtype=complex).tolist()
-    alphas = [displacement_argument(sys, v) for v in u]
+    alphas = _displacement_arguments(sys, u)
     if dim is not None and n >= dim:
         raise TruncationError(f"level {n} lies outside dimension {dim}")
-    start = max(suggested_dimension(max(map(abs, alphas), default=0.0)), 2 * (n + 1))
+    # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise
+    largest = np.hypot(alphas.real, alphas.imag).max(initial=0.0)
+    start = max(suggested_dimension(largest), 2 * (n + 1))
     for size in [dim] if dim else [start << k for k in range(_MAX_DOUBLINGS + 1)]:
         pops = np.abs(displacement_columns(alphas, n, size)) ** 2
         worst = float(_norm_deficit(pops).max(initial=0.0))

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +574,77 @@ class TestMainAndOutputs:
         cfg_path = write_config(tmp_path, dict(BASE_SIM, output={"directory": str(tmp_path / "o")}))
         cli.main(["simulate", "--config", str(cfg_path), "--seed", "7"])
         assert "ignored" in capsys.readouterr().err
+
+
+def sampled_block(nodes, t_end):
+    """A sampled waveform block of two rotating modes, as plain lists."""
+    times = np.linspace(0.0, t_end, nodes)
+    e = 0.01 * np.exp(-0.9j * times + 0.3j) + 0.006 * np.exp(-1.15j * times)
+    return {"type": "sampled", "times": times.tolist(), "e1": e.real.tolist(),
+            "e2": e.imag.tolist()}
+
+
+def expected_echo(block):
+    """The digest echo of a sampled block, recomputed from its lists."""
+    data = b"".join(struct.pack(f"<{len(block[k])}d", *block[k])
+                    for k in ("times", "e1", "e2"))
+    return {"type": "sampled", "nodes": len(block["times"]),
+            "t_first": block["times"][0], "t_last": block["times"][-1],
+            "sha256": hashlib.sha256(data).hexdigest()}
+
+
+class TestSampledEcho:
+    def run_report(self, tmp_path, waveform, **doc):
+        doc = dict(BASE_SIM, waveform=waveform, numerics={"dimension": 0},
+                   output={"directory": str(tmp_path / "o")}, **doc)
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0
+        path = tmp_path / "o" / "simulate_report.json"
+        return json.loads(path.read_text()), path.stat().st_size
+
+    def test_sampled_waveform_echoed_by_digest(self, tmp_path):
+        block = sampled_block(201, 20.0)
+        report, _ = self.run_report(tmp_path, block)
+        assert report["config"]["waveform"] == expected_echo(block)
+
+    def test_sampled_sum_term_echoed_by_digest(self, tmp_path):
+        block = sampled_block(201, 20.0)
+        rotating = {"type": "rotating", "amplitude": 0.05, "nu": 1.2}
+        report, _ = self.run_report(tmp_path, {"type": "sum", "terms": [rotating, block]})
+        assert report["config"]["waveform"] == {
+            "type": "sum", "terms": [rotating, expected_echo(block)]}
+
+    def test_readme_recipe_recomputes_the_digest(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        recipe = readme.split("against its config:\n\n```python\n", 1)[1].split("```", 1)[0]
+        report, _ = self.run_report(tmp_path, sampled_block(201, 20.0))
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)   # the recipe reads run.json
+        exec(recipe, {})
+        assert capsys.readouterr().out.strip() == report["config"]["waveform"]["sha256"]
+
+    def test_one_edited_sample_changes_the_digest(self):
+        block = sampled_block(101, 10.0)
+        digest = cli.resolve_config({"waveform": block}, "simulate").resolved["waveform"]
+        for key in ("times", "e1", "e2"):
+            edited = dict(block, **{key: list(block[key])})
+            edited[key][50] = math.nextafter(edited[key][50], math.inf)
+            echo = cli.resolve_config({"waveform": edited}, "simulate").resolved["waveform"]
+            assert echo["sha256"] != digest["sha256"], key
+            assert echo == expected_echo(edited)
+
+    def test_integer_samples_hash_as_float64(self):
+        block = {"type": "sampled", "times": [0, 1, 2], "e1": [0, 1, 0], "e2": [0, 0, 0]}
+        echo = cli.resolve_config({"waveform": block}, "simulate").resolved["waveform"]
+        as_floats = {k: [float(x) for x in v] if k != "type" else v for k, v in block.items()}
+        assert echo == expected_echo(as_floats)
+
+    def test_trace_sized_report_stays_small(self, tmp_path):
+        # 40 001 nodes and 1001 output samples; the full echo was 3 MB
+        block = sampled_block(40_001, 400.0)
+        report, size = self.run_report(tmp_path, block,
+                                       time={"t_final": 400.0, "samples": 1001})
+        assert size < 4096
+        assert report["config"]["waveform"]["sha256"] == expected_echo(block)["sha256"]
 
 
 @pytest.fixture(scope="module")

@@ -235,3 +235,77 @@ class TestInternalize:
         ws = ld.sample_waveform(w, grid)
         for t in (0.0, 2.0, 5.5):
             assert complex(ws.field(t)) == pytest.approx(complex(w.field(t)), abs=2e-4)
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+class TestSampledFieldArrays:
+    """The float arrays built once at construction give the same bits as
+    converting the tuples at each call."""
+
+    @staticmethod
+    def field_from_tuples(w, t):
+        tn = np.asarray(w.times, dtype=float)
+        return (np.interp(t, tn, np.asarray(w.e1, dtype=float))
+                + 1j * np.interp(t, tn, np.asarray(w.e2, dtype=float)))[()]
+
+    @classmethod
+    def integral_from_tuples(cls, w, t):
+        def from_first_node(t):
+            t = np.asarray(t, dtype=float)
+            tn = np.asarray(w.times, dtype=float)
+            idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
+            seg = (cls.field_from_tuples(w, tn[idx]) + cls.field_from_tuples(w, t)) / 2.0 \
+                * (t - tn[idx])
+            return w._prefix[idx] + seg
+        return (from_first_node(t) - from_first_node(0.0))[()]
+
+    @staticmethod
+    def rescaled_with_generators(w, scales, mirror):
+        sign = -1.0 if mirror else 1.0
+        return (tuple(ti / scales.time for ti in w.times),
+                tuple(sign * v / scales.field for v in w.e1),
+                tuple(v / scales.field for v in w.e2))
+
+    @pytest.fixture
+    def trace(self):
+        rng = np.random.default_rng(7)
+        times = np.cumsum(rng.uniform(0.01, 0.3, 400)) - 20.0
+        e1, e2 = rng.normal(0.0, 3.0, (2, 400))
+        e1[::37], e2[5::41] = 0.0, -0.0
+        return ld.SampledField(tuple(times.tolist()), tuple(e1.tolist()), tuple(e2.tolist()))
+
+    def test_arrays_are_read_only(self, trace):
+        for array in (*trace._nodes, trace._prefix):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_field_and_integral_bit_identical(self, trace):
+        lo, hi = trace.domain()
+        rng = np.random.default_rng(3)
+        points = [np.asarray(trace.times), rng.uniform(lo, hi, 1000), lo, hi, 0.0, 1.7]
+        for t in points:
+            assert _bits(trace.field(t)) == _bits(self.field_from_tuples(trace, t))
+            assert _bits(trace.field_integral(t)) == _bits(self.integral_from_tuples(trace, t))
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_rescaled_bit_identical(self, trace, electron_si, mirror):
+        for scales in (electron_si.internal_scales(), ld.InternalScales(0.37, 1.0, 2.9)):
+            w = trace.rescaled(scales, mirror)
+            expected = self.rescaled_with_generators(trace, scales, mirror)
+            assert all(type(v) is float for v in w.times + w.e1 + w.e2)
+            for got, want in zip((w.times, w.e1, w.e2), expected):
+                assert _bits(got) == _bits(want)
+
+    def test_equality_hash_and_repr_use_the_tuples(self, trace):
+        same = ld.SampledField(tuple(list(trace.times)), tuple(list(trace.e1)),
+                               tuple(list(trace.e2)))
+        assert same == trace and hash(same) == hash(trace)
+        assert same == trace.rescaled(ld.InternalScales(1.0, 1.0, 1.0), False)
+        other = ld.SampledField(trace.times, trace.e1, trace.e2[:-1] + (1.0,))
+        assert other != trace
+        assert repr(trace) == (f"SampledField(times={trace.times!r}, e1={trace.e1!r}, "
+                               f"e2={trace.e2!r})")

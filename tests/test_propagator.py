@@ -275,6 +275,17 @@ class TestLevelPopulations:
         with pytest.raises(TruncationError, match="at dimension 97"):
             ld.level_populations(natural, [math.sqrt(10.1 / 2.0)], 47)
 
+    @pytest.mark.parametrize("charge", [1.0, -1.0, -3.7])
+    def test_arguments_match_scalar_function(self, charge):
+        # the array form level_populations uses, bit for bit (signed zeros too)
+        sys = ld.PhysicalSystem(charge=charge, magnetic_field=1.3, mass=0.8)
+        rng = np.random.default_rng(11)
+        u = rng.normal(0.0, 2.0, 2000) + 1j * rng.normal(0.0, 2.0, 2000)
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        u = np.concatenate([u, zeros, [1.5 + 0.0j, -0.0 - 2.5j, 1e-300 + 1e300j]])
+        scalar = np.array([ld.displacement_argument(sys, v) for v in u.tolist()])
+        assert propagator._displacement_arguments(sys, u).tobytes() == scalar.tobytes()
+
     def test_no_samples(self, natural):
         assert ld.level_populations(natural, [], 3).shape == (0, 32)
         assert ld.level_populations(natural, [], 20).shape == (0, 42)
