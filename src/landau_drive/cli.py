@@ -259,7 +259,7 @@ def _waveform_echo(block: dict, waveform: FieldWaveform) -> dict:
     if not isinstance(waveform, SampledField):
         return block
     digest = hashlib.sha256()
-    for array in waveform._nodes:
+    for array in waveform.arrays:
         digest.update(array.astype("<f8", copy=False).tobytes())
     return {"type": "sampled", "nodes": len(waveform.times),
             "t_first": float(waveform.times[0]), "t_last": float(waveform.times[-1]),

@@ -296,15 +296,15 @@ class SampledField(FieldWaveform):
     every time and field value must be finite.
 
     The float64 arrays of ``times``, ``e1`` and ``e2`` are built once, at
-    construction, and kept read-only in ``_nodes``; ``field``,
-    ``field_integral``, ``rescaled`` and the CLI's report digest compute on
-    them.  Equality, hash and repr use the tuples.
+    construction, and kept read-only in ``arrays``; ``field``,
+    ``field_integral`` and ``rescaled`` compute on them.  Equality, hash
+    and repr use the tuples.
     """
 
     times: tuple[float, ...]
     e1: tuple[float, ...]
     e2: tuple[float, ...]
-    _nodes: tuple[np.ndarray, ...] = dataclass_field(init=False, repr=False, compare=False)
+    arrays: tuple[np.ndarray, ...] = dataclass_field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -327,7 +327,7 @@ class SampledField(FieldWaveform):
         )
         for array in (t, e1, e2, prefix):
             array.setflags(write=False)
-        object.__setattr__(self, "_nodes", (t, e1, e2))
+        object.__setattr__(self, "arrays", (t, e1, e2))
         object.__setattr__(self, "_prefix", prefix)
 
     def domain(self):
@@ -338,14 +338,14 @@ class SampledField(FieldWaveform):
 
     def field(self, t):
         self._check_domain(t)
-        tn, e1, e2 = self._nodes
+        tn, e1, e2 = self.arrays
         t = np.asarray(t, dtype=float)
         return (np.interp(t, tn, e1) + 1j * np.interp(t, tn, e2))[()]
 
     def _integral_from_first_node(self, t):
         """Exact integral of the interpolant from times[0] to t."""
         t = np.asarray(t, dtype=float)
-        tn = self._nodes[0]
+        tn = self.arrays[0]
         idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
         seg = (self.field(tn[idx]) + self.field(t)) / 2.0 * (t - tn[idx])
         return self._prefix[idx] + seg
@@ -359,7 +359,7 @@ class SampledField(FieldWaveform):
         return out[()]
 
     def rescaled(self, scales, mirror):
-        t, e1, e2 = self._nodes
+        t, e1, e2 = self.arrays
         sign = -1.0 if mirror else 1.0
         return SampledField(
             tuple((t / scales.time).tolist()),

@@ -93,25 +93,18 @@ class FactorizedPropagator:
         return self.dim if healthy.all() else int(np.argmin(healthy))
 
 
-def displacement_argument(sys: PhysicalSystem, u: complex) -> complex:
+def displacement_argument(sys: PhysicalSystem, u):
     """Coherent argument alpha of the level-mixing factor for amplitude u.
 
     The exponent u k a - u* k a^dag equals alpha a^dag - alpha* a with
     alpha = -u* k; this sign convention is fixed here once.  For a
     mirrored (negative-charge) system u is the reflected-frame amplitude,
-    i.e. the conjugate of the reported one.
+    i.e. the conjugate of the reported one.  A complex u gives a complex;
+    an array of amplitudes gives the array of their arguments.
     """
-    u = complex(u)
-    if sys.mirrored:
-        u = u.conjugate()
-    return -u.conjugate() * sys.k
-
-
-def _displacement_arguments(sys: PhysicalSystem, u) -> np.ndarray:
-    """``displacement_argument`` of every amplitude in ``u`` in one array
-    operation, bit for bit (signed zeros included)."""
     u = np.asarray(u, dtype=complex)
-    return -(u if sys.mirrored else np.conj(u)) * sys.k
+    alpha = -(u if sys.mirrored else np.conj(u)) * sys.k
+    return alpha if alpha.ndim else complex(alpha)
 
 
 def assemble(
@@ -216,7 +209,7 @@ def level_populations(
     ``transition_probabilities`` of that sample's propagator.  Also raises
     TruncationError when n >= dim or an element is not finite.
     """
-    alphas = _displacement_arguments(sys, u)
+    alphas = displacement_argument(sys, u)
     if dim is not None and n >= dim:
         raise TruncationError(f"level {n} lies outside dimension {dim}")
     # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise

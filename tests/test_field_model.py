@@ -278,7 +278,7 @@ class TestSampledFieldArrays:
         return ld.SampledField(tuple(times.tolist()), tuple(e1.tolist()), tuple(e2.tolist()))
 
     def test_arrays_are_read_only(self, trace):
-        for array in (*trace._nodes, trace._prefix):
+        for array in (*trace.arrays, trace._prefix):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0

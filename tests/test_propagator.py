@@ -276,15 +276,23 @@ class TestLevelPopulations:
             ld.level_populations(natural, [math.sqrt(10.1 / 2.0)], 47)
 
     @pytest.mark.parametrize("charge", [1.0, -1.0, -3.7])
-    def test_arguments_match_scalar_function(self, charge):
-        # the array form level_populations uses, bit for bit (signed zeros too)
+    def test_arguments_match_scalar_arithmetic(self, charge):
+        # one amplitude and an array of them give, bit for bit (signed zeros
+        # too), what Python complex arithmetic gives for alpha = -u* k
+        def scalar(sys, v):
+            v = v.conjugate() if sys.mirrored else v
+            return -v.conjugate() * sys.k
+
         sys = ld.PhysicalSystem(charge=charge, magnetic_field=1.3, mass=0.8)
         rng = np.random.default_rng(11)
         u = rng.normal(0.0, 2.0, 2000) + 1j * rng.normal(0.0, 2.0, 2000)
         zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
         u = np.concatenate([u, zeros, [1.5 + 0.0j, -0.0 - 2.5j, 1e-300 + 1e300j]])
-        scalar = np.array([ld.displacement_argument(sys, v) for v in u.tolist()])
-        assert propagator._displacement_arguments(sys, u).tobytes() == scalar.tobytes()
+        expected = np.array([scalar(sys, v) for v in u.tolist()])
+        assert ld.displacement_argument(sys, u).tobytes() == expected.tobytes()
+        one = [ld.displacement_argument(sys, v) for v in u.tolist()]
+        assert all(type(a) is complex for a in one)
+        assert np.array(one).tobytes() == expected.tobytes()
 
     def test_no_samples(self, natural):
         assert ld.level_populations(natural, [], 3).shape == (0, 32)
