@@ -105,7 +105,7 @@ _KINDS = {
     "lowercase": (str, "a string", lambda v, where: v.lower()),
     "path": (str, "a string", lambda v, where: str(Path(v))),
     "table": (dict, "a table/object", None),
-    "list": (list, "a list", lambda v, where: tuple(v)),
+    "list": (list, "a list", None),
     "waveforms": (list, "a list", lambda v, where: tuple(
         _build_waveform(term, f"{where}[{i}]") for i, term in enumerate(v))),
 }
@@ -259,9 +259,9 @@ def _waveform_echo(block: dict, waveform: FieldWaveform) -> dict:
     if not isinstance(waveform, SampledField):
         return block
     digest = hashlib.sha256()
-    for array in waveform.arrays:
+    for array in (waveform.times, waveform.e1, waveform.e2):
         digest.update(array.astype("<f8", copy=False).tobytes())
-    return {"type": "sampled", "nodes": len(waveform.times),
+    return {"type": "sampled", "nodes": waveform.times.size,
             "t_first": float(waveform.times[0]), "t_last": float(waveform.times[-1]),
             "sha256": digest.hexdigest()}
 
@@ -358,15 +358,15 @@ def _drive_table(cfg: RunConfig):
         cfg.system, cfg.waveform, times, method=num["method"], abs_tol=num["quadrature_tol"]
     )
     columns = {
-        "t": list(map(float, dp.times)),
-        "re_R": list(map(float, dp.r.real)),
-        "im_R": list(map(float, dp.r.imag)),
-        "beta": list(map(float, dp.beta)),
-        "re_u": list(map(float, dp.u.real)),
-        "im_u": list(map(float, dp.u.imag)),
-        "gamma": list(map(float, dp.gamma)),
-        "area_R": list(map(float, dp.area_r)),
-        "area_u": list(map(float, dp.area_u)),
+        "t": dp.times.tolist(),
+        "re_R": dp.r.real.tolist(),
+        "im_R": dp.r.imag.tolist(),
+        "beta": dp.beta.tolist(),
+        "re_u": dp.u.real.tolist(),
+        "im_u": dp.u.imag.tolist(),
+        "gamma": dp.gamma.tolist(),
+        "area_R": dp.area_r.tolist(),
+        "area_u": dp.area_u.tolist(),
     }
     return dp, columns
 
@@ -387,9 +387,9 @@ def run_simulate(cfg: RunConfig) -> SimulationReport:
     start = time.perf_counter()
     dp, columns = _drive_table(cfg)
     pops, health = _populations(cfg, dp.u)
-    columns["survival"] = list(map(float, pops[:, cfg.resolved["initial_state"]["level"]]))
+    columns["survival"] = pops[:, cfg.resolved["initial_state"]["level"]].tolist()
     for m in range(min(cfg.resolved["report"]["population_levels"], pops.shape[1])):
-        columns[f"pop_{m}"] = list(map(float, pops[:, m]))
+        columns[f"pop_{m}"] = pops[:, m].tolist()
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
@@ -426,9 +426,9 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
                            method=num["method"], abs_tol=num["quadrature_tol"])
     pops, health = _populations(cfg, ends.u)
     columns = {
-        sweep["parameter"]: list(map(float, values)),
-        "survival": list(map(float, pops[:, cfg.resolved["initial_state"]["level"]])),
-        "abs_u": [abs(u) for u in ends.u.tolist()],
+        sweep["parameter"]: values.tolist(),
+        "survival": pops[:, cfg.resolved["initial_state"]["level"]].tolist(),
+        "abs_u": np.hypot(ends.u.real, ends.u.imag).tolist(),
         "beta": ends.beta.tolist(),
         "gamma": ends.gamma.tolist(),
     }
@@ -464,19 +464,13 @@ def _electron_benchmark() -> dict:
     }
 
 
-def run_validate(
-    cfg: RunConfig,
-    *,
-    corrupt_displacement_sign: bool = False,
-    include_convergence: bool = True,
-):
+def run_validate(cfg: RunConfig, *, include_convergence: bool = True):
     """Residual suite over the validation corpus; returns (report, exit_code)."""
     start = time.perf_counter()
     checks = oracle.run_validation(
         cfg.system,
         dim=cfg.resolved["numerics"]["oracle_dimension"],
         dt=cfg.resolved["numerics"]["integrator_dt"],
-        corrupt_displacement_sign=corrupt_displacement_sign,
         include_convergence=include_convergence,
     )
     all_passed = all(c.passed for c in checks)
@@ -507,18 +501,15 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_table(path: Path, columns: dict, fmt: str) -> None:
-    names = list(columns)
+    """One row per index of the equal-length ``columns`` (lists of floats)."""
+    rows = zip(*columns.values())
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names)
-            for i in range(len(columns[names[0]])):
-                writer.writerow([repr(columns[name][i]) for name in names])
+            writer.writerow(columns)
+            writer.writerows(rows)
     else:
-        _write_json(path, [
-            {name: columns[name][i] for name in names}
-            for i in range(len(columns[names[0]]))
-        ])
+        _write_json(path, [dict(zip(columns, row)) for row in rows])
 
 
 def _gnuplot_script(data_name: str, columns: list[str]) -> str:

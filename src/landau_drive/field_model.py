@@ -130,8 +130,8 @@ class FieldWaveform:
         """Characteristic angular rate of the waveform (0 if none)."""
         return 0.0
 
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior times where E(t) is not smooth."""
+    def breakpoints(self):
+        """Interior times where E(t) is not smooth, in increasing order."""
         return ()
 
     def guiding_path(self, sys: PhysicalSystem) -> ExpPath | None:
@@ -295,17 +295,16 @@ class SampledField(FieldWaveform):
     """Linearly interpolated samples (t_i, E1_i, E2_i), strictly increasing t;
     every time and field value must be finite.
 
-    The float64 arrays of ``times``, ``e1`` and ``e2`` are built once, at
-    construction, and kept read-only in ``arrays``; ``field``,
-    ``field_integral`` and ``rescaled`` compute on them.  Equality, hash
-    and repr use the tuples.
+    ``times``, ``e1`` and ``e2`` may be given as any sequences; each is held
+    as a read-only float64 copy, so a caller's list or array is neither
+    frozen nor seen by later edits.  Fields compare equal when the three
+    arrays are equal element for element.
     """
 
-    times: tuple[float, ...]
-    e1: tuple[float, ...]
-    e2: tuple[float, ...]
-    arrays: tuple[np.ndarray, ...] = dataclass_field(init=False, repr=False, compare=False)
-    _prefix: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    times: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    _prefix: np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
@@ -325,27 +324,35 @@ class SampledField(FieldWaveform):
         prefix = np.concatenate(
             ([0.0 + 0.0j], np.cumsum(np.diff(t) * (values[1:] + values[:-1]) / 2.0))
         )
-        for array in (t, e1, e2, prefix):
+        for name, array in (("times", t), ("e1", e1), ("e2", e2), ("_prefix", prefix)):
             array.setflags(write=False)
-        object.__setattr__(self, "arrays", (t, e1, e2))
-        object.__setattr__(self, "_prefix", prefix)
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledField):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   zip((self.times, self.e1, self.e2), (other.times, other.e1, other.e2)))
+
+    def __hash__(self):
+        # not the raw bytes: 0.0 == -0.0, but their bytes differ
+        return hash((self.times.size, float(self.times[0]), float(self.times[-1])))
 
     def domain(self):
-        return (self.times[0], self.times[-1])
+        return (float(self.times[0]), float(self.times[-1]))
 
     def breakpoints(self):
-        return tuple(self.times[1:-1])
+        return self.times[1:-1]
 
     def field(self, t):
         self._check_domain(t)
-        tn, e1, e2 = self.arrays
         t = np.asarray(t, dtype=float)
-        return (np.interp(t, tn, e1) + 1j * np.interp(t, tn, e2))[()]
+        return (np.interp(t, self.times, self.e1) + 1j * np.interp(t, self.times, self.e2))[()]
 
     def _integral_from_first_node(self, t):
         """Exact integral of the interpolant from times[0] to t."""
         t = np.asarray(t, dtype=float)
-        tn = self.arrays[0]
+        tn = self.times
         idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
         seg = (self.field(tn[idx]) + self.field(t)) / 2.0 * (t - tn[idx])
         return self._prefix[idx] + seg
@@ -359,12 +366,9 @@ class SampledField(FieldWaveform):
         return out[()]
 
     def rescaled(self, scales, mirror):
-        t, e1, e2 = self.arrays
         sign = -1.0 if mirror else 1.0
         return SampledField(
-            tuple((t / scales.time).tolist()),
-            tuple((sign * e1 / scales.field).tolist()),
-            tuple((e2 / scales.field).tolist()),
+            self.times / scales.time, sign * self.e1 / scales.field, self.e2 / scales.field
         )
 
 
@@ -399,8 +403,7 @@ class SumField(FieldWaveform):
         return max((w.rate() for w in self.terms), default=0.0)
 
     def breakpoints(self):
-        pts = sorted({p for w in self.terms for p in w.breakpoints()})
-        return tuple(pts)
+        return np.unique(np.concatenate([(), *(w.breakpoints() for w in self.terms)]))
 
     def guiding_path(self, sys):
         terms: list[tuple[complex, float]] = []
@@ -456,4 +459,4 @@ def sample_waveform(w: FieldWaveform, times) -> SampledField:
     """Tabulate any waveform onto a grid as a SampledField."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(w.field(times), dtype=complex)
-    return SampledField(tuple(times), tuple(values.real), tuple(values.imag))
+    return SampledField(times, values.real, values.imag)

@@ -12,14 +12,13 @@ so they stay finite well past the range where raw factorials overflow;
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from .errors import AccuracyError, TruncationError, TruncationWarning
+from .errors import AccuracyError, TruncationError
 
 __all__ = [
     "TruncatedOperator",
@@ -125,8 +124,7 @@ def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
     prefactor is accumulated in logs, and only the Laguerre rows
     p <= max(cols) are built, so S amplitudes and C columns cost
     O(S (max(cols) + 1) dim) for the table plus O(S dim C) for the elements.
-    Warns with TruncationWarning when some |alpha|^2 > dim/4 and raises
-    TruncationError when an element is not finite.
+    Raises TruncationError when an element is not finite.
     """
     alphas = np.asarray(alphas, dtype=complex)
     cols = np.asarray(cols)
@@ -136,13 +134,6 @@ def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
     mods = [abs(a) for a in alphas.tolist()]
     x = np.array([r**2 for r in mods], dtype=float)
     log_mod = np.array([math.log(r) if r else 0.0 for r in mods], dtype=float)
-    x_max = float(x.max(initial=0.0))
-    if x_max > dim / 4.0:
-        warnings.warn(
-            f"|alpha|^2 = {x_max:.3g} crowds the truncation edge at dim = {dim}",
-            TruncationWarning,
-            stacklevel=3,
-        )
 
     rows = np.arange(dim)[:, None]
     p = np.minimum(rows, cols[None, :])
@@ -179,10 +170,8 @@ def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
     """D(alpha) = exp(alpha a^dag - alpha* a) on ``dim`` Fock states.
 
     All columns of the closed-form elements (see ``displacement_columns``).
-    Warns with TruncationWarning when |alpha|^2 > dim/4, where the displaced
-    block approaches the truncation edge, and raises TruncationError when
-    the Laguerre table overflows (large |alpha|^2 or dim) into non-finite
-    entries.
+    Raises TruncationError when the Laguerre table overflows (large
+    |alpha|^2 or dim) into non-finite entries.
     """
     if isinstance(alpha, CoherentAmplitude):
         alpha = alpha.alpha
@@ -200,10 +189,9 @@ def displacement_columns(alphas, n: int, dim: int) -> np.ndarray:
     Bit-identical to ``displacement_matrix(alphas[s], dim).matrix[:, n]``
     but built from the Laguerre rows p <= n only, at O(S (n+1) dim) cost.
     The elements do not depend on ``dim``: a larger ``dim`` extends each
-    column without changing its leading entries.  Same TruncationWarning
-    and TruncationError as ``displacement_matrix``; since only rows up to
-    n are built, a low column stays finite where the full matrix
-    overflows.
+    column without changing its leading entries.  Same TruncationError as
+    ``displacement_matrix``; since only rows up to n are built, a low
+    column stays finite where the full matrix overflows.
     """
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.ndim != 1:

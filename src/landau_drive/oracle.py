@@ -41,7 +41,7 @@ from .field_model import (
     ZeroField,
     internalize,
 )
-from .fock_algebra import TruncatedOperator, displacement_matrix, ladder_ops
+from .fock_algebra import TruncatedOperator, ladder_ops
 from .propagator import (
     assemble,
     resonance_survival,
@@ -323,11 +323,7 @@ def _random_sampled(sys: PhysicalSystem, seed: int = 20260808) -> SampledField:
     e = np.zeros(times_i.size, dtype=complex)
     for amp, fr, ph, sg in zip(amps, freqs, phases, signs):
         e += amp * np.exp(1j * (ph + sg * fr * times_i))
-    return SampledField(
-        tuple(times_i * scales.time),
-        tuple(e.real * scales.field),
-        tuple(e.imag * scales.field),
-    )
+    return SampledField(times_i * scales.time, e.real * scales.field, e.imag * scales.field)
 
 
 def validation_corpus(sys: PhysicalSystem) -> list[CorpusEntry]:
@@ -368,15 +364,9 @@ class CheckResult:
     details: dict
 
 
-def _factorized_matrix(
-    sys: PhysicalSystem, entry: CorpusEntry, dim: int, corrupt_displacement_sign: bool
-):
-    """Dynamical phases times the closed-form level-mixing operator."""
-    p = assemble(sys, entry.waveform, entry.t_final, dim=dim)
-    alpha = p.alpha.alpha
-    if corrupt_displacement_sign:
-        alpha = -alpha
-    j = np.exp(1j * p.gamma) * displacement_matrix(alpha, dim).matrix
+def _factorized_matrix(sys: PhysicalSystem, entry: CorpusEntry, dim: int):
+    """Dynamical phases times the closed-form level-mixing operator J."""
+    j = assemble(sys, entry.waveform, entry.t_final, dim=dim).j_op.matrix
     t_i = sys.omega * entry.t_final
     phases = np.exp(-1j * (np.arange(dim) + 0.5) * t_i)
     return phases[:, None] * j
@@ -387,7 +377,6 @@ def run_validation(
     *,
     dim: int = 64,
     dt: float = 0.01,
-    corrupt_displacement_sign: bool = False,
     include_convergence: bool = True,
 ) -> list[CheckResult]:
     """Full residual suite over the validation corpus.
@@ -409,7 +398,7 @@ def run_validation(
         u_num = integrate_schrodinger(sys, entry.waveform, entry.t_final, cfg)
         if entry.name == "rotating_resonant":
             u_resonant = u_num
-        u_fac = _factorized_matrix(sys, entry, dim, corrupt_displacement_sign)
+        u_fac = _factorized_matrix(sys, entry, dim)
         resid = float(np.max(np.abs((u_num.matrix - u_fac)[:half, :half])))
         checks.append(
             CheckResult(
@@ -475,7 +464,7 @@ def run_validation(
         for dti in (0.01, 0.02, 0.04):
             cfg = IntegratorConfig(dt=dti, dim=probe_dim)
             u_num = integrate_schrodinger(sys, probe.waveform, probe.t_final, cfg)
-            u_fac = _factorized_matrix(sys, probe, probe_dim, False)
+            u_fac = _factorized_matrix(sys, probe, probe_dim)
             resids[dti] = float(
                 np.max(np.abs((u_num.matrix - u_fac)[:probe_half, :probe_half]))
             )
@@ -495,7 +484,7 @@ def run_validation(
         cfg = IntegratorConfig(dt=0.02, dim=48, scheme="expmid")
         probe_off = next(e for e in corpus if e.name == "rotating_off")
         u_mid = integrate_schrodinger(sys, probe_off.waveform, probe_off.t_final, cfg)
-        u_fac = _factorized_matrix(sys, probe_off, 48, False)
+        u_fac = _factorized_matrix(sys, probe_off, 48)
         resid = float(np.max(np.abs((u_mid.matrix - u_fac)[:24, :24])))
         checks.append(
             CheckResult(

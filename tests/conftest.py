@@ -12,6 +12,13 @@ import landau_drive as ld
 from landau_drive.cli import UNIT_CONSTANTS
 
 
+def pytest_configure(config):
+    # A TruncationWarning no test expects fails the suite.  Declared here,
+    # not in pyproject.toml: pytest resolves an ini filter's category by
+    # importing landau_drive (and numpy) before this file pins the threads.
+    config.addinivalue_line("filterwarnings", "error::landau_drive.errors.TruncationWarning")
+
+
 @pytest.fixture(scope="session")
 def natural():
     """Dimensionless system: omega = 1, l_b = 1, k = sqrt(2)."""

@@ -11,8 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
-from landau_drive import cli
-from landau_drive.errors import ConfigError, TruncationError, TruncationWarning
+from landau_drive import cli, propagator
+from landau_drive.errors import ConfigError, TruncationError
 from landau_drive.propagator import NORM_TOL
 
 
@@ -477,6 +477,39 @@ class TestMainAndOutputs:
         else:
             assert 0.0 <= report["population_sum_max_dev"] <= NORM_TOL
 
+    @staticmethod
+    def write_table_by_row_index(path, columns, fmt):
+        """The table writer as it was: one row at a time, one cell per name."""
+        names = list(columns)
+        if fmt == "csv":
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(names)
+                for i in range(len(columns[names[0]])):
+                    writer.writerow([repr(columns[name][i]) for name in names])
+        else:
+            cli._write_json(path, [
+                {name: columns[name][i] for name in names}
+                for i in range(len(columns[names[0]]))
+            ])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [0, 1, 257])
+    def test_write_table_matches_row_index_loop(self, tmp_path, fmt, rows):
+        rng = np.random.default_rng(rows)
+        special = np.array([0.0, -0.0, 0.1, -1.5e-310, 5e-324, 1e22, 1.7976931348623157e308,
+                            -2.5, 1.0 / 3.0])
+        values = np.concatenate([special, rng.normal(0.0, 1e3, rows)])[:rows]
+        columns = {"t": np.arange(rows, dtype=float).tolist(),
+                   "re_u": values.tolist(), "survival": np.exp(-np.abs(values)).tolist(),
+                   "pop_0": (values[::-1] * 1e-17).tolist()}
+        cli._write_table(tmp_path / f"new.{fmt}", columns, fmt)
+        self.write_table_by_row_index(tmp_path / f"old.{fmt}", columns, fmt)
+        new = (tmp_path / f"new.{fmt}").read_bytes()
+        assert new == (tmp_path / f"old.{fmt}").read_bytes()
+        table = new.decode().splitlines()[1:] if fmt == "csv" else json.loads(new)
+        assert len(table) == rows
+
     def test_gnuplot_companion_script(self, tmp_path):
         cfg_path = write_config(tmp_path, dict(BASE_SIM, output={"directory": str(tmp_path / "o")}))
         cli.main(["simulate", "--config", str(cfg_path)])
@@ -490,8 +523,7 @@ class TestMainAndOutputs:
             "numerics": {"dimension": 8},
         }
         cfg_path = write_config(tmp_path, dict(doc, output={"directory": str(tmp_path / "o")}))
-        with pytest.warns(TruncationWarning):
-            assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
         assert "increase numerics.dimension" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -674,15 +706,16 @@ class TestValidateCommand:
         assert not bench["duration_quote_consistent"]
         assert bench["duration_from_formula_s"] == pytest.approx(1.70e-6, rel=0.01)
 
-    def test_corrupted_sign_negative_control(self):
+    def test_corrupted_sign_negative_control(self, monkeypatch):
+        # the production route itself builds J from -alpha
+        argument = propagator.displacement_argument
+        monkeypatch.setattr(propagator, "displacement_argument", lambda s, u: -argument(s, u))
         doc = {
             "task": "validate",
             "numerics": {"oracle_dimension": 24, "integrator_dt": 0.02},
         }
         cfg = cli.resolve_config(doc, "validate")
-        report, code = cli.run_validate(
-            cfg, corrupt_displacement_sign=True, include_convergence=False
-        )
+        report, code = cli.run_validate(cfg, include_convergence=False)
         assert code == 2
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert any(name.startswith("factorization[rotating") for name in failed)

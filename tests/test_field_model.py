@@ -242,70 +242,113 @@ def _bits(values):
 
 
 class TestSampledFieldArrays:
-    """The float arrays built once at construction give the same bits as
-    converting the tuples at each call."""
+    """``times``, ``e1`` and ``e2`` are read-only float64 copies, and every
+    result equals, bit for bit, the same arithmetic on tuples of floats."""
 
     @staticmethod
-    def field_from_tuples(w, t):
-        tn = np.asarray(w.times, dtype=float)
-        return (np.interp(t, tn, np.asarray(w.e1, dtype=float))
-                + 1j * np.interp(t, tn, np.asarray(w.e2, dtype=float)))[()]
+    def field_from_tuples(w, samples, t):
+        times, e1, e2 = samples
+        tn = np.asarray(times, dtype=float)
+        return (np.interp(t, tn, np.asarray(e1, dtype=float))
+                + 1j * np.interp(t, tn, np.asarray(e2, dtype=float)))[()]
 
     @classmethod
-    def integral_from_tuples(cls, w, t):
+    def integral_from_tuples(cls, w, samples, t):
         def from_first_node(t):
             t = np.asarray(t, dtype=float)
-            tn = np.asarray(w.times, dtype=float)
+            tn = np.asarray(samples[0], dtype=float)
             idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
-            seg = (cls.field_from_tuples(w, tn[idx]) + cls.field_from_tuples(w, t)) / 2.0 \
-                * (t - tn[idx])
+            seg = (cls.field_from_tuples(w, samples, tn[idx])
+                   + cls.field_from_tuples(w, samples, t)) / 2.0 * (t - tn[idx])
             return w._prefix[idx] + seg
         return (from_first_node(t) - from_first_node(0.0))[()]
 
     @staticmethod
-    def rescaled_with_generators(w, scales, mirror):
+    def rescaled_with_generators(samples, scales, mirror):
+        times, e1, e2 = samples
         sign = -1.0 if mirror else 1.0
-        return (tuple(ti / scales.time for ti in w.times),
-                tuple(sign * v / scales.field for v in w.e1),
-                tuple(v / scales.field for v in w.e2))
+        return (tuple(ti / scales.time for ti in times),
+                tuple(sign * v / scales.field for v in e1),
+                tuple(v / scales.field for v in e2))
 
     @pytest.fixture
-    def trace(self):
+    def samples(self):
         rng = np.random.default_rng(7)
         times = np.cumsum(rng.uniform(0.01, 0.3, 400)) - 20.0
         e1, e2 = rng.normal(0.0, 3.0, (2, 400))
         e1[::37], e2[5::41] = 0.0, -0.0
-        return ld.SampledField(tuple(times.tolist()), tuple(e1.tolist()), tuple(e2.tolist()))
+        return tuple(times.tolist()), tuple(e1.tolist()), tuple(e2.tolist())
 
-    def test_arrays_are_read_only(self, trace):
-        for array in (*trace.arrays, trace._prefix):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+    @pytest.fixture
+    def trace(self, samples):
+        return ld.SampledField(*samples)
 
-    def test_field_and_integral_bit_identical(self, trace):
-        lo, hi = trace.domain()
-        rng = np.random.default_rng(3)
-        points = [np.asarray(trace.times), rng.uniform(lo, hi, 1000), lo, hi, 0.0, 1.7]
-        for t in points:
-            assert _bits(trace.field(t)) == _bits(self.field_from_tuples(trace, t))
-            assert _bits(trace.field_integral(t)) == _bits(self.integral_from_tuples(trace, t))
-
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_rescaled_bit_identical(self, trace, electron_si, mirror):
-        for scales in (electron_si.internal_scales(), ld.InternalScales(0.37, 1.0, 2.9)):
-            w = trace.rescaled(scales, mirror)
-            expected = self.rescaled_with_generators(trace, scales, mirror)
-            assert all(type(v) is float for v in w.times + w.e1 + w.e2)
-            for got, want in zip((w.times, w.e1, w.e2), expected):
+    def test_arrays_are_read_only(self, samples):
+        lists = [list(v) for v in samples]
+        arrays = [np.array(v) for v in samples]
+        from_lists, from_arrays = ld.SampledField(*lists), ld.SampledField(*arrays)
+        for w in (from_lists, from_arrays):
+            for array in (w.times, w.e1, w.e2, w._prefix):
+                assert isinstance(array, np.ndarray) and not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+            for got, want in zip((w.times, w.e1, w.e2), samples):
+                assert got.dtype == np.float64 and _bits(got) == _bits(want)
+        for caller in (*lists, *arrays):
+            caller[3] = 99.0
+        assert all(a.flags.writeable for a in arrays)
+        for w in (from_lists, from_arrays):
+            for got, want in zip((w.times, w.e1, w.e2), samples):
                 assert _bits(got) == _bits(want)
 
-    def test_equality_hash_and_repr_use_the_tuples(self, trace):
-        same = ld.SampledField(tuple(list(trace.times)), tuple(list(trace.e1)),
-                               tuple(list(trace.e2)))
-        assert same == trace and hash(same) == hash(trace)
-        assert same == trace.rescaled(ld.InternalScales(1.0, 1.0, 1.0), False)
-        other = ld.SampledField(trace.times, trace.e1, trace.e2[:-1] + (1.0,))
-        assert other != trace
-        assert repr(trace) == (f"SampledField(times={trace.times!r}, e1={trace.e1!r}, "
-                               f"e2={trace.e2!r})")
+    def test_field_and_integral_bit_identical(self, trace, samples):
+        lo, hi = trace.domain()
+        assert (type(lo), type(hi)) == (float, float)
+        rng = np.random.default_rng(3)
+        points = [np.asarray(samples[0]), rng.uniform(lo, hi, 1000), lo, hi, 0.0, 1.7]
+        for t in points:
+            assert _bits(trace.field(t)) == _bits(self.field_from_tuples(trace, samples, t))
+            assert _bits(trace.field_integral(t)) == _bits(
+                self.integral_from_tuples(trace, samples, t))
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_rescaled_bit_identical(self, trace, samples, electron_si, mirror):
+        for scales in (electron_si.internal_scales(), ld.InternalScales(0.37, 1.0, 2.9)):
+            w = trace.rescaled(scales, mirror)
+            expected = self.rescaled_with_generators(samples, scales, mirror)
+            for got, want in zip((w.times, w.e1, w.e2), expected):
+                assert got.dtype == np.float64 and not got.flags.writeable
+                assert _bits(got) == _bits(want)
+
+    def test_equality_by_value(self, trace, samples):
+        same = ld.SampledField(*(list(v) for v in samples))
+        assert same == trace and not same != trace
+        assert trace.rescaled(ld.InternalScales(1.0, 1.0, 1.0), False) == trace
+        for k in range(3):
+            edited = [list(v) for v in samples]
+            edited[k][200] = math.nextafter(edited[k][200], math.inf)
+            assert ld.SampledField(*edited) != trace
+        assert trace != ld.ConstantField() and trace != samples
+
+    def test_equal_fields_hash_equally(self, trace, samples):
+        same = ld.SampledField(*(np.array(v) for v in samples))
+        assert hash(same) == hash(trace)
+        zero = ld.SampledField([0.0, 1.0, 2.0], [0.0, -0.0, 1.0], [0.0, 0.0, 0.0])
+        signed = ld.SampledField([-0.0, 1.0, 2.0], [-0.0, 0.0, 1.0], [-0.0, -0.0, -0.0])
+        assert zero == signed and hash(zero) == hash(signed)
+        rotating = ld.RotatingField(0.3, 0.8)
+        total, again = ld.SumField((rotating, zero)), ld.SumField((rotating, signed))
+        assert total == again and hash(total) == hash(again)
+        assert len({total, again, ld.SumField((rotating, trace))}) == 2
+
+    def test_sum_breakpoints_merge_overlapping_terms(self, trace, samples):
+        rng = np.random.default_rng(11)
+        times = np.sort(np.concatenate([np.asarray(samples[0])[::3], rng.uniform(-15, 50, 90)]))
+        other = ld.SampledField(times, np.zeros(times.size), np.ones(times.size))
+        terms = (trace, ld.RotatingField(0.1, 0.5), other, trace)
+        old = sorted({p for w in terms for p in w.breakpoints()})
+        got = ld.SumField(terms).breakpoints()
+        assert got.tolist() == old
+        assert len(old) < trace.breakpoints().size + other.breakpoints().size  # overlap
+        assert ld.SumField().breakpoints().size == 0
+        assert ld.SumField((ld.RotatingField(0.1, 0.5),)).breakpoints().size == 0

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
-from landau_drive.errors import AccuracyError, TruncationError, TruncationWarning
+from landau_drive.errors import AccuracyError, TruncationError
 
 
 class TestTruncatedOperator:
@@ -109,10 +108,6 @@ class TestDisplacementMatrix:
         d_inv = ld.displacement_matrix(-alpha, 48)
         assert_allclose(d.dagger().matrix[:24, :24], d_inv.matrix[:24, :24], atol=1e-12)
 
-    def test_truncation_warning(self):
-        with pytest.warns(TruncationWarning):
-            ld.displacement_matrix(3.0, 32)
-
     def test_laguerre_overflow_is_truncation_error(self):
         # a resonant drive of amplitude 1 reaches |alpha|^2 = 200 by t = 20,
         # where the auto-sized dim-1616 Laguerre table overflows
@@ -153,13 +148,11 @@ class TestDisplacementColumns:
         "n, dim", [(n, dim) for dim in (2, 32, 161) for n in (0, 1, 3, 10) if n < dim]
     )
     def test_bit_identical_to_matrix_column(self, n, dim):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            cols = ld.displacement_columns(self.AMPLITUDES, n, dim)
-            assert cols.shape == (len(self.AMPLITUDES), dim)
-            for s, alpha in enumerate(self.AMPLITUDES):
-                ref = ld.displacement_matrix(alpha, dim).matrix[:, n]
-                assert np.array_equal(cols[s], ref), (alpha, n, dim)
+        cols = ld.displacement_columns(self.AMPLITUDES, n, dim)
+        assert cols.shape == (len(self.AMPLITUDES), dim)
+        for s, alpha in enumerate(self.AMPLITUDES):
+            ref = ld.displacement_matrix(alpha, dim).matrix[:, n]
+            assert np.array_equal(cols[s], ref), (alpha, n, dim)
 
     def test_many_amplitudes_bit_identical(self):
         # enough amplitudes that they are evaluated in several blocks
@@ -187,10 +180,6 @@ class TestDisplacementColumns:
         with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 100, dim = 1700"):
             ld.displacement_columns([0.5, 10.0], 300, 1700)
         assert np.all(np.isfinite(ld.displacement_columns([10.0], 200, 1500)))
-
-    def test_truncation_warning(self):
-        with pytest.warns(TruncationWarning):
-            ld.displacement_columns([0.1, 3.0], 0, 32)
 
     def test_argument_checks(self):
         with pytest.raises(IndexError):

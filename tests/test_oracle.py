@@ -329,8 +329,10 @@ class TestValidationCorpus:
         bad = [c.name for c in checks if not c.passed]
         assert not bad, bad
 
-    def test_negative_control_corrupted_sign(self, natural):
-        # flipping the displacement argument must break the factorization
+    def test_negative_control_corrupted_sign(self, natural, monkeypatch):
+        # flipping the displacement argument in the production route must
+        # break the factorization
+        from landau_drive import propagator
         from landau_drive.oracle import _factorized_matrix
 
         entry = ld.CorpusEntry("probe", ld.RotatingField(0.1, 0.7), 6.0)
@@ -338,7 +340,9 @@ class TestValidationCorpus:
         u = ld.integrate_schrodinger(
             natural, entry.waveform, entry.t_final, ld.IntegratorConfig(dim=dim)
         )
-        good = _factorized_matrix(natural, entry, dim, False)
-        bad = _factorized_matrix(natural, entry, dim, True)
+        good = _factorized_matrix(natural, entry, dim)
+        argument = propagator.displacement_argument
+        monkeypatch.setattr(propagator, "displacement_argument", lambda s, u: -argument(s, u))
+        bad = _factorized_matrix(natural, entry, dim)
         assert np.max(np.abs((u.matrix - good)[:16, :16])) < 1e-6
         assert np.max(np.abs((u.matrix - bad)[:16, :16])) > 1e-2
