@@ -246,7 +246,7 @@ class TestSampledFieldArrays:
     result equals, bit for bit, the same arithmetic on tuples of floats."""
 
     @staticmethod
-    def field_from_tuples(w, samples, t):
+    def field_from_tuples(samples, t):
         times, e1, e2 = samples
         tn = np.asarray(times, dtype=float)
         return (np.interp(t, tn, np.asarray(e1, dtype=float))
@@ -258,8 +258,8 @@ class TestSampledFieldArrays:
             t = np.asarray(t, dtype=float)
             tn = np.asarray(samples[0], dtype=float)
             idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
-            seg = (cls.field_from_tuples(w, samples, tn[idx])
-                   + cls.field_from_tuples(w, samples, t)) / 2.0 * (t - tn[idx])
+            seg = (cls.field_from_tuples(samples, tn[idx])
+                   + cls.field_from_tuples(samples, t)) / 2.0 * (t - tn[idx])
             return w._prefix[idx] + seg
         return (from_first_node(t) - from_first_node(0.0))[()]
 
@@ -307,7 +307,7 @@ class TestSampledFieldArrays:
         rng = np.random.default_rng(3)
         points = [np.asarray(samples[0]), rng.uniform(lo, hi, 1000), lo, hi, 0.0, 1.7]
         for t in points:
-            assert _bits(trace.field(t)) == _bits(self.field_from_tuples(trace, samples, t))
+            assert _bits(trace.field(t)) == _bits(self.field_from_tuples(samples, t))
             assert _bits(trace.field_integral(t)) == _bits(
                 self.integral_from_tuples(trace, samples, t))
 
