@@ -35,7 +35,7 @@ from .field_model import (
     SumField,
     ZeroField,
 )
-from .path_integrals import build_drive_path, drive_endpoints
+from .path_integrals import _has_exact_route, build_drive_path, drive_endpoints
 from .propagator import _norm_deficit, drive_strength_coefficient, level_populations
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_sweep",
@@ -325,6 +325,10 @@ def resolve_config(
         if section != "system":
             resolved[section] = _resolve(top[section], keys, section, task, system,
                                          checked=section != "sweep" or task == "sweep")
+    if resolved["numerics"]["method"] == "closed_form" and not _has_exact_route(waveform):
+        raise ConfigError("numerics.method: 'closed_form' needs a closed-form or "
+                          "piecewise-exact drive path, and this waveform has neither; "
+                          "use 'auto' or 'quadrature'")
     if task == "sweep":
         sweep = resolved["sweep"]
         if not isinstance(waveform, RotatingField):

@@ -138,6 +138,11 @@ class FieldWaveform:
         """Closed-form representation of R(t), or None when unavailable."""
         return None
 
+    def linear_nodes(self) -> np.ndarray | None:
+        """Increasing times between which E(t) is linear, spanning the
+        domain, or None when E(t) is not piecewise linear on known nodes."""
+        return None
+
     def rescaled(self, scales: InternalScales, mirror: bool) -> "FieldWaveform":
         """The same waveform in internal units, reflected when mirror is set.
 
@@ -344,6 +349,9 @@ class SampledField(FieldWaveform):
     def breakpoints(self):
         return self.times[1:-1]
 
+    def linear_nodes(self):
+        return self.times
+
     def field(self, t):
         self._check_domain(t)
         t = np.asarray(t, dtype=float)
@@ -415,6 +423,16 @@ class SumField(FieldWaveform):
             terms.extend(ep.terms)
             drift += ep.drift
         return ExpPath(terms=tuple(terms), drift=drift)
+
+    def linear_nodes(self):
+        """The union of the terms' nodes within the common domain, when
+        every term is piecewise linear."""
+        nodes = [w.linear_nodes() for w in self.terms]
+        if not nodes or any(n is None for n in nodes):
+            return None
+        lo, hi = self.domain()
+        union = np.unique(np.concatenate(nodes))
+        return union[(lo <= union) & (union <= hi)]
 
     def rescaled(self, scales, mirror):
         return SumField(tuple(w.rescaled(scales, mirror) for w in self.terms))

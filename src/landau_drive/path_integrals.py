@@ -7,8 +7,11 @@ The ingredients assembled here:
 * beta = -(qB/hbar c) * S(R-path),  gamma = -(qB/hbar c) * 4 * S(u-path),
   where S is the signed area enclosed by a path and the straight chord from
   its end point back to its start,
-* closed forms whenever the waveform is built from exponential terms, and
-  oscillation-aware numerics otherwise.
+* three routes to them, which ``build_drive_path`` names in its
+  provenance: "closed-form" for waveforms built from exponential terms,
+  "piecewise-exact" for piecewise-linear (sampled) waveforms, integrated
+  in closed form on each linear piece, and "quadrature", a refined-grid
+  numeric route for everything else and the cross-check of the other two.
 
 Everything runs in dimensionless internal units (omega = l_b = 1,
 k = sqrt(2)) and converts at the boundary, so the default absolute
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._expsum import ExpPath
+from ._expsum import ExpPath, eps0, eps1
 from .errors import AccuracyError, DomainError
 from .field_model import (
     INTERNAL_SYSTEM,
@@ -136,17 +139,15 @@ def _area_well_conditioned(path: ExpPath, t_end: float) -> bool:
 
 
 def _exp_paths(w_internal: FieldWaveform, method: str, t_end: float):
-    """The route of an internal-unit waveform up to time ``t_end``.
+    """The closed-form paths of an internal-unit waveform up to ``t_end``.
 
     Returns ((R path, u path), False) for the closed form, or (None,
-    ill_conditioned) for the quadrature route, where ill_conditioned says
-    that "auto" declined a closed form whose area is not well conditioned
-    (see ``_area_well_conditioned``).
+    ill_conditioned) otherwise, where ill_conditioned says that "auto"
+    declined a closed form whose area is not well conditioned (see
+    ``_area_well_conditioned``).
     """
     rp = w_internal.guiding_path(INTERNAL_SYSTEM) if method != "quadrature" else None
     if rp is None:
-        if method == "closed_form":
-            raise ValueError("waveform has no closed-form drive path")
         return None, False
     paths = (rp, _u_exp_path(rp))
     if method == "auto" and t_end > 0.0 and not all(
@@ -154,6 +155,11 @@ def _exp_paths(w_internal: FieldWaveform, method: str, t_end: float):
     ):
         return None, True
     return paths, False
+
+
+def _has_exact_route(w: FieldWaveform) -> bool:
+    """Whether ``w`` has a closed-form or a piecewise-exact drive path."""
+    return w.guiding_path(INTERNAL_SYSTEM) is not None or w.linear_nodes() is not None
 
 
 def displacement_amplitude(
@@ -167,9 +173,8 @@ def displacement_amplitude(
     """Oscillatory drive amplitude u(t) = -(c/2B) int_0^t e^{-i omega s} E*(s) ds.
 
     The end value of ``build_drive_path`` on the grid [0, t], with the same
-    ``method`` and route choice: "closed_form", "quadrature", or "auto"
-    (closed form when the waveform admits a well-conditioned one, the
-    refined-grid quadrature otherwise).
+    ``method`` and the same choice among its three routes: closed-form,
+    piecewise-exact and quadrature.
     """
     if t < 0:
         raise DomainError("displacement amplitude requires t >= 0")
@@ -231,26 +236,25 @@ def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float):
     return nodes, idx
 
 
+def _running(increments: np.ndarray) -> np.ndarray:
+    """Running sum of ``increments`` from 0: one entry more than it has."""
+    out = np.zeros(increments.size + 1, dtype=increments.dtype)
+    np.cumsum(increments, out=out[1:])
+    return out
+
+
 def _cumulative_gl5(f, nodes: np.ndarray) -> np.ndarray:
     """Running integral of f over a fine grid, one 5-point Gauss rule per step."""
     a = nodes[:-1]
     h = np.diff(nodes)
     pts = a[:, None] + (h[:, None] / 2.0) * (_XG5[None, :] + 1.0)
     vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(pts.shape)
-    steps = (h / 2.0) * (vals @ _WG5)
-    out = np.empty(nodes.size, dtype=complex)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return out
+    return _running((h / 2.0) * (vals @ _WG5))
 
 
 def _cumulative_shoelace(z: np.ndarray) -> np.ndarray:
     """Running enclosed area of a path that starts at the origin."""
-    inc = 0.5 * np.imag(np.conj(z[:-1]) * z[1:])
-    out = np.empty(z.size, dtype=float)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
+    return _running(0.5 * np.imag(np.conj(z[:-1]) * z[1:]))
 
 
 def _extrapolated_area(z: np.ndarray, idx: np.ndarray):
@@ -302,6 +306,78 @@ def _closed_form_samples(rp: ExpPath, up: ExpPath, t_i):
     return rp.evaluate(t_i), up.evaluate(t_i), rp.enclosed_area(t_i), up.enclosed_area(t_i)
 
 
+#: Power-series terms of M_jk for h <= 1; the first one dropped is below
+#: 1/26! of the leading one.
+_M_SERIES_TERMS = 25
+
+
+def _step_table(h: np.ndarray):
+    """eps0(-1, h), eps1(-1, h) and M_jk(h) for j, k in {0, 1}.
+
+    M_jk(h) is the integral over [0, h] of conj(eps_j(-1, tau)) tau^k
+    e^{-i tau}.  With D_k(h) = h^{k+1}/(k+1) - eps_k(-1, h),
+
+        M_0k = -i D_k,    M_1k = D_k - i h^{k+2}/(k+2).
+
+    M_1k cancels two orders at small h, so for h <= 1 each is summed from
+    its own power series instead:
+
+        M_0k = i sum_{n>=1} (-i)^n h^{n+k+1} / (n! (n+k+1)),
+        M_1k = -sum_{n>=2} (-i)^n h^{n+k+1} / (n! (n+k+1)).
+
+    Everything is evaluated once per distinct step length.
+    """
+    steps, inverse = np.unique(h, return_inverse=True)
+    e0, e1 = eps0(-1.0, steps), eps1(-1.0, steps)
+    m = np.empty((2, 2, steps.size), dtype=complex)
+    for k, ek in enumerate((e0, e1)):
+        d = steps ** (k + 1) / (k + 1) - ek
+        m[0, k] = -1j * d
+        m[1, k] = d - 1j * steps ** (k + 2) / (k + 2)
+    small = steps <= 1.0
+    n = np.arange(1, _M_SERIES_TERMS + 1)
+    coeff = np.array([1.0, -1j, -1.0, 1j])[n % 4] / np.cumprod(n.astype(float))
+    for k in (0, 1):
+        p = n + k + 1
+        terms = coeff / p * steps[small, None] ** p
+        m[0, k, small] = 1j * terms.sum(axis=1)
+        m[1, k, small] = -terms[:, 1:].sum(axis=1)
+    return e0[inverse], e1[inverse], m[:, :, inverse]
+
+
+def _piecewise_samples(w_i: FieldWaveform, nodes: np.ndarray, t_i: np.ndarray):
+    """R, u, S_R, S_u at internal times ``t_i`` for a field linear between
+    ``nodes``, exact up to rounding.
+
+    The knots are the sample times and the nodes between 0 and the last
+    sample, so each knot step [a, a + h] lies within one linear piece,
+    E(a + tau) = e0 + e1 tau.  On it (omega = 1)
+
+        dR = -i (e0 h + e1 h^2/2),
+        du = -(1/2) e^{-ia} (conj(e0) eps0(-1, h) + conj(e1) eps1(-1, h)),
+
+    and each area grows by (1/2) Im(conj(z_a) dz + self) for z = R, u,
+    with the self terms
+
+        Im self_R = Im(conj(e0) e1) h^3 / 6,
+        self_u = (1/4) sum_jk e_j conj(e_k) M_jk(h)      (``_step_table``).
+    """
+    knots = np.union1d(t_i, nodes[(nodes > 0.0) & (nodes < t_i[-1])])
+    a, h = knots[:-1], np.diff(knots)
+    e = np.asarray(w_i.field(knots), dtype=complex)
+    e0, e1 = e[:-1], np.diff(e) / h
+    c0, c1 = np.conj(e0), np.conj(e1)
+    eps_0, eps_1, m = _step_table(h)
+    dr = -1j * h * (e0 + e1 * h / 2.0)
+    du = -0.5 * np.exp(-1j * a) * (c0 * eps_0 + c1 * eps_1)
+    r, u = _running(dr), _running(du)
+    self_u = 0.25 * (e0 * (c0 * m[0, 0] + c1 * m[0, 1]) + e1 * (c0 * m[1, 0] + c1 * m[1, 1]))
+    s_r = _running(0.5 * (np.imag(np.conj(r[:-1]) * dr) + np.imag(c0 * e1) * h**3 / 6.0))
+    s_u = _running(0.5 * np.imag(np.conj(u[:-1]) * du + self_u))
+    idx = np.searchsorted(knots, t_i)
+    return r[idx], u[idx], s_r[idx], s_u[idx]
+
+
 def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
     """Internal R, u, S_R, S_u as user-unit (r, u, beta, gamma, area_r,
     area_u), the reflection of a mirrored system undone."""
@@ -324,10 +400,20 @@ def build_drive_path(
 ) -> DrivePath:
     """Evaluate R, u, beta, gamma, and signed areas on a time grid.
 
-    The grid must be strictly increasing and start at 0.  Closed forms are
-    used when the waveform admits them (provenance "closed-form"), else a
-    refined-grid quadrature route (provenance "quadrature"); method
-    "quadrature" forces the numeric route for cross-validation.
+    The grid must be strictly increasing and start at 0.  Method "auto"
+    takes the first route that applies:
+
+    * "closed-form" when the waveform has a guiding path of exponential
+      terms (``guiding_path``) whose areas are well conditioned up to the
+      last grid time;
+    * "piecewise-exact" when E(t) is linear between known nodes
+      (``linear_nodes``: a sampled field, or a sum of sampled fields);
+    * "quadrature", the refined-grid numeric route, otherwise.
+
+    Method "closed_form" takes one of the two exact routes, even an
+    ill-conditioned closed form, and raises ValueError when the waveform
+    has neither; method "quadrature" forces the numeric route for
+    cross-validation.  The route taken is the path's ``provenance``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -343,9 +429,15 @@ def build_drive_path(
     w_i, scales, mirrored = internalize(sys, w)
     t_i = t_grid / scales.time
     paths, _ = _exp_paths(w_i, method, t_i[-1])
+    nodes = w_i.linear_nodes() if paths is None and method != "quadrature" else None
     if paths is not None:
         samples = _closed_form_samples(*paths, t_i)
         provenance = "closed-form"
+    elif nodes is not None:
+        samples = _piecewise_samples(w_i, nodes, t_i)
+        provenance = "piecewise-exact"
+    elif method == "closed_form":
+        raise ValueError("waveform has no closed-form or piecewise-exact drive path")
     else:
         samples = _quadrature_path_samples(w_i, t_i, abs_tol)
         provenance = "quadrature"

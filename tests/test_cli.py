@@ -602,6 +602,37 @@ class TestMainAndOutputs:
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    FIVE_NODES = {"type": "sampled", "times": [-0.5, 1.0, 2.5, 3.0, 4.0],
+                  "e1": [0.1, -0.05, 0.2, 0.0, 0.12], "e2": [0.0, 0.08, -0.1, 0.15, 0.03]}
+
+    def test_closed_form_runs_sampled_piecewise_exact(self, tmp_path):
+        # "closed_form" means an exact route: a sampled waveform needs no quadrature
+        tables = {}
+        for method in ("closed_form", "auto"):
+            doc = dict(BASE_SIM, waveform=self.FIVE_NODES, time={"t_final": 4.0, "samples": 9},
+                       numerics={"dimension": 48, "method": method},
+                       output={"directory": str(tmp_path / method)})
+            assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0
+            report = json.loads((tmp_path / method / "simulate_report.json").read_text())
+            assert report["routes"] == {"piecewise-exact": 9}
+            tables[method] = (tmp_path / method / "simulate_samples.csv").read_bytes()
+        assert tables["closed_form"] == tables["auto"]
+
+    def test_closed_form_without_exact_route_is_config_error(self, tmp_path, capsys):
+        # a sampled term plus an analytic one has neither a closed form nor nodes
+        waveform = {"type": "sum", "terms": [self.FIVE_NODES,
+                                             {"type": "rotating", "amplitude": 0.1, "nu": 0.7}]}
+        doc = dict(BASE_SIM, waveform=waveform, time={"t_final": 4.0, "samples": 9},
+                   numerics={"dimension": 48, "method": "closed_form"},
+                   output={"directory": str(tmp_path / "o")})
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: numerics.method: 'closed_form'")
+        assert not (tmp_path / "o").exists()
+        for method in ("auto", "quadrature"):
+            doc["numerics"] = {"dimension": 48, "method": method}
+            assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0
+
     def test_seed_warning(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(BASE_SIM, output={"directory": str(tmp_path / "o")}))
         cli.main(["simulate", "--config", str(cfg_path), "--seed", "7"])

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
 from landau_drive.errors import AccuracyError
-from landau_drive.path_integrals import _refined_grid
+from landau_drive.path_integrals import DEFAULT_ABS_TOL, _refined_grid
 
 
 def rotating_u(r0, nu, t, omega=1.0):
@@ -152,13 +152,17 @@ class TestDisplacementAmplitude:
             u_q = ld.displacement_amplitude(natural, w, t, method="quadrature")
             assert abs(u_cf - u_q) < 1e-10
 
-    def test_no_closed_form_for_sampled(self, natural):
+    def test_closed_form_for_sampled_is_piecewise_exact(self, natural):
+        # "closed_form" asks for an exact route, never quadrature: a sampled
+        # field takes the piecewise-exact one, a sampled-plus-analytic sum has none
         w = ld.sample_waveform(ld.ConstantField(0.1, 0.0), np.linspace(-1, 10, 200))
-        with pytest.raises(ValueError):
-            ld.displacement_amplitude(natural, w, 5.0, method="closed_form")
-        u = ld.displacement_amplitude(natural, w, 5.0)
+        u = ld.displacement_amplitude(natural, w, 5.0, method="closed_form")
+        assert u == ld.displacement_amplitude(natural, w, 5.0)
         u_ref = ld.displacement_amplitude(natural, ld.ConstantField(0.1, 0.0), 5.0)
-        assert abs(u - u_ref) < 1e-9
+        assert abs(u - u_ref) < 1e-15
+        mixed = ld.SumField((w, ld.RotatingField(0.1, 0.7)))
+        with pytest.raises(ValueError, match="no closed-form or piecewise-exact"):
+            ld.displacement_amplitude(natural, mixed, 5.0, method="closed_form")
 
     def test_differential_relation(self, natural):
         # du/dt = (i/2) e^{-i omega t} dR*/dt, checked by central differences
@@ -275,7 +279,7 @@ class TestBuildDrivePath:
         grid = np.linspace(0.0, t_max, 9)
         dp_e = ld.build_drive_path(natural, w_exact, grid)
         dp_s = ld.build_drive_path(natural, w_samp, grid)
-        assert dp_s.provenance == "quadrature"
+        assert dp_s.provenance == "piecewise-exact"
         # linear interpolation bias of E is bounded by |E''| h^2 / 8, and R
         # and u accumulate it over at most t_max
         bound = 2.0 * (e0 * nu**2 * spacing**2 / 8.0) * t_max
@@ -444,7 +448,7 @@ class TestDriveEndpoints:
         assert ends.ill_conditioned == 0
 
     def test_mixed_term_structures(self, natural):
-        # different term counts are padded; the sampled field has no closed form
+        # different term counts are padded; the sampled field is piecewise linear
         waves = [
             ld.RotatingField(0.2, 0.8, 0.1),
             ld.LinearSinusoidField(0.15, 0.3, 1.3, 0.2),
@@ -455,7 +459,7 @@ class TestDriveEndpoints:
             ld.sample_waveform(ld.RotatingField(0.1, 0.9), np.linspace(0.0, 6.0, 61)),
         ]
         ends = assert_endpoints_match(natural, waves, 6.0, "auto")
-        assert ends.provenance[-1] == "quadrature" and ends.ill_conditioned == 0
+        assert ends.provenance[-1] == "piecewise-exact" and ends.ill_conditioned == 0
 
     def test_time_zero(self, natural):
         waves = [ld.RotatingField(0.2, nu) for nu in (0.0, 0.5, 1.0)]
@@ -470,7 +474,8 @@ class TestDriveEndpoints:
             ld.drive_endpoints(natural, [w], 1.0, method="simpson")
         sampled = ld.sample_waveform(w, np.linspace(0.0, 2.0, 5))
         with pytest.raises(ValueError, match="no closed-form"):
-            ld.drive_endpoints(natural, [w, sampled], 1.0, method="closed_form")
+            ld.drive_endpoints(natural, [w, ld.SumField((sampled, w))], 1.0,
+                               method="closed_form")
         with pytest.raises(ld.DomainError):
             ld.drive_endpoints(natural, [sampled], 3.0)
 
@@ -533,3 +538,146 @@ class TestRefinedGrid:
         # 1e9 substeps would need 8 GB; the count alone must refuse them
         with pytest.raises(AccuracyError, match="4e6"):
             _refined_grid(np.array([0.0, 1.0]), ld.ZeroField(), 1e-9)
+
+
+def interpolant_reference(times, e1, e2, t_grid, dps=30):
+    """R, u, S_R, S_u of the linearly interpolated field at ``t_grid`` in
+    ``dps``-digit arithmetic, for omega = 1 and charge +1.
+
+    R and u are integrated in closed form on each linear piece (u checked
+    against mpmath.quad); the areas are mpmath.quad of (1/2) Im(conj(z) z').
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        tn = [mpmath.mpf(x) for x in times]
+        en = [mpmath.mpc(a, b) for a, b in zip(e1, e2)]
+
+        def field(s):
+            j = max(i for i in range(len(tn) - 1) if tn[i] <= s)
+            return en[j] + (en[j + 1] - en[j]) * (s - tn[j]) / (tn[j + 1] - tn[j])
+
+        knots = sorted({mpmath.mpf(0), *(mpmath.mpf(t) for t in t_grid),
+                        *(t for t in tn if 0 < t < t_grid[-1])})
+        r, u, s_r, s_u = mpmath.mpc(0), mpmath.mpc(0), mpmath.mpf(0), mpmath.mpf(0)
+        at = {}
+        for p, q in zip(knots[:-1], knots[1:]):
+            at[p] = (r, u, s_r, s_u)
+            e0, slope = field(p), (field(q) - field(p)) / (q - p)
+
+            def r_of(s, r=r, p=p, e0=e0, slope=slope):
+                return r - 1j * (e0 * (s - p) + slope * (s - p) ** 2 / 2)
+
+            def u_of(s, u=u, p=p, c0=mpmath.conj(e0), c1=mpmath.conj(slope)):
+                x, g = s - p, mpmath.expj(p - s)
+                return u - mpmath.expj(-p) / 2 * (-1j * c0 * (1 - g) + c1 * (1j * x * g - 1 + g))
+
+            def du_ds(s):
+                return -mpmath.expj(-s) * mpmath.conj(field(s)) / 2
+
+            assert abs(u_of(q) - u - mpmath.quad(du_ds, [p, q])) < mpmath.mpf(10) ** (4 - dps)
+            s_r += mpmath.quad(lambda s: mpmath.im(mpmath.conj(r_of(s)) * -1j * field(s)) / 2, [p, q])
+            s_u += mpmath.quad(lambda s: mpmath.im(mpmath.conj(u_of(s)) * du_ds(s)) / 2, [p, q])
+            r, u = r_of(q), u_of(q)
+        at[knots[-1]] = (r, u, s_r, s_u)
+        rows = [at[mpmath.mpf(t)] for t in t_grid]
+        return tuple(np.array([f(row[i]) for row in rows])
+                     for i, f in enumerate((complex, complex, float, float)))
+
+
+def drive_path_errors(dp, ref):
+    """Largest |dp - ref| of R, u, beta, gamma and both areas (charge +1, natural units)."""
+    r, u, s_r, s_u = ref
+    pairs = {"r": r, "u": u, "beta": -s_r, "gamma": -4.0 * s_u, "area_r": s_r, "area_u": s_u}
+    return {name: float(np.max(np.abs(getattr(dp, name) - value)))
+            for name, value in pairs.items()}
+
+
+class TestPiecewiseExact:
+    """The exact drive path of piecewise-linear (sampled) waveforms."""
+
+    # steps from 1e-6 to 2 (both sides of the M_jk series switch at 1), t = 0
+    # inside the first segment, samples on nodes (0.3, 2.3, 3.05) and inside
+    # segments, and t_final = 6.55 before the last node
+    TIMES = [-0.7, 0.3, 0.300001, 2.3, 2.8, 3.05, 4.5, 6.5, 6.6, 7.0]
+    E1 = [0.31, -0.12, 0.05, 0.22, -0.38, 0.17, 0.09, -0.26, 0.33, -0.04]
+    E2 = [-0.08, 0.27, 0.36, -0.19, 0.02, -0.33, 0.24, 0.11, -0.15, 0.29]
+    GRID = np.array([0.0, 0.3, 1.1, 2.3, 3.05, 5.0, 6.55])
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return ld.SampledField(self.TIMES, self.E1, self.E2)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return interpolant_reference(self.TIMES, self.E1, self.E2, self.GRID)
+
+    def test_matches_30_digit_reference(self, natural, trace, reference):
+        dp = ld.build_drive_path(natural, trace, self.GRID)
+        assert dp.provenance == "piecewise-exact"
+        errors = drive_path_errors(dp, reference)
+        assert max(errors.values()) < 1e-15, errors
+        # no worse than the quadrature route it replaces on u and gamma
+        quad = drive_path_errors(
+            ld.build_drive_path(natural, trace, self.GRID, method="quadrature"), reference)
+        for name in ("u", "gamma"):
+            assert errors[name] <= quad[name], name
+
+    def test_mirrored_charge(self, natural, trace):
+        # charge -1 in the reflected field -conj(E): conjugated R and u,
+        # flipped areas, the same phases; the internal field is the same, so
+        # the route does the same arithmetic and the relation holds exactly
+        plus = ld.build_drive_path(natural, trace, self.GRID)
+        reflected = ld.SampledField(self.TIMES, np.negative(self.E1), self.E2)
+        minus = ld.build_drive_path(ld.PhysicalSystem(-1.0, 1.0, 1.0), reflected, self.GRID)
+        assert minus.provenance == "piecewise-exact"
+        for name, flip in (("r", np.conj), ("u", np.conj), ("area_r", np.negative),
+                           ("area_u", np.negative), ("beta", None), ("gamma", None)):
+            expected = getattr(plus, name) if flip is None else flip(getattr(plus, name))
+            assert np.array_equal(getattr(minus, name), expected), name
+
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_sum_of_sampled_terms(self, charge):
+        # two sampled terms on interleaved, non-uniform nodes: linear on their union
+        sys_ = ld.PhysicalSystem(charge, 1.3, 0.8)
+        rng = np.random.default_rng(7)
+        slow = np.concatenate([[-1.0], np.cumsum(rng.uniform(0.2, 0.9, 30)) - 0.5])
+        fast = np.concatenate([[-0.3], np.cumsum(rng.uniform(0.05, 0.3, 90)) - 0.25])
+        terms = tuple(ld.SampledField(t, *rng.uniform(-0.3, 0.3, (2, t.size)))
+                      for t in (slow, fast))
+        w = ld.SumField(terms)
+        lo, hi = max(slow[0], fast[0]), min(slow[-1], fast[-1])
+        union = np.union1d(slow, fast)
+        assert np.array_equal(w.linear_nodes(), union[(lo <= union) & (union <= hi)])
+        grid = np.linspace(0.0, hi, 23)
+        exact = ld.build_drive_path(sys_, w, grid)
+        quad = ld.build_drive_path(sys_, w, grid, method="quadrature")
+        assert exact.provenance == "piecewise-exact" and quad.provenance == "quadrature"
+        l2 = sys_.l_b**2
+        for name, scale in (("r", sys_.l_b), ("u", sys_.l_b), ("beta", 1.0), ("gamma", 1.0),
+                            ("area_r", l2), ("area_u", l2)):
+            assert_allclose(getattr(exact, name), getattr(quad, name),
+                            rtol=0, atol=1e-10 * scale, err_msg=name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    steps=st.lists(st.floats(0.01, 1.5), min_size=2, max_size=20),
+    values=st.lists(st.complex_numbers(max_magnitude=0.5), min_size=21, max_size=21),
+    start=st.floats(-1.0, 0.0),
+    samples=st.integers(2, 12),
+    charge=st.sampled_from([1.0, -1.0]),
+)
+def test_piecewise_exact_vs_quadrature(steps, values, start, samples, charge):
+    # random non-uniform traces: the exact route within the quadrature's abs_tol
+    sys_ = ld.PhysicalSystem(charge, 1.0, 1.0)
+    times = start + np.concatenate([[0.0], np.cumsum(steps)])
+    assume(times[-1] > 0.0)
+    e = np.array(values[: times.size])
+    w = ld.SampledField(times, e.real, e.imag)
+    grid = np.linspace(0.0, times[-1], samples)
+    exact = ld.build_drive_path(sys_, w, grid)
+    quad = ld.build_drive_path(sys_, w, grid, method="quadrature")
+    assert exact.provenance == "piecewise-exact"
+    for name in ("r", "u", "beta", "gamma", "area_r", "area_u"):
+        assert_allclose(getattr(exact, name), getattr(quad, name),
+                        rtol=0, atol=DEFAULT_ABS_TOL, err_msg=name)
