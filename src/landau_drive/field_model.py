@@ -173,6 +173,9 @@ class ZeroField(FieldWaveform):
     def guiding_path(self, sys):
         return ExpPath()
 
+    def linear_nodes(self):
+        return np.array([-math.inf, math.inf])
+
     def rescaled(self, scales, mirror):
         return self
 
@@ -195,6 +198,9 @@ class ConstantField(FieldWaveform):
 
     def guiding_path(self, sys):
         return ExpPath(drift=-1j * sys.c / sys.magnetic_field * self.value)
+
+    def linear_nodes(self):
+        return np.array([-math.inf, math.inf])
 
     def rescaled(self, scales, mirror):
         e = -self.value.conjugate() if mirror else self.value
@@ -426,7 +432,7 @@ class SumField(FieldWaveform):
 
     def linear_nodes(self):
         """The union of the terms' nodes within the common domain, when
-        every term is piecewise linear."""
+        every term is piecewise linear (sampled, constant or zero)."""
         nodes = [w.linear_nodes() for w in self.terms]
         if not nodes or any(n is None for n in nodes):
             return None

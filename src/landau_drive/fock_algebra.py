@@ -2,11 +2,10 @@
 
 Ladder operators, closed-form displacement matrix elements, and a matrix
 exponential used as the independent cross-check for the closed form.
-The elements are evaluated in one place, from the normal-ordered form via
-associated Laguerre polynomials with logarithmic prefactor accumulation,
-so they stay finite well past the range where raw factorials overflow;
-``displacement_matrix`` takes every column of one amplitude and
-``displacement_columns`` one column of many.
+The elements are evaluated in one place, from normalized associated
+Laguerre functions of modulus at most 1, finite in any dimension up to
+|alpha|^2 of about 1417; ``displacement_matrix`` takes every column of
+one amplitude and ``displacement_columns`` one column of many.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import AccuracyError, TruncationError
 
@@ -92,25 +89,32 @@ def ladder_ops(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     return TruncatedOperator(a), TruncatedOperator(a.conj().T)
 
 
-def _laguerre_rows(x: np.ndarray, rows: int, dim: int) -> np.ndarray:
-    """L[s, p, d] = L_p^{(d)}(x[s]) for p < ``rows``, d < ``dim``, by upward
-    recurrence in the degree.
+def _laguerre_functions(x: np.ndarray, rows: int, dim: int) -> np.ndarray:
+    """phi[s, p, d] = sqrt(p!/(p+d)!) e^{-x/2} x^{d/2} L_p^{(d)}(x[s]) for
+    p < ``rows``, d < ``dim``, each of modulus at most 1.
 
-    The recurrence runs on each order d independently, so a row does not
-    depend on ``dim`` or on how many rows are built.  Upward recurrence is
-    stable here: the values grow like binomial coefficients (the dominant
-    solution), and for desk-scale dimensions they stay far below overflow.
+    The seeds phi_0^{(d)} = e^{-x/2} prod_{k<=d} sqrt(x/k) are a running
+    product over d; each order then recurs upward in the degree, so a row
+    does not depend on ``dim`` or on how many rows are built.  Subnormal
+    seeds are set to 0: their lost bits would grow through the recurrence,
+    while the probability they carry shows in the measured column norms.
     """
+    seed = np.empty((x.size, dim))
+    seed[:, 0] = [math.exp(-v / 2.0) for v in x.tolist()]
+    seed[:, 1:] = np.sqrt(x[:, None] / np.arange(1, dim))
+    seed = np.cumprod(seed, axis=1)
+    seed[seed < np.finfo(float).tiny] = 0.0
     d = np.arange(dim, dtype=float)
+    p = np.arange(rows, dtype=float)[:, None]
+    # the recurrence: off[p+1] phi_{p+1} = (diag[p] - x) phi_p - off[p] phi_{p-1}
+    diag, off = 2 * p + d + 1, np.sqrt(p * (p + d))
     x = x[:, None]
     table = np.empty((x.shape[0], rows, dim))
-    table[:, 0] = 1.0
+    table[:, 0] = seed
     if rows > 1:
-        table[:, 1] = 1.0 + d - x
-    for p in range(1, rows - 1):
-        table[:, p + 1] = (
-            (2 * p + d + 1 - x) * table[:, p] - (p + d) * table[:, p - 1]
-        ) / (p + 1)
+        table[:, 1] = (diag[0] - x) * seed / off[1]
+    for k in range(1, rows - 1):
+        table[:, k + 1] = ((diag[k] - x) * table[:, k] - off[k] * table[:, k - 1]) / off[k + 1]
     return table
 
 
@@ -119,50 +123,40 @@ def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
     evaluation of the displacement matrix elements.
 
     For m >= n,
-        <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2),
-    and the m < n elements follow with alpha -> -alpha*.  The magnitude
-    prefactor is accumulated in logs, and only the Laguerre rows
+        <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2)
+                = phi_n^{(m-n)}(|a|^2) e^{i (m-n) arg alpha},
+    and the m < n elements follow with alpha -> -alpha*.  Only the rows
     p <= max(cols) are built, so S amplitudes and C columns cost
     O(S (max(cols) + 1) dim) for the table plus O(S dim C) for the elements.
-    Raises TruncationError when an element is not finite.
+    Raises TruncationError when e^{-|a|^2/2} is not a normal float.
     """
     alphas = np.asarray(alphas, dtype=complex)
     cols = np.asarray(cols)
-    # |alpha| and log|alpha| by Python's complex abs and math.log, one
-    # amplitude at a time: numpy's vectorized versions round differently
-    # in the last bit
-    mods = [abs(a) for a in alphas.tolist()]
-    x = np.array([r**2 for r in mods], dtype=float)
-    log_mod = np.array([math.log(r) if r else 0.0 for r in mods], dtype=float)
+    # |alpha| by Python's complex abs, one amplitude at a time: numpy's
+    # vectorized version rounds differently in the last bit
+    x = np.array([abs(a) ** 2 for a in alphas.tolist()], dtype=float)
+    # negated so that a NaN amplitude fails the test too
+    if x.size and not math.exp(-x.max() / 2.0) >= np.finfo(float).tiny:
+        raise TruncationError(
+            f"displacement elements not representable at |alpha|^2 = {x.max():.3g}, "
+            f"dim = {dim}: e^(-|alpha|^2/2) is not a normal float"
+        )
 
     rows = np.arange(dim)[:, None]
     p = np.minimum(rows, cols[None, :])
     d = np.abs(rows - cols[None, :])
     lower = rows >= cols[None, :]
-    gamma_part = 0.5 * (gammaln(p + 1.0) - gammaln(p + d + 1.0))
     degrees = int(cols.max()) + 1
     out = np.empty((alphas.size, dim, cols.size), dtype=complex)
     # amplitudes go in blocks of about _BLOCK_ELEMENTS elements, which
     # bounds the temporaries whatever the number of amplitudes
     step = max(1, _BLOCK_ELEMENTS // (dim * cols.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, alphas.size, step):
-            blk = slice(lo, lo + step)
-            a = alphas[blk, None, None]
-            ang = np.where(lower, np.angle(a), np.angle(-np.conj(a)))
-            log_mag = (
-                -x[blk, None, None] / 2.0 + gamma_part + d * log_mod[blk, None, None]
-            )
-            lag = _laguerre_rows(x[blk], degrees, dim)[:, p, d]
-            out[blk] = np.exp(log_mag + 1j * d * ang) * lag
-    # D(0) is the identity exactly
-    out[alphas == 0] = rows == cols[None, :]
-    bad = ~np.isfinite(out).all(axis=(1, 2))
-    if bad.any():
-        raise TruncationError(
-            f"displacement matrix overflows at |alpha|^2 = {x[bad].max():.3g}, "
-            f"dim = {dim}: the Laguerre recurrence leaves entries that are not finite"
-        )
+    for lo in range(0, alphas.size, step):
+        blk = slice(lo, lo + step)
+        a = alphas[blk, None, None]
+        ang = np.where(lower, np.angle(a), np.angle(-np.conj(a)))
+        phi = _laguerre_functions(x[blk], degrees, dim)[:, p, d]
+        out[blk] = np.exp(1j * d * ang) * phi
     return out
 
 
@@ -170,8 +164,9 @@ def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
     """D(alpha) = exp(alpha a^dag - alpha* a) on ``dim`` Fock states.
 
     All columns of the closed-form elements (see ``displacement_columns``).
-    Raises TruncationError when the Laguerre table overflows (large
-    |alpha|^2 or dim) into non-finite entries.
+    Raises TruncationError above |alpha|^2 of about 1417, where
+    e^{-|alpha|^2/2} leaves the floating-point range; below it every
+    element is finite, of modulus at most 1, for any ``dim``.
     """
     if isinstance(alpha, CoherentAmplitude):
         alpha = alpha.alpha
@@ -190,8 +185,7 @@ def displacement_columns(alphas, n: int, dim: int) -> np.ndarray:
     but built from the Laguerre rows p <= n only, at O(S (n+1) dim) cost.
     The elements do not depend on ``dim``: a larger ``dim`` extends each
     column without changing its leading entries.  Same TruncationError as
-    ``displacement_matrix``; since only rows up to n are built, a low
-    column stays finite where the full matrix overflows.
+    ``displacement_matrix``, raised when any amplitude is past the limit.
     """
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.ndim != 1:
@@ -204,7 +198,9 @@ def displacement_columns(alphas, n: int, dim: int) -> np.ndarray:
 
 
 def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
-    """exp(A) by scaling-and-squaring with a Pade core (scipy backend)."""
+    """exp(A) by scaling-and-squaring with a Pade core (scipy, imported
+    here so that no other path loads it)."""
+    from scipy.linalg import expm
     norm = float(np.linalg.norm(op.matrix, 1))
     if norm > 1e3:
         raise AccuracyError(

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import AccuracyError, DomainError
 from .field_model import (
@@ -191,6 +190,7 @@ def integrate_schrodinger(
         phases = np.exp(-1j * (np.arange(dim) + 0.5) * t_i)
         u_mat = phases[:, None] * u_mat
     else:
+        from scipy.linalg import expm  # only this scheme needs scipy
         a, ad = (op.matrix for op in ladder_ops(dim))
         u_mat = np.eye(dim, dtype=complex)
         for lo, hi in _spans(w_i, t_i):

@@ -407,7 +407,8 @@ def build_drive_path(
       terms (``guiding_path``) whose areas are well conditioned up to the
       last grid time;
     * "piecewise-exact" when E(t) is linear between known nodes
-      (``linear_nodes``: a sampled field, or a sum of sampled fields);
+      (``linear_nodes``: a sampled field, or a sum of sampled fields and
+      constants);
     * "quadrature", the refined-grid numeric route, otherwise.
 
     Method "closed_form" takes one of the two exact routes, even an

@@ -2,8 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -528,9 +531,9 @@ class TestMainAndOutputs:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_laguerre_overflow_is_numeric_error(self, tmp_path, capsys, command):
-        # resonant drive of amplitude 1 reaches |alpha|^2 = 200 by t = 20; the
-        # full dim-1617 matrix would overflow its Laguerre table, but the
-        # level-0 column needs only the p = 0 row and stays finite
+        # resonant drive of amplitude 1 reaches |alpha|^2 = 200 by t = 20,
+        # where a dim-1617 table of Laguerre polynomials overflowed; the
+        # level-0 column needs only the p = 0 row either way
         doc = {
             "task": command,
             "waveform": {"type": "rotating", "amplitude": 1.0, "nu": 1.0},
@@ -553,13 +556,13 @@ class TestMainAndOutputs:
         assert expected == pytest.approx(math.exp(-200.0), rel=1e-12)
         assert float(last["survival"]) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_laguerre_column_overflow_is_numeric_error(self, tmp_path, capsys, command):
-        # |alpha|^2 = 100 by t = 20: column 300 of a dim-1700 basis needs
-        # Laguerre rows up to p = 300, which overflow
-        doc = {
+    @staticmethod
+    def level_300_doc(tmp_path, command, amplitude):
+        # a resonant drive reaches |alpha|^2 = 200 amplitude^2 by t = 20;
+        # column 300 of a dim-1700 basis
+        return {
             "task": command,
-            "waveform": {"type": "rotating", "amplitude": math.sqrt(0.5), "nu": 1.0},
+            "waveform": {"type": "rotating", "amplitude": amplitude, "nu": 1.0},
             "time": {"t_final": 20.0, "samples": 3},
             "numerics": {"dimension": 1700},
             "initial_state": {"level": 300},
@@ -567,9 +570,24 @@ class TestMainAndOutputs:
                       "steps": 1},
             "output": {"directory": str(tmp_path / "o")},
         }
-        cfg_path = write_config(tmp_path, doc)
-        assert cli.main([command, "--config", str(cfg_path)]) == 2
-        assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_high_level_column_in_large_basis(self, tmp_path, command):
+        # |alpha|^2 = 100: the Laguerre polynomial rows up to p = 300
+        # overflowed; the normalized functions keep every probability
+        doc = self.level_300_doc(tmp_path, command, math.sqrt(0.5))
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 0
+        report = json.loads((tmp_path / "o" / f"{command}_report.json").read_text())
+        assert report["dimension"] == 1700
+        assert 0.0 <= report["population_sum_max_dev"] <= NORM_TOL
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_laguerre_column_overflow_is_numeric_error(self, tmp_path, capsys, command):
+        # |alpha|^2 = 1500, past the floating-point range of e^{-|alpha|^2/2}
+        doc = self.level_300_doc(tmp_path, command, math.sqrt(7.5))
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "|alpha|^2 = 1.5e+03, dim = 1700" in err
 
     def test_json_data_format(self, tmp_path):
         cfg_path = write_config(
@@ -762,3 +780,46 @@ class TestValidateCommand:
         written = json.loads((tmp_path / "v" / "validate_validation.json").read_text())
         assert "checks" in written and "benchmark" in written
         assert code in (0, 2)
+
+
+_SCIPY_PROBE = """
+import json, sys
+from landau_drive import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+paths = json.loads(sys.argv[1])
+after_import = scipy_modules()
+codes = {task: cli.main([task, "--config", paths[task]]) for task in ("simulate", "sweep", "phases")}
+after_runs = scipy_modules()
+codes["validate"] = cli.main(["validate", "--config", paths["validate"]])
+print(json.dumps({"after_import": after_import, "after_runs": after_runs, "codes": codes,
+                  "expm_loaded": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_data_path_never_imports_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI and running simulate, sweep and
+    # phases loads no scipy module; validate's expmid scheme then imports it
+    out = {"directory": str(tmp_path / "o")}
+    docs = {
+        "simulate": dict(BASE_SIM, output=out),
+        "sweep": dict(BASE_SIM, task="sweep", output=out,
+                      sweep={"parameter": "nu_over_omega", "steps": 3}),
+        "phases": dict(BASE_SIM, task="phases", output=out),
+        "validate": {"task": "validate", "output": out,
+                     "numerics": {"oracle_dimension": 32, "integrator_dt": 0.02}},
+    }
+    paths = {task: str(write_config(tmp_path, doc, f"{task}.json"))
+             for task, doc in docs.items()}
+    src = str(Path(ld.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(paths)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["after_import"] == [] and result["after_runs"] == []
+    assert result["codes"] == {"simulate": 0, "sweep": 0, "phases": 0, "validate": 0}
+    assert result["expm_loaded"]

@@ -8,6 +8,14 @@ from numpy.testing import assert_allclose
 
 import landau_drive as ld
 from landau_drive.errors import AccuracyError, TruncationError
+from landau_drive.propagator import NORM_TOL
+
+
+@pytest.fixture(scope="module")
+def strong_drive_matrix():
+    """D(alpha) at |alpha|^2 = 200 in its auto size, 1616 states: a resonant
+    drive of amplitude 1 at t = 20."""
+    return ld.displacement_matrix(math.sqrt(200.0), 1616).matrix
 
 
 class TestTruncatedOperator:
@@ -108,11 +116,50 @@ class TestDisplacementMatrix:
         d_inv = ld.displacement_matrix(-alpha, 48)
         assert_allclose(d.dagger().matrix[:24, :24], d_inv.matrix[:24, :24], atol=1e-12)
 
+    @pytest.mark.parametrize("mean_level, dim, atol", [(2.0, 64, 2.5e-15), (40.0, 400, 1e-14)])
+    def test_precision_against_matrix_exponential(self, mean_level, dim, atol):
+        # the leading half block against a series exponential with an
+        # eighth more states of headroom, to a few ulps: the bounds are
+        # below what the Laguerre-polynomial table with log-space
+        # prefactors reached (2.6e-15 and 1.4e-14)
+        alpha = math.sqrt(mean_level) * complex(math.cos(0.3), math.sin(0.3))
+        a, ad = ld.ladder_ops(dim + dim // 8)
+        gen = ld.TruncatedOperator(alpha * ad.matrix - np.conj(alpha) * a.matrix)
+        by_series = ld.matrix_exponential(gen).matrix
+        closed = ld.displacement_matrix(alpha, dim).matrix
+        half = dim // 2
+        assert np.max(np.abs(closed[:half, :half] - by_series[:half, :half])) < atol
+
+    @pytest.mark.parametrize("mean_level, dim", [(200.0, 900), (700.0, 1300)])
+    def test_healthy_block_unitary_at_strong_drive(self, mean_level, dim):
+        # the leading half of the measured healthy block (the columns whose
+        # probabilities sum to 1 within NORM_TOL), as the oracle reads it;
+        # the last healthy columns still lose up to NORM_TOL to truncation
+        alpha = math.sqrt(mean_level) * complex(math.cos(1.1), math.sin(1.1))
+        mat = ld.displacement_matrix(alpha, dim).matrix
+        assert np.max(np.abs(mat)) <= 1.0
+        deficit = np.abs(np.sum(np.abs(mat) ** 2, axis=0) - 1.0)
+        healthy = int(np.argmax(deficit > NORM_TOL))
+        assert healthy >= 64
+        block = mat[:, : healthy // 2]
+        gram = block.conj().T @ block
+        assert np.max(np.abs(gram - np.eye(healthy // 2))) <= 1e-13
+
+    def test_finite_where_laguerre_table_overflowed(self, strong_drive_matrix):
+        # the auto-sized dim-1616 table of Laguerre polynomials overflowed
+        # at |alpha|^2 = 200, as it did at any |alpha| from dim 1030 on
+        weak = ld.displacement_matrix(0.1, 1030).matrix
+        for mat, mean_level in ((strong_drive_matrix, 200.0), (weak, 0.01)):
+            assert np.max(np.abs(mat)) <= 1.0
+            assert mat[0, 0] == pytest.approx(math.exp(-mean_level / 2), rel=1e-14)
+
     def test_laguerre_overflow_is_truncation_error(self):
-        # a resonant drive of amplitude 1 reaches |alpha|^2 = 200 by t = 20,
-        # where the auto-sized dim-1616 Laguerre table overflows
-        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 200, dim = 1616"):
-            ld.displacement_matrix(math.sqrt(200.0), 1616)
+        # past |alpha|^2 of about 1417, e^{-|alpha|^2/2} leaves the
+        # floating-point range: the elements cannot be represented, which
+        # raises rather than returning zeros
+        ld.displacement_matrix(math.sqrt(1400.0), 64)
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 1.5e\+03, dim = 64"):
+            ld.displacement_matrix(math.sqrt(1500.0), 64)
 
     def test_accepts_coherent_amplitude(self):
         a1 = ld.displacement_matrix(ld.CoherentAmplitude(0.4j), 24)
@@ -136,12 +183,13 @@ class TestDisplacementMatrix:
 
 
 class TestDisplacementColumns:
-    # alpha = 0, a tiny amplitude, |alpha|^2 = 40 in three directions, and
-    # generic ones
+    # alpha = 0, a tiny amplitude, |alpha|^2 = 40 in three directions,
+    # generic ones, and strong drives (|alpha|^2 = 700 and 200)
     AMPLITUDES = [
         0j, 1e-9 + 2e-9j, 3e-12j, complex(math.sqrt(40.0), 0.0),
         complex(0.0, -math.sqrt(40.0)), complex(-math.sqrt(20.0), math.sqrt(20.0)),
         0.3 - 0.4j, -1.7 + 0.2j, 2.5j,
+        complex(0.0, math.sqrt(700.0)), math.sqrt(200.0) * complex(-0.6, 0.8),
     ]
 
     @pytest.mark.parametrize(
@@ -168,18 +216,33 @@ class TestDisplacementColumns:
         long = ld.displacement_columns([1.1 - 0.6j], 4, 90)
         assert np.array_equal(long[:, :40], short)
 
-    def test_low_column_finite_where_matrix_overflows(self):
-        alpha = math.sqrt(200.0)
-        with pytest.raises(TruncationError):
-            ld.displacement_matrix(alpha, 1616)
-        col = ld.displacement_columns([alpha], 0, 1616)[0]
-        assert abs(col[0]) ** 2 == pytest.approx(math.exp(-200.0), rel=1e-12)
-        assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0, abs=1e-12)
+    def test_low_column_matches_matrix_at_strong_drive(self, strong_drive_matrix):
+        # where the full matrix overflowed while the low columns stayed
+        # finite: now both are, bit for bit
+        for n in (0, 7, 300):
+            col = ld.displacement_columns([math.sqrt(200.0)], n, 1616)[0]
+            assert np.array_equal(col, strong_drive_matrix[:, n]), n
+            assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert abs(strong_drive_matrix[0, 0]) ** 2 == pytest.approx(math.exp(-200.0), rel=1e-12)
+
+    def test_high_level_column_in_large_basis(self):
+        # level 300 of a dim-1700 basis at |alpha|^2 = 100: the Laguerre
+        # polynomial rows up to p = 300 overflowed; the normalized functions
+        # stay below 1 and the column keeps its probability
+        cols = ld.displacement_columns([0.5, 10.0], 300, 1700)
+        assert np.max(np.abs(cols)) <= 1.0
+        assert_allclose(np.sum(np.abs(cols) ** 2, axis=1), 1.0, rtol=0, atol=NORM_TOL)
 
     def test_column_overflow_is_truncation_error(self):
-        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 100, dim = 1700"):
-            ld.displacement_columns([0.5, 10.0], 300, 1700)
-        assert np.all(np.isfinite(ld.displacement_columns([10.0], 200, 1500)))
+        # one amplitude past the representable range fails the whole call
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 1.5e\+03, dim = 1700"):
+            ld.displacement_columns([0.5, math.sqrt(1500.0)], 300, 1700)
+        col = ld.displacement_columns([math.sqrt(1400.0)], 0, 2000)[0]
+        assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_amplitude_is_truncation_error(self):
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = nan"):
+            ld.displacement_columns([0.5, complex("nan")], 0, 8)
 
     def test_argument_checks(self):
         with pytest.raises(IndexError):

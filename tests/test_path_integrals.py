@@ -658,6 +658,29 @@ class TestPiecewiseExact:
             assert_allclose(getattr(exact, name), getattr(quad, name),
                             rtol=0, atol=1e-10 * scale, err_msg=name)
 
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_sampled_plus_constant_bias(self, charge):
+        # a DC bias on a 4001-node trace is linear on the trace's nodes, so
+        # the sum takes the exact route; constants alone keep the closed form
+        sys_ = ld.PhysicalSystem(charge, 1.3, 0.8)
+        times = np.linspace(-0.25, 4.0, 4001)
+        trace = ld.SampledField(times, 0.2 * np.cos(1.7 * times),
+                                0.2 * np.sin(0.9 * times + 0.3))
+        bias = ld.ConstantField(0.12, -0.07)
+        w = ld.SumField((trace, bias, ld.ZeroField()))
+        assert np.array_equal(w.linear_nodes(), times)
+        grid = np.linspace(0.0, 3.9, 14)
+        exact = ld.build_drive_path(sys_, w, grid)
+        quad = ld.build_drive_path(sys_, w, grid, method="quadrature", abs_tol=1e-13)
+        assert exact.provenance == "piecewise-exact" and quad.provenance == "quadrature"
+        for alone in (bias, ld.ZeroField(), ld.SumField((bias, ld.ZeroField()))):
+            assert ld.build_drive_path(sys_, alone, grid).provenance == "closed-form"
+        l2 = sys_.l_b**2
+        for name, scale in (("r", sys_.l_b), ("u", sys_.l_b), ("beta", 1.0), ("gamma", 1.0),
+                            ("area_r", l2), ("area_u", l2)):
+            assert_allclose(getattr(exact, name), getattr(quad, name),
+                            rtol=0, atol=1e-13 * scale, err_msg=name)
+
 
 @settings(max_examples=20, deadline=None)
 @given(
