@@ -2,7 +2,10 @@
 
 Complex convention throughout: a planar vector (v1, v2) is stored as
 v = v1 + i v2.  The drive field is E(t) = E1(t) + i E2(t) and the
-guiding-center path obeys dR/dt = -i (c/B) E(t).
+guiding-center path obeys dR/dt = -i (c/B) E(t).  Every analytic waveform
+is declared once, as the pairs (c_j, lambda_j) of an exponential sum
+E(t) = sum_j c_j e^{i lambda_j t} (``exp_terms``), from which its field,
+integral, rate and internal-unit form all follow.
 
 Formulas assume a positive product of charge and magnetic field.  For a
 negative charge the constructor records a frame reflection (e2 -> -e2);
@@ -13,18 +16,18 @@ see the normalized orientation, and callers undo the reflection on output
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ._expsum import ExpPath, eps0
+from ._expsum import eps0
 from .errors import DomainError
 
 __all__ = [
     "PhysicalSystem",
     "InternalScales",
-    "INTERNAL_SYSTEM",
     "FieldWaveform",
     "ZeroField",
     "ConstantField",
@@ -107,11 +110,6 @@ class InternalScales:
     field: float
 
 
-#: Canonical dimensionless system: hbar = m = c = 1, qB/c = 1, so
-#: omega = 1, l_b = 1, k = sqrt(2).
-INTERNAL_SYSTEM = PhysicalSystem(charge=1.0, magnetic_field=1.0, mass=1.0)
-
-
 class FieldWaveform:
     """Declarative description of E(t); subclasses are immutable."""
 
@@ -134,8 +132,9 @@ class FieldWaveform:
         """Interior times where E(t) is not smooth, in increasing order."""
         return ()
 
-    def guiding_path(self, sys: PhysicalSystem) -> ExpPath | None:
-        """Closed-form representation of R(t), or None when unavailable."""
+    def exp_terms(self) -> tuple[tuple[complex, float], ...] | None:
+        """Pairs (c_j, lambda_j) with E(t) = sum_j c_j e^{i lambda_j t}, or
+        None when E(t) is not such a sum."""
         return None
 
     def linear_nodes(self) -> np.ndarray | None:
@@ -162,54 +161,70 @@ class FieldWaveform:
             )
 
 
-@dataclass(frozen=True)
-class ZeroField(FieldWaveform):
+class _ExpSumField(FieldWaveform):
+    """A waveform declared by its ``exp_terms`` alone; the field, its
+    integral, rate, linear nodes and rescaling all follow from the pairs."""
+
+    def _sum(self, basis, t):
+        """sum_j c_j basis(lambda_j, t), summed from the first term on: a
+        sum started from zeros would turn a term's -0.0 into 0.0."""
+        t = np.asarray(t, dtype=float)
+        parts = [c * basis(lam, t) for c, lam in self.exp_terms()]
+        if not parts:
+            return np.zeros(t.shape, dtype=complex)[()]
+        return sum(parts[1:], parts[0])[()]
+
     def field(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float), dtype=complex)[()]
+        return self._sum(lambda lam, t: np.exp(1j * (lam * t)), t)
 
     def field_integral(self, t):
-        return self.field(t)
+        return self._sum(eps0, t)
 
-    def guiding_path(self, sys):
-        return ExpPath()
+    def rate(self) -> float:
+        return max((abs(lam) for _, lam in self.exp_terms()), default=0.0)
 
     def linear_nodes(self):
-        return np.array([-math.inf, math.inf])
+        """(-inf, inf) when every rate is 0: the field is then constant."""
+        if all(lam == 0.0 for _, lam in self.exp_terms()):
+            return np.array([-math.inf, math.inf])
+        return None
 
     def rescaled(self, scales, mirror):
-        return self
+        # -conj(c e^{i lam t}) = -conj(c) e^{-i lam t}
+        sign = -1.0 if mirror else 1.0
+        return _ExpSum(tuple(
+            ((-c.conjugate() if mirror else c) / scales.field, sign * lam * scales.time)
+            for c, lam in self.exp_terms()
+        ))
 
 
 @dataclass(frozen=True)
-class ConstantField(FieldWaveform):
+class _ExpSum(_ExpSumField):
+    """An exponential sum held as its (c_j, lambda_j) pairs."""
+
+    terms: tuple[tuple[complex, float], ...]
+
+    def exp_terms(self):
+        return self.terms
+
+
+@dataclass(frozen=True)
+class ZeroField(_ExpSumField):
+    def exp_terms(self):
+        return ()
+
+
+@dataclass(frozen=True)
+class ConstantField(_ExpSumField):
     e1: float = 0.0
     e2: float = 0.0
 
-    @property
-    def value(self) -> complex:
-        return complex(self.e1, self.e2)
-
-    def field(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, self.value)[()]
-
-    def field_integral(self, t):
-        return self.value * np.asarray(t, dtype=float)[()]
-
-    def guiding_path(self, sys):
-        return ExpPath(drift=-1j * sys.c / sys.magnetic_field * self.value)
-
-    def linear_nodes(self):
-        return np.array([-math.inf, math.inf])
-
-    def rescaled(self, scales, mirror):
-        e = -self.value.conjugate() if mirror else self.value
-        e /= scales.field
-        return ConstantField(e.real, e.imag)
+    def exp_terms(self):
+        return ((complex(self.e1, self.e2), 0.0),)
 
 
 @dataclass(frozen=True)
-class RotatingField(FieldWaveform):
+class RotatingField(_ExpSumField):
     """E(t) = amplitude * exp(i phase) * exp(-i nu t); nu may be negative."""
 
     amplitude: float
@@ -220,39 +235,12 @@ class RotatingField(FieldWaveform):
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
 
-    def field(self, t):
-        t = np.asarray(t, dtype=float)
-        return (self.amplitude * np.exp(1j * (self.phase - self.nu * t)))[()]
-
-    def field_integral(self, t):
-        e0 = self.amplitude * np.exp(1j * self.phase)
-        return (e0 * eps0(-self.nu, t))[()]
-
-    def rate(self) -> float:
-        return abs(self.nu)
-
-    def guiding_path(self, sys):
-        e0 = self.amplitude * np.exp(1j * self.phase)
-        cb = sys.c / sys.magnetic_field
-        if self.nu == 0.0:
-            return ExpPath(drift=-1j * cb * e0)
-        # R(t) = R0 (e^{-i nu t} - 1) with R0 = c E0 / (nu B)
-        return ExpPath(terms=((cb * e0 / self.nu, -self.nu),))
-
-    def rescaled(self, scales, mirror):
-        if mirror:
-            return RotatingField(
-                self.amplitude / scales.field,
-                -self.nu * scales.time,
-                math.pi - self.phase,
-            )
-        return RotatingField(
-            self.amplitude / scales.field, self.nu * scales.time, self.phase
-        )
+    def exp_terms(self):
+        return ((cmath.rect(self.amplitude, self.phase), -self.nu),)
 
 
 @dataclass(frozen=True)
-class LinearSinusoidField(FieldWaveform):
+class LinearSinusoidField(_ExpSumField):
     """E(t) = amplitude * cos(angular_frequency t + phase) along direction."""
 
     amplitude: float
@@ -264,41 +252,10 @@ class LinearSinusoidField(FieldWaveform):
         if self.amplitude < 0:
             raise ValueError("amplitude must be nonnegative")
 
-    def field(self, t):
-        t = np.asarray(t, dtype=float)
-        envelope = self.amplitude * np.cos(self.angular_frequency * t + self.phase)
-        return (envelope * np.exp(1j * self.direction))[()]
-
-    def field_integral(self, t):
-        t = np.asarray(t, dtype=float)
-        om = self.angular_frequency
-        if om == 0.0:
-            grow = np.cos(self.phase) * t
-        else:
-            grow = (np.sin(om * t + self.phase) - np.sin(self.phase)) / om
-        return (self.amplitude * np.exp(1j * self.direction) * grow)[()]
-
-    def rate(self) -> float:
-        return abs(self.angular_frequency)
-
-    def guiding_path(self, sys):
-        om = self.angular_frequency
-        pref = sys.c * self.amplitude / (2.0 * sys.magnetic_field)
-        if om == 0.0:
-            e = self.amplitude * math.cos(self.phase) * np.exp(1j * self.direction)
-            return ExpPath(drift=-1j * sys.c / sys.magnetic_field * e)
-        up = -pref * np.exp(1j * (self.direction + self.phase)) / om
-        dn = +pref * np.exp(1j * (self.direction - self.phase)) / om
-        return ExpPath(terms=((up, om), (dn, -om)))
-
-    def rescaled(self, scales, mirror):
-        direction = math.pi - self.direction if mirror else self.direction
-        return LinearSinusoidField(
-            self.amplitude / scales.field,
-            direction,
-            self.angular_frequency * scales.time,
-            self.phase,
-        )
+    def exp_terms(self):
+        half, om = self.amplitude / 2.0, self.angular_frequency
+        return ((cmath.rect(half, self.direction + self.phase), om),
+                (cmath.rect(half, self.direction - self.phase), -om))
 
 
 @dataclass(frozen=True)
@@ -419,20 +376,16 @@ class SumField(FieldWaveform):
     def breakpoints(self):
         return np.unique(np.concatenate([(), *(w.breakpoints() for w in self.terms)]))
 
-    def guiding_path(self, sys):
-        terms: list[tuple[complex, float]] = []
-        drift = 0.0 + 0.0j
-        for w in self.terms:
-            ep = w.guiding_path(sys)
-            if ep is None:
-                return None
-            terms.extend(ep.terms)
-            drift += ep.drift
-        return ExpPath(terms=tuple(terms), drift=drift)
+    def exp_terms(self):
+        """The terms' pairs in order, or None when some term has none."""
+        pairs = [w.exp_terms() for w in self.terms]
+        if any(p is None for p in pairs):
+            return None
+        return tuple(pair for p in pairs for pair in p)
 
     def linear_nodes(self):
         """The union of the terms' nodes within the common domain, when
-        every term is piecewise linear (sampled, constant or zero)."""
+        every term is piecewise linear (sampled, or analytic and constant)."""
         nodes = [w.linear_nodes() for w in self.terms]
         if not nodes or any(n is None for n in nodes):
             return None

@@ -27,12 +27,7 @@ import numpy as np
 
 from ._expsum import ExpPath, eps0, eps1
 from .errors import AccuracyError, DomainError
-from .field_model import (
-    INTERNAL_SYSTEM,
-    FieldWaveform,
-    PhysicalSystem,
-    internalize,
-)
+from .field_model import FieldWaveform, PhysicalSystem, internalize
 
 __all__ = [
     "signed_area",
@@ -98,32 +93,21 @@ def coherent_phase(sys: PhysicalSystem, u_path) -> float:
     return -4.0 * sys.area_phase * signed_area(z)
 
 
-def _u_exp_path(rp: ExpPath) -> ExpPath:
-    """Closed-form u(t) for the internal-unit guiding path ``rp`` of R(t).
+def _integral_path(pairs) -> ExpPath:
+    """The path s -> integral over [0, s] of sum_j b_j e^{i kappa_j x} dx.
 
-    With omega = 1 and R(s) = sum_j A_j (e^{i mu_j s} - 1) + V s,
-
-        u(s) = sum_j (conj(A_j) mu_j / 2) eps0(-(1 + mu_j), s)
-               + (i conj(V) / 2) eps0(-1, s),
-
-    every term of which is again exponential or linear in s.
+    A pair with kappa != 0 adds the term (b / i kappa)(e^{i kappa s} - 1),
+    one with kappa = 0 the drift b s, and one with b = 0 nothing, so a zero
+    term is never judged ill-conditioned.
     """
-    terms: list[tuple[complex, float]] = []
-    drift = 0.0 + 0.0j
-
-    def absorb(coeff: complex, mu: float):
-        nonlocal drift
-        if coeff == 0:
-            return
-        if mu == 0.0:
-            drift += coeff
+    terms, drift = [], 0.0
+    for b, kappa in pairs:
+        if b == 0:
+            continue
+        if kappa == 0.0:
+            drift += b
         else:
-            terms.append((coeff / (1j * mu), mu))
-
-    for amp, mu in rp.terms:
-        absorb(np.conj(amp) * mu / 2.0, -(1.0 + mu))
-    if rp.drift != 0:
-        absorb(1j * np.conj(rp.drift) / 2.0, -1.0)
+            terms.append((b / (1j * kappa), kappa))
     return ExpPath(tuple(terms), drift)
 
 
@@ -146,10 +130,12 @@ def _exp_paths(w_internal: FieldWaveform, method: str, t_end: float):
     declined a closed form whose area is not well conditioned (see
     ``_area_well_conditioned``).
     """
-    rp = w_internal.guiding_path(INTERNAL_SYSTEM) if method != "quadrature" else None
-    if rp is None:
+    pairs = w_internal.exp_terms() if method != "quadrature" else None
+    if pairs is None:
         return None, False
-    paths = (rp, _u_exp_path(rp))
+    # omega = 1: R' = -i E and u' = -(1/2) e^{-is} conj(E), term by term
+    paths = (_integral_path((-1j * c, lam) for c, lam in pairs),
+             _integral_path((-0.5 * c.conjugate(), -(1.0 + lam)) for c, lam in pairs))
     if method == "auto" and t_end > 0.0 and not all(
         _area_well_conditioned(p, t_end) for p in paths
     ):
@@ -159,7 +145,7 @@ def _exp_paths(w_internal: FieldWaveform, method: str, t_end: float):
 
 def _has_exact_route(w: FieldWaveform) -> bool:
     """Whether ``w`` has a closed-form or a piecewise-exact drive path."""
-    return w.guiding_path(INTERNAL_SYSTEM) is not None or w.linear_nodes() is not None
+    return w.exp_terms() is not None or w.linear_nodes() is not None
 
 
 def displacement_amplitude(
@@ -207,20 +193,22 @@ class DrivePath:
             arr.setflags(write=False)
 
 
-def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float):
+def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float, level: int = 0):
     """Fine grid through every user node and waveform breakpoint.
 
-    Each smooth span [a, b] gets n equal substeps no wider than ``step``,
-    n a multiple of four, so the half- and quarter-resolution subsets share
-    all span boundaries with the fine grid.  Its nodes are a + k (b - a)/n
-    for k = 1 .. n with the last set to b, which is ``np.linspace``'s own
-    arithmetic, built for all spans at once.
+    Each smooth span [a, b] gets n = 4^level n0 equal substeps, n0 the
+    least multiple of four (at least four) that keeps them no wider than
+    ``step``; so each level splits every span, however short, four times
+    finer than the last, and the half- and quarter-resolution subsets
+    share all span boundaries with the fine grid.  Its nodes are
+    a + k (b - a)/n for k = 1 .. n with the last set to b, which is
+    ``np.linspace``'s own arithmetic, built for all spans at once.
     """
     lo, hi = t_grid[0], t_grid[-1]
     cuts = np.asarray(w.breakpoints(), dtype=float)
     edges = np.unique(np.concatenate([t_grid, cuts[(lo < cuts) & (cuts < hi)]]))
     a, b = edges[:-1], edges[1:]
-    counts = np.maximum(4.0, 4.0 * np.ceil((b - a) / (4.0 * step)))
+    counts = np.maximum(4.0, 4.0 * np.ceil((b - a) / (4.0 * step))) * 4.0**level
     total = counts.sum()
     if total > 4_000_000:
         raise AccuracyError("drive-path refinement grid exceeds 4e6 nodes")
@@ -280,11 +268,10 @@ def _quadrature_path_samples(
     u accumulates per-substep Gauss panels; areas come from the polyline
     shoelace on the fine grid with Richardson extrapolation.
     """
-    rate = 1.0 + w_i.rate()
-    step = min(0.02, math.pi / 4.0) / rate
+    step = 0.02 / (1.0 + w_i.rate())
     err = math.inf
-    for _ in range(4):
-        nodes, idx = _refined_grid(t_i, w_i, step)
+    for level in range(4):
+        nodes, idx = _refined_grid(t_i, w_i, step, level)
         r_fine = -1j * np.asarray(w_i.field_integral(nodes), dtype=complex)
         u_fine = _cumulative_gl5(
             lambda s: -0.5 * np.exp(-1j * s) * np.conj(w_i.field(s)), nodes
@@ -294,7 +281,6 @@ def _quadrature_path_samples(
         err = max(err_r, err_u)
         if err <= abs_tol:
             return r_fine[idx], u_fine[idx], sr, su
-        step /= 4.0
     raise AccuracyError(
         f"enclosed-area refinement stalled above abs_tol={abs_tol:g}",
         achieved=err,
@@ -403,12 +389,12 @@ def build_drive_path(
     The grid must be strictly increasing and start at 0.  Method "auto"
     takes the first route that applies:
 
-    * "closed-form" when the waveform has a guiding path of exponential
-      terms (``guiding_path``) whose areas are well conditioned up to the
-      last grid time;
+    * "closed-form" when E(t) is a sum of exponential terms
+      (``exp_terms``) whose R and u paths have well-conditioned areas up
+      to the last grid time;
     * "piecewise-exact" when E(t) is linear between known nodes
       (``linear_nodes``: a sampled field, or a sum of sampled fields and
-      constants);
+      constant-valued analytic terms);
     * "quadrature", the refined-grid numeric route, otherwise.
 
     Method "closed_form" takes one of the two exact routes, even an

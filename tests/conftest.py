@@ -17,6 +17,13 @@ def pytest_configure(config):
     # not in pyproject.toml: pytest resolves an ini filter's category by
     # importing landau_drive (and numpy) before this file pins the threads.
     config.addinivalue_line("filterwarnings", "error::landau_drive.errors.TruncationWarning")
+    # So does a numpy floating-point warning: a division by zero, overflow or
+    # invalid operation outside an errstate would otherwise leave a silent
+    # inf or NaN in a result.
+    config.addinivalue_line(
+        "filterwarnings",
+        "error:(divide by zero|overflow|invalid value) encountered:RuntimeWarning",
+    )
 
 
 @pytest.fixture(scope="session")

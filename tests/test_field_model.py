@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -69,6 +70,28 @@ class TestEvalField:
         w = ld.LinearSinusoidField(2.0, direction=0.5, angular_frequency=1.1, phase=0.3)
         expected = 2.0 * math.cos(1.1 * 4.0 + 0.3) * np.exp(0.5j)
         assert ld.eval_field(w, 4.0) == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "w,formula",
+        [
+            (ld.RotatingField(1.7, 0.8, 0.0),
+             lambda t: 1.7 * cmath.exp(1j * (0.0 - 0.8 * t))),
+            (ld.RotatingField(0.35, -1.3, 2.6),
+             lambda t: 0.35 * cmath.exp(1j * (2.6 + 1.3 * t))),
+            (ld.RotatingField(2.0, 0.0, -0.9),
+             lambda t: 2.0 * cmath.exp(-0.9j)),
+            (ld.LinearSinusoidField(1.2, 0.5, 1.1, 0.3),
+             lambda t: 1.2 * math.cos(1.1 * t + 0.3) * cmath.exp(0.5j)),
+            (ld.LinearSinusoidField(0.6, -2.2, -0.7, 1.9),
+             lambda t: 0.6 * math.cos(-0.7 * t + 1.9) * cmath.exp(-2.2j)),
+            (ld.LinearSinusoidField(3.0, 1.0, 0.0, 0.4),
+             lambda t: 3.0 * math.cos(0.4) * cmath.exp(1.0j)),
+        ],
+    )
+    def test_analytic_field_matches_documented_formula(self, w, formula):
+        # the exponential-sum declaration reproduces each class docstring
+        for t in (-1.6, 0.0, 0.37, 1.0, 2.9):
+            assert abs(ld.eval_field(w, t) - formula(t)) <= 1e-15 * w.amplitude
 
     def test_sampled_interpolates_and_bounds(self):
         w = ld.SampledField((0.0, 1.0, 2.0), (0.0, 2.0, 2.0), (1.0, 1.0, 3.0))
@@ -159,6 +182,9 @@ class TestGuidingCenterPath:
             ld.RotatingField(0.25, 1.3, 0.4),
             ld.LinearSinusoidField(0.2, 0.7, 1.6, 0.1),
             ld.SumField((ld.RotatingField(0.1, 0.9), ld.ConstantField(0.05, 0.02))),
+            ld.RotatingField(0.25, -0.9, 2.1),
+            ld.LinearSinusoidField(0.2, 0.7, 0.0, 0.3),
+            ld.SumField((ld.RotatingField(0.1, 0.9, 0.3), ld.RotatingField(0.1, 0.9, 0.3))),
         ],
     )
     def test_derivative_matches_field(self, natural, w):
@@ -196,7 +222,8 @@ class TestInternalize:
         w_i, scales, mirrored = ld.internalize(natural, w)
         assert (scales.time, scales.length, scales.field) == (1.0, 1.0, 1.0)
         assert not mirrored
-        assert w_i == w
+        # the internal waveform is another class holding the same terms
+        assert _bits(w_i.exp_terms()) == _bits(w.exp_terms())
 
     @pytest.mark.parametrize(
         "make",
@@ -211,6 +238,11 @@ class TestInternalize:
             ),
             lambda om: ld.SumField(
                 (ld.RotatingField(100.0, 0.5 * om), ld.ConstantField(30.0, 40.0))
+            ),
+            lambda om: ld.RotatingField(250.0, -0.6 * om, 1.2),
+            lambda om: ld.LinearSinusoidField(300.0, 0.9, 0.0, 0.4),
+            lambda om: ld.SumField(
+                (ld.RotatingField(100.0, 0.5 * om, 0.7), ld.RotatingField(100.0, 0.5 * om, 0.7))
             ),
         ],
     )

@@ -247,11 +247,13 @@ class TestHeisenbergResidual:
         assert ld.heisenberg_residual(u, natural, w, t) < 1e-6
 
     def test_unresolved_drive_integral_raises(self, natural, monkeypatch):
-        # an understated rate leaves pi/4 panels under a 41-rad/unit integrand
-        monkeypatch.setattr(ld.RotatingField, "rate", lambda self: 0.0)
+        # an understated rate leaves pi/4 panels under a 41-rad/unit integrand;
+        # the rate read is the internal waveform's, so its class is patched
+        w = ld.RotatingField(0.1, 40.0)
+        monkeypatch.setattr(type(ld.internalize(natural, w)[0]), "rate", lambda self: 0.0)
         u = ld.TruncatedOperator(np.eye(8))
         with pytest.raises(AccuracyError) as exc:
-            ld.heisenberg_residual(u, natural, ld.RotatingField(0.1, 40.0), 5.0)
+            ld.heisenberg_residual(u, natural, w, 5.0)
         assert exc.value.achieved > 1e-12
 
 

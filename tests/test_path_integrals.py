@@ -534,6 +534,16 @@ class TestRefinedGrid:
             assert np.array_equal(idx, ref_idx)
             assert np.array_equal(nodes[idx], t_grid)
 
+    @pytest.mark.parametrize("step", [0.02, 0.3])
+    def test_each_level_splits_every_span_four_times_finer(self, trace, step):
+        t_grid = np.linspace(0.0, trace.times[-1], 101)
+        base, base_idx = _refined_grid(t_grid, trace, step)
+        for level in (1, 2):
+            nodes, idx = _refined_grid(t_grid, trace, step, level)
+            assert nodes.size - 1 == 4**level * (base.size - 1)
+            assert np.array_equal(idx, 4**level * base_idx)
+            assert np.array_equal(nodes[::4**level], base)
+
     def test_node_budget_checked_before_building(self):
         # 1e9 substeps would need 8 GB; the count alone must refuse them
         with pytest.raises(AccuracyError, match="4e6"):
@@ -590,6 +600,15 @@ def drive_path_errors(dp, ref):
     pairs = {"r": r, "u": u, "beta": -s_r, "gamma": -4.0 * s_u, "area_r": s_r, "area_u": s_u}
     return {name: float(np.max(np.abs(getattr(dp, name) - value)))
             for name, value in pairs.items()}
+
+
+def assert_paths_close(sys_, a, b, atol):
+    """Every field of two drive paths within ``atol`` in internal units."""
+    l2 = sys_.l_b**2
+    for name, scale in (("r", sys_.l_b), ("u", sys_.l_b), ("beta", 1.0), ("gamma", 1.0),
+                        ("area_r", l2), ("area_u", l2)):
+        assert_allclose(getattr(a, name), getattr(b, name),
+                        rtol=0, atol=atol * scale, err_msg=name)
 
 
 class TestPiecewiseExact:
@@ -652,21 +671,24 @@ class TestPiecewiseExact:
         exact = ld.build_drive_path(sys_, w, grid)
         quad = ld.build_drive_path(sys_, w, grid, method="quadrature")
         assert exact.provenance == "piecewise-exact" and quad.provenance == "quadrature"
-        l2 = sys_.l_b**2
-        for name, scale in (("r", sys_.l_b), ("u", sys_.l_b), ("beta", 1.0), ("gamma", 1.0),
-                            ("area_r", l2), ("area_u", l2)):
-            assert_allclose(getattr(exact, name), getattr(quad, name),
-                            rtol=0, atol=1e-10 * scale, err_msg=name)
+        assert_paths_close(sys_, exact, quad, 1e-10)
 
-    @pytest.mark.parametrize("charge", [1.0, -1.0])
-    def test_sampled_plus_constant_bias(self, charge):
-        # a DC bias on a 4001-node trace is linear on the trace's nodes, so
-        # the sum takes the exact route; constants alone keep the closed form
+    # ids name the charge, prefixed by the bias's kind unless it is a ConstantField
+    @pytest.mark.parametrize("charge,bias", [
+        pytest.param(charge, bias, id=f"{kind}{charge}")
+        for kind, bias in (("", ld.ConstantField(0.12, -0.07)),
+                           ("rotating-", ld.RotatingField(0.12, 0.0, 0.4)),
+                           ("linear_sinusoid-", ld.LinearSinusoidField(0.1, 0.3, 0.0, 0.2)))
+        for charge in (1.0, -1.0)
+    ])
+    def test_sampled_plus_constant_bias(self, charge, bias):
+        # a DC bias, whether constant or an analytic term at rate 0, is
+        # linear on a 4001-node trace's nodes, so the sum takes the exact
+        # route; constants alone keep the closed form
         sys_ = ld.PhysicalSystem(charge, 1.3, 0.8)
         times = np.linspace(-0.25, 4.0, 4001)
         trace = ld.SampledField(times, 0.2 * np.cos(1.7 * times),
                                 0.2 * np.sin(0.9 * times + 0.3))
-        bias = ld.ConstantField(0.12, -0.07)
         w = ld.SumField((trace, bias, ld.ZeroField()))
         assert np.array_equal(w.linear_nodes(), times)
         grid = np.linspace(0.0, 3.9, 14)
@@ -675,11 +697,23 @@ class TestPiecewiseExact:
         assert exact.provenance == "piecewise-exact" and quad.provenance == "quadrature"
         for alone in (bias, ld.ZeroField(), ld.SumField((bias, ld.ZeroField()))):
             assert ld.build_drive_path(sys_, alone, grid).provenance == "closed-form"
-        l2 = sys_.l_b**2
-        for name, scale in (("r", sys_.l_b), ("u", sys_.l_b), ("beta", 1.0), ("gamma", 1.0),
-                            ("area_r", l2), ("area_u", l2)):
-            assert_allclose(getattr(exact, name), getattr(quad, name),
-                            rtol=0, atol=1e-13 * scale, err_msg=name)
+        assert_paths_close(sys_, exact, quad, 1e-13)
+
+    def test_quadrature_refines_a_dense_noisy_trace(self):
+        # nodes closer than four substeps: every refinement round must split
+        # them further, or the round rebuilds the grid it had and stalls
+        sys_ = ld.PhysicalSystem(1.0, 1.3, 0.8)
+        rng = np.random.default_rng(13)
+        times = np.linspace(-0.25, 4.0, 4001)
+        noise = rng.uniform(-0.02, 0.02, (2, times.size))
+        trace = ld.SampledField(times, 0.2 * np.cos(1.7 * times) + noise[0],
+                                0.2 * np.sin(0.9 * times + 0.3) + noise[1])
+        w = ld.SumField((trace, ld.ConstantField(0.12, -0.07)))
+        grid = np.linspace(0.0, 3.9, 14)
+        exact = ld.build_drive_path(sys_, w, grid)
+        quad = ld.build_drive_path(sys_, w, grid, method="quadrature", abs_tol=1e-13)
+        assert exact.provenance == "piecewise-exact" and quad.provenance == "quadrature"
+        assert_paths_close(sys_, exact, quad, 1e-13)
 
 
 @settings(max_examples=20, deadline=None)
