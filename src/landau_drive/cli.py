@@ -35,7 +35,7 @@ from .field_model import (
     SumField,
     ZeroField,
 )
-from .path_integrals import _has_exact_route, build_drive_path, drive_endpoints
+from .path_integrals import build_drive_path, drive_endpoints
 from .propagator import _norm_deficit, drive_strength_coefficient, level_populations
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_sweep",
@@ -91,7 +91,7 @@ def load_config(path: str | Path) -> dict:
             raise ConfigError(f"invalid TOML in {path}: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
 
 
@@ -167,7 +167,7 @@ _SCHEMA = {
                                "must lie in (0, 1e-4]"),
         "integrator_dt": _Key("number", 0.01, lambda v: 0 < v <= 0.05,
                               "must lie in (0, 0.05] (units of 1/omega)"),
-        "method": _Key("string", "auto", ("auto", "closed_form", "quadrature").__contains__,
+        "method": _Key("string", "auto", ("auto", "quadrature").__contains__,
                        "unknown method {!r}"),
     },
     "initial_state": {
@@ -325,10 +325,6 @@ def resolve_config(
         if section != "system":
             resolved[section] = _resolve(top[section], keys, section, task, system,
                                          checked=section != "sweep" or task == "sweep")
-    if resolved["numerics"]["method"] == "closed_form" and not _has_exact_route(waveform):
-        raise ConfigError("numerics.method: 'closed_form' needs a closed-form or "
-                          "piecewise-exact drive path, and this waveform has neither; "
-                          "use 'auto' or 'quadrature'")
     if task == "sweep":
         sweep = resolved["sweep"]
         if not isinstance(waveform, RotatingField):
@@ -341,17 +337,14 @@ def resolve_config(
 @dataclass
 class SimulationReport:
     """A run's table and report: the worst |1 - sum_m P(n -> m)| and the
-    dimension of its level populations (None without populations), the
-    number of samples or grid points each drive-path route produced, and
-    for a sweep how many of them "auto" moved off an ill-conditioned
-    closed form (None for the other tasks)."""
+    dimension of its level populations (None without populations) and the
+    number of samples or grid points each drive-path route produced."""
 
     config: dict
     columns: dict
     population_sum_max_dev: float | None = None
     dimension: int | None = None
     routes: dict | None = None
-    ill_conditioned_points: int | None = None
     timing_seconds: float | None = None
 
 
@@ -441,7 +434,6 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
         columns=columns,
         **health,
         routes=dict(Counter(ends.provenance)),
-        ill_conditioned_points=ends.ill_conditioned,
         timing_seconds=time.perf_counter() - start,
     )
 

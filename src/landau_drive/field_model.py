@@ -5,7 +5,10 @@ v = v1 + i v2.  The drive field is E(t) = E1(t) + i E2(t) and the
 guiding-center path obeys dR/dt = -i (c/B) E(t).  Every analytic waveform
 is declared once, as the pairs (c_j, lambda_j) of an exponential sum
 E(t) = sum_j c_j e^{i lambda_j t} (``exp_terms``), from which its field,
-integral, rate and internal-unit form all follow.
+integral, rate, step monomials and internal-unit form all follow.  Every
+waveform reports its field on each step between knots as monomials
+c tau^k e^{i lambda tau} with k = 0 or 1 (``step_terms``), which the exact
+drive path integrates.
 
 Formulas assume a positive product of charge and magnetic field.  For a
 negative charge the constructor records a frame reflection (e2 -> -e2);
@@ -132,14 +135,17 @@ class FieldWaveform:
         """Interior times where E(t) is not smooth, in increasing order."""
         return ()
 
-    def exp_terms(self) -> tuple[tuple[complex, float], ...] | None:
-        """Pairs (c_j, lambda_j) with E(t) = sum_j c_j e^{i lambda_j t}, or
-        None when E(t) is not such a sum."""
-        return None
+    def step_terms(self, knots):
+        """E(t) on each step [a, a + h] between increasing ``knots`` as
+        monomials: (coef[M, S], powers[M], rates[M]) with
 
-    def linear_nodes(self) -> np.ndarray | None:
-        """Increasing times between which E(t) is linear, spanning the
-        domain, or None when E(t) is not piecewise linear on known nodes."""
+            E(a_s + tau) = sum_m coef[m, s] tau^{powers[m]} e^{i rates[m] tau}
+
+        for 0 <= tau <= h_s on step s, or None when E(t) has no such form.
+        Powers are 0 or 1, and a power-1 monomial comes directly after the
+        power-0 monomial of the same rate.  The knots must include every
+        breakpoint between the first and the last.
+        """
         return None
 
     def rescaled(self, scales: InternalScales, mirror: bool) -> "FieldWaveform":
@@ -163,7 +169,11 @@ class FieldWaveform:
 
 class _ExpSumField(FieldWaveform):
     """A waveform declared by its ``exp_terms`` alone; the field, its
-    integral, rate, linear nodes and rescaling all follow from the pairs."""
+    integral, rate, step monomials and rescaling all follow from the pairs."""
+
+    def exp_terms(self) -> tuple[tuple[complex, float], ...]:
+        """Pairs (c_j, lambda_j) with E(t) = sum_j c_j e^{i lambda_j t}."""
+        raise NotImplementedError
 
     def _sum(self, basis, t):
         """sum_j c_j basis(lambda_j, t), summed from the first term on: a
@@ -183,11 +193,18 @@ class _ExpSumField(FieldWaveform):
     def rate(self) -> float:
         return max((abs(lam) for _, lam in self.exp_terms()), default=0.0)
 
-    def linear_nodes(self):
-        """(-inf, inf) when every rate is 0: the field is then constant."""
-        if all(lam == 0.0 for _, lam in self.exp_terms()):
-            return np.array([-math.inf, math.inf])
-        return None
+    def step_terms(self, knots):
+        return self.stacked_step_terms(np.array(self.exp_terms(), complex).reshape(-1, 2), knots)
+
+    @staticmethod
+    def stacked_step_terms(pairs: np.ndarray, knots):
+        """``step_terms`` of exponential sums held as their pairs, an array
+        (..., M, 2) whose leading axes are separate sums: one power-0
+        monomial c_j e^{i lambda_j a} at rate lambda_j per pair."""
+        rates = pairs[..., 1].real
+        a = np.asarray(knots, dtype=float)[:-1]
+        return (pairs[..., :1] * np.exp(1j * (rates[..., None] * a)),
+                np.zeros(rates.shape[-1], dtype=int), rates)
 
     def rescaled(self, scales, mirror):
         # -conj(c e^{i lam t}) = -conj(c) e^{-i lam t}
@@ -312,8 +329,10 @@ class SampledField(FieldWaveform):
     def breakpoints(self):
         return self.times[1:-1]
 
-    def linear_nodes(self):
-        return self.times
+    def step_terms(self, knots):
+        """The value at each step's left knot and the slope on the step."""
+        e = self.field(knots)
+        return np.array([e[:-1], np.diff(e) / np.diff(knots)]), np.array([0, 1]), np.zeros(2)
 
     def field(self, t):
         self._check_domain(t)
@@ -376,22 +395,12 @@ class SumField(FieldWaveform):
     def breakpoints(self):
         return np.unique(np.concatenate([(), *(w.breakpoints() for w in self.terms)]))
 
-    def exp_terms(self):
-        """The terms' pairs in order, or None when some term has none."""
-        pairs = [w.exp_terms() for w in self.terms]
-        if any(p is None for p in pairs):
+    def step_terms(self, knots):
+        """The terms' monomials in order, or None when some term has none."""
+        parts = [w.step_terms(knots) for w in self.terms or (ZeroField(),)]
+        if any(p is None for p in parts):
             return None
-        return tuple(pair for p in pairs for pair in p)
-
-    def linear_nodes(self):
-        """The union of the terms' nodes within the common domain, when
-        every term is piecewise linear (sampled, or analytic and constant)."""
-        nodes = [w.linear_nodes() for w in self.terms]
-        if not nodes or any(n is None for n in nodes):
-            return None
-        lo, hi = self.domain()
-        union = np.unique(np.concatenate(nodes))
-        return union[(lo <= union) & (union <= hi)]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def rescaled(self, scales, mirror):
         return SumField(tuple(w.rescaled(scales, mirror) for w in self.terms))

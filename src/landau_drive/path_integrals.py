@@ -7,11 +7,11 @@ The ingredients assembled here:
 * beta = -(qB/hbar c) * S(R-path),  gamma = -(qB/hbar c) * 4 * S(u-path),
   where S is the signed area enclosed by a path and the straight chord from
   its end point back to its start,
-* three routes to them, which ``build_drive_path`` names in its
-  provenance: "closed-form" for waveforms built from exponential terms,
-  "piecewise-exact" for piecewise-linear (sampled) waveforms, integrated
-  in closed form on each linear piece, and "quadrature", a refined-grid
-  numeric route for everything else and the cross-check of the other two.
+* two routes to them, which ``build_drive_path`` names in its
+  provenance: "exact" for every waveform whose field is, on each step
+  between knots, a sum of monomials c tau^k e^{i lambda tau} with k = 0
+  or 1 (``FieldWaveform.step_terms``: every built-in waveform), and
+  "quadrature", a refined-grid numeric route kept as its cross-check.
 
 Everything runs in dimensionless internal units (omega = l_b = 1,
 k = sqrt(2)) and converts at the boundary, so the default absolute
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._expsum import ExpPath, eps0, eps1
+from ._expsum import eps0, eps1
 from .errors import AccuracyError, DomainError
-from .field_model import FieldWaveform, PhysicalSystem, internalize
+from .field_model import FieldWaveform, PhysicalSystem, _ExpSumField, internalize
 
 __all__ = [
     "signed_area",
@@ -43,7 +43,7 @@ __all__ = [
 DEFAULT_ABS_TOL = 1e-10
 
 #: Drive-path routes a caller may ask for.
-_METHODS = ("auto", "closed_form", "quadrature")
+_METHODS = ("auto", "quadrature")
 
 # 5-point Gauss-Legendre rule, used for cumulative integrals on fine grids.
 _XG5 = np.array([
@@ -53,6 +53,20 @@ _XG5 = np.array([
 _WG5 = np.array([
     0.236926885056189, 0.478628670499366, 0.568888888888889,
     0.478628670499366, 0.236926885056189,
+])
+
+# 10-point Gauss-Legendre rule, used for the step table of the exact route.
+_XG10 = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+])
+_WG10 = np.array([
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+    0.26926671930999635, 0.29552422471475287, 0.29552422471475287,
+    0.26926671930999635, 0.21908636251598204, 0.1494513491505806,
+    0.06667134430868814,
 ])
 
 
@@ -93,61 +107,6 @@ def coherent_phase(sys: PhysicalSystem, u_path) -> float:
     return -4.0 * sys.area_phase * signed_area(z)
 
 
-def _integral_path(pairs) -> ExpPath:
-    """The path s -> integral over [0, s] of sum_j b_j e^{i kappa_j x} dx.
-
-    A pair with kappa != 0 adds the term (b / i kappa)(e^{i kappa s} - 1),
-    one with kappa = 0 the drift b s, and one with b = 0 nothing, so a zero
-    term is never judged ill-conditioned.
-    """
-    terms, drift = [], 0.0
-    for b, kappa in pairs:
-        if b == 0:
-            continue
-        if kappa == 0.0:
-            drift += b
-        else:
-            terms.append((b / (1j * kappa), kappa))
-    return ExpPath(tuple(terms), drift)
-
-
-def _area_well_conditioned(path: ExpPath, t_end: float) -> bool:
-    """Whether the closed-form enclosed area is numerically trustworthy.
-
-    A term A (e^{i mu s} - 1) with |mu| t << 1 carries an amplitude ~ 1/mu
-    while its net area contribution is ~ mu, so the term-by-term formula
-    cancels ~ (|mu| t)^-2 digits.  Below |mu| t = 1e-3 the loss approaches
-    the comparison tolerances and the grid route is preferable.
-    """
-    return all(abs(mu) * t_end >= 1e-3 for _, mu in path.terms)
-
-
-def _exp_paths(w_internal: FieldWaveform, method: str, t_end: float):
-    """The closed-form paths of an internal-unit waveform up to ``t_end``.
-
-    Returns ((R path, u path), False) for the closed form, or (None,
-    ill_conditioned) otherwise, where ill_conditioned says that "auto"
-    declined a closed form whose area is not well conditioned (see
-    ``_area_well_conditioned``).
-    """
-    pairs = w_internal.exp_terms() if method != "quadrature" else None
-    if pairs is None:
-        return None, False
-    # omega = 1: R' = -i E and u' = -(1/2) e^{-is} conj(E), term by term
-    paths = (_integral_path((-1j * c, lam) for c, lam in pairs),
-             _integral_path((-0.5 * c.conjugate(), -(1.0 + lam)) for c, lam in pairs))
-    if method == "auto" and t_end > 0.0 and not all(
-        _area_well_conditioned(p, t_end) for p in paths
-    ):
-        return None, True
-    return paths, False
-
-
-def _has_exact_route(w: FieldWaveform) -> bool:
-    """Whether ``w`` has a closed-form or a piecewise-exact drive path."""
-    return w.exp_terms() is not None or w.linear_nodes() is not None
-
-
 def displacement_amplitude(
     sys: PhysicalSystem,
     w: FieldWaveform,
@@ -159,8 +118,7 @@ def displacement_amplitude(
     """Oscillatory drive amplitude u(t) = -(c/2B) int_0^t e^{-i omega s} E*(s) ds.
 
     The end value of ``build_drive_path`` on the grid [0, t], with the same
-    ``method`` and the same choice among its three routes: closed-form,
-    piecewise-exact and quadrature.
+    ``method`` and so the same route: exact, or quadrature on request.
     """
     if t < 0:
         raise DomainError("displacement amplitude requires t >= 0")
@@ -225,9 +183,10 @@ def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float, level: int 
 
 
 def _running(increments: np.ndarray) -> np.ndarray:
-    """Running sum of ``increments`` from 0: one entry more than it has."""
-    out = np.zeros(increments.size + 1, dtype=increments.dtype)
-    np.cumsum(increments, out=out[1:])
+    """Running sum along the last axis from 0: one entry more than it has."""
+    out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,),
+                   dtype=increments.dtype)
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -287,81 +246,110 @@ def _quadrature_path_samples(
     )
 
 
-def _closed_form_samples(rp: ExpPath, up: ExpPath, t_i):
-    """R, u, S_R, S_u at internal time(s) ``t_i`` from closed-form paths."""
-    return rp.evaluate(t_i), up.evaluate(t_i), rp.enclosed_area(t_i), up.enclosed_area(t_i)
+def _monomials(powers, kappa, tau):
+    """tau^k e^{i kappa tau} and its integral E(tau) over [0, tau] for each
+    monomial (axis -2) at each tau (axis -1)."""
+    kappa, tau = kappa[..., :, None], tau[..., None, :]
+    value, integral = np.exp(1j * (kappa * tau)), eps0(kappa, tau)
+    if np.any(powers):
+        linear = powers[:, None] == 1
+        value = np.where(linear, tau * value, value)
+        integral = np.where(linear, eps1(kappa, tau), integral)
+    return value, integral
 
 
-#: Power-series terms of M_jk for h <= 1; the first one dropped is below
-#: 1/26! of the leading one.
-_M_SERIES_TERMS = 25
+def _shifted(x, d, lag, linear, axis):
+    """D x along monomial axis ``axis`` of x, D the shift of the monomials
+    by ``lag``: tau^k e^{i kappa tau} at tau + lag is d = e^{i kappa lag}
+    times itself, plus lag d times its power-0 partner when k = 1."""
+    if np.any(linear):
+        x = np.where(linear, x + lag * np.roll(x, 1, axis=axis), x)
+    return d * x
 
 
-def _step_table(h: np.ndarray):
-    """eps0(-1, h), eps1(-1, h) and M_jk(h) for j, k in {0, 1}.
+def _step_table(h: np.ndarray, powers: np.ndarray, kappa: np.ndarray):
+    """E_m(h) and K_nm(h) for each distinct step length h (last axis).
 
-    M_jk(h) is the integral over [0, h] of conj(eps_j(-1, tau)) tau^k
-    e^{-i tau}.  With D_k(h) = h^{k+1}/(k+1) - eps_k(-1, h),
+    E_m(h) is the integral of monomial m, tau^{k_m} e^{i kappa_m tau}, over
+    [0, h], and K_nm(h) the integral over [0, h] of conj(E_n(tau)) times
+    monomial m.  K is a 10-point Gauss rule on h / 2^p, p the least count
+    with 2 max|kappa| h / 2^p <= 4, then p exact doublings
 
-        M_0k = -i D_k,    M_1k = D_k - i h^{k+2}/(k+2).
+        K(2L) = K(L) + conj(D) K(L) D^T + conj(E(L)) (D E(L))^T
 
-    M_1k cancels two orders at small h, so for h <= 1 each is summed from
-    its own power series instead:
-
-        M_0k = i sum_{n>=1} (-i)^n h^{n+k+1} / (n! (n+k+1)),
-        M_1k = -sum_{n>=2} (-i)^n h^{n+k+1} / (n! (n+k+1)).
-
-    Everything is evaluated once per distinct step length.
+    with D the shift by L (``_shifted``).  Leading axes of ``kappa`` are
+    separate waveforms, each with its own p.
     """
-    steps, inverse = np.unique(h, return_inverse=True)
-    e0, e1 = eps0(-1.0, steps), eps1(-1.0, steps)
-    m = np.empty((2, 2, steps.size), dtype=complex)
-    for k, ek in enumerate((e0, e1)):
-        d = steps ** (k + 1) / (k + 1) - ek
-        m[0, k] = -1j * d
-        m[1, k] = d - 1j * steps ** (k + 2) / (k + 2)
-    small = steps <= 1.0
-    n = np.arange(1, _M_SERIES_TERMS + 1)
-    coeff = np.array([1.0, -1j, -1.0, 1j])[n % 4] / np.cumprod(n.astype(float))
-    for k in (0, 1):
-        p = n + k + 1
-        terms = coeff / p * steps[small, None] ** p
-        m[0, k, small] = 1j * terms.sum(axis=1)
-        m[1, k, small] = -terms[:, 1:].sum(axis=1)
-    return e0[inverse], e1[inverse], m[:, :, inverse]
+    linear = powers == 1
+    fastest = np.max(np.abs(kappa), axis=-1, initial=0.0)[..., None]
+    base = np.broadcast_to(h, fastest.shape[:-1] + h.shape)
+    doublings = np.zeros(base.shape, dtype=int)
+    while np.any(too_long := 2.0 * fastest * base > 4.0):
+        base = np.where(too_long, base / 2.0, base)
+        doublings += too_long
+    nodes = base[..., None] * ((_XG10 + 1.0) / 2.0)
+    value, integral = (x.reshape(x.shape[:-1] + nodes.shape[-2:]) for x in
+                       _monomials(powers, kappa, nodes.reshape(base.shape[:-1] + (-1,))))
+    k = 0.0
+    for g, weight in enumerate(_WG10):
+        k = k + weight * np.conj(integral[..., :, None, :, g]) * value[..., None, :, :, g]
+    k = k * (base / 2.0)[..., None, None, :]
+    for level in range(int(doublings.max(initial=0))):
+        lag = base * 2.0**level
+        e = _monomials(powers, kappa, lag)[1]
+        d = np.exp(1j * (kappa[..., :, None] * lag[..., None, :]))
+        right = _shifted(k, d[..., None, :, :], lag[..., None, None, :], linear[:, None], -2)
+        doubled = (k + _shifted(right, np.conj(d)[..., :, None, :], lag[..., None, None, :],
+                                linear[:, None, None], -3)
+                   + np.conj(e)[..., :, None, :]
+                   * _shifted(e, d, lag[..., None, :], linear[:, None], -2)[..., None, :, :])
+        k = np.where((doublings > level)[..., None, None, :], doubled, k)
+    return _monomials(powers, kappa, np.broadcast_to(h, base.shape))[1], k
 
 
-def _piecewise_samples(w_i: FieldWaveform, nodes: np.ndarray, t_i: np.ndarray):
-    """R, u, S_R, S_u at internal times ``t_i`` for a field linear between
-    ``nodes``, exact up to rounding.
+def _exact_path(b, powers, kappa, steps, inverse):
+    """z and its running enclosed area at every knot, for a path that
+    starts at the origin with z' = sum_m b_m tau^{k_m} e^{i kappa_m tau} on
+    each step; ``inverse`` maps each step to its length in ``steps``.
 
-    The knots are the sample times and the nodes between 0 and the last
-    sample, so each knot step [a, a + h] lies within one linear piece,
-    E(a + tau) = e0 + e1 tau.  On it (omega = 1)
-
-        dR = -i (e0 h + e1 h^2/2),
-        du = -(1/2) e^{-ia} (conj(e0) eps0(-1, h) + conj(e1) eps1(-1, h)),
-
-    and each area grows by (1/2) Im(conj(z_a) dz + self) for z = R, u,
-    with the self terms
-
-        Im self_R = Im(conj(e0) e1) h^3 / 6,
-        self_u = (1/4) sum_jk e_j conj(e_k) M_jk(h)      (``_step_table``).
+    Each step adds dz = sum_m b_m E_m(h) and the area
+    (1/2) Im(conj(z_a) dz + sum_nm conj(b_n) b_m K_nm(h)), where
+    K_nm + conj(K_mn) = conj(E_n) E_m leaves one product per pair n < m.
     """
-    knots = np.union1d(t_i, nodes[(nodes > 0.0) & (nodes < t_i[-1])])
-    a, h = knots[:-1], np.diff(knots)
-    e = np.asarray(w_i.field(knots), dtype=complex)
-    e0, e1 = e[:-1], np.diff(e) / h
-    c0, c1 = np.conj(e0), np.conj(e1)
-    eps_0, eps_1, m = _step_table(h)
-    dr = -1j * h * (e0 + e1 * h / 2.0)
-    du = -0.5 * np.exp(-1j * a) * (c0 * eps_0 + c1 * eps_1)
-    r, u = _running(dr), _running(du)
-    self_u = 0.25 * (e0 * (c0 * m[0, 0] + c1 * m[0, 1]) + e1 * (c0 * m[1, 0] + c1 * m[1, 1]))
-    s_r = _running(0.5 * (np.imag(np.conj(r[:-1]) * dr) + np.imag(c0 * e1) * h**3 / 6.0))
-    s_u = _running(0.5 * np.imag(np.conj(u[:-1]) * du + self_u))
-    idx = np.searchsorted(knots, t_i)
-    return r[idx], u[idx], s_r[idx], s_u[idx]
+    e, k = _step_table(steps, powers, kappa)
+    be = b * np.take(e, inverse, axis=-1)
+    # summed one monomial after the other: numpy's own sum over an axis
+    # may group the terms differently for a stack of waveforms
+    dz = np.zeros(be.shape[:-2] + be.shape[-1:], complex)
+    for m in range(b.shape[-2]):
+        dz += be[..., m, :]
+    z = _running(dz)
+    twice = np.imag(np.conj(z[..., :-1]) * dz)
+    for n in range(b.shape[-2]):
+        bn = np.conj(b[..., n, :])
+        twice += (bn * b[..., n, :]).real * np.take(k[..., n, n, :].imag, inverse, axis=-1)
+        for m in range(n + 1, b.shape[-2]):
+            knm = np.take(k[..., n, m, :], inverse, axis=-1)
+            twice += (2.0 * np.imag(bn * b[..., m, :] * knm)
+                      + np.imag(np.conj(be[..., m, :]) * be[..., n, :]))
+    return z, _running(0.5 * twice)
+
+
+def _exact_samples(coef, powers, rates, knots, idx):
+    """R, u, S_R, S_u at ``knots[idx]`` for an internal-unit field given by
+    its step monomials (``FieldWaveform.step_terms``), exact up to rounding.
+
+    With omega = 1, R' = -i E keeps each monomial's rate, and
+    u' = -(1/2) e^{-is} conj(E) turns c tau^k e^{i lambda tau} on the step
+    from a into -(1/2) e^{-ia} conj(c) tau^k e^{-i (1 + lambda) tau}.
+    Leading axes of ``coef`` and ``rates`` are separate waveforms.
+    """
+    steps, inverse = np.unique(np.diff(knots), return_inverse=True)
+    r, s_r = _exact_path(-1j * coef, powers, rates, steps, inverse)
+    a = knots[:-1]
+    u, s_u = _exact_path(-0.5 * (np.cos(a) - 1j * np.sin(a)) * np.conj(coef), powers,
+                         -(1.0 + rates), steps, inverse)
+    return r[..., idx], u[..., idx], s_r[..., idx], s_u[..., idx]
 
 
 def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
@@ -387,20 +375,11 @@ def build_drive_path(
     """Evaluate R, u, beta, gamma, and signed areas on a time grid.
 
     The grid must be strictly increasing and start at 0.  Method "auto"
-    takes the first route that applies:
-
-    * "closed-form" when E(t) is a sum of exponential terms
-      (``exp_terms``) whose R and u paths have well-conditioned areas up
-      to the last grid time;
-    * "piecewise-exact" when E(t) is linear between known nodes
-      (``linear_nodes``: a sampled field, or a sum of sampled fields and
-      constant-valued analytic terms);
-    * "quadrature", the refined-grid numeric route, otherwise.
-
-    Method "closed_form" takes one of the two exact routes, even an
-    ill-conditioned closed form, and raises ValueError when the waveform
-    has neither; method "quadrature" forces the numeric route for
-    cross-validation.  The route taken is the path's ``provenance``.
+    takes the "exact" route whenever the waveform reports its field as
+    step monomials (``step_terms``: every built-in waveform, sums included)
+    and the refined-grid "quadrature" route otherwise; method "quadrature"
+    forces the numeric route for cross-validation.  The route taken is the
+    path's ``provenance``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -415,16 +394,12 @@ def build_drive_path(
 
     w_i, scales, mirrored = internalize(sys, w)
     t_i = t_grid / scales.time
-    paths, _ = _exp_paths(w_i, method, t_i[-1])
-    nodes = w_i.linear_nodes() if paths is None and method != "quadrature" else None
-    if paths is not None:
-        samples = _closed_form_samples(*paths, t_i)
-        provenance = "closed-form"
-    elif nodes is not None:
-        samples = _piecewise_samples(w_i, nodes, t_i)
-        provenance = "piecewise-exact"
-    elif method == "closed_form":
-        raise ValueError("waveform has no closed-form or piecewise-exact drive path")
+    cuts = np.asarray(w_i.breakpoints(), dtype=float)
+    knots = np.union1d(t_i, cuts[(cuts > 0.0) & (cuts < t_i[-1])])
+    terms = w_i.step_terms(knots) if method != "quadrature" else None
+    if terms is not None:
+        samples = _exact_samples(*terms, knots, np.searchsorted(knots, t_i))
+        provenance = "exact"
     else:
         samples = _quadrature_path_samples(w_i, t_i, abs_tol)
         provenance = "quadrature"
@@ -444,11 +419,7 @@ def build_drive_path(
 @dataclass(frozen=True)
 class DriveEndpoints:
     """R, u, beta, gamma and signed areas at one time for many waveforms,
-    one entry per waveform, with the route that produced each.
-
-    ``ill_conditioned`` counts the waveforms whose closed form "auto"
-    declined because some term has |mu| t < 1e-3 (they took quadrature).
-    """
+    one entry per waveform, with the route that produced each."""
 
     r: np.ndarray
     u: np.ndarray
@@ -457,7 +428,6 @@ class DriveEndpoints:
     area_r: np.ndarray
     area_u: np.ndarray
     provenance: tuple[str, ...]
-    ill_conditioned: int
 
 
 def drive_endpoints(
@@ -470,12 +440,10 @@ def drive_endpoints(
 ) -> DriveEndpoints:
     """``build_drive_path`` on [0, t] for each waveform, read at t.
 
-    The waveforms the route choice sends to the closed form are evaluated
-    in one call per term structure on their stacked paths
-    (``ExpPath.stack``); the others go one by one through
-    ``build_drive_path``.  R and u equal the per-waveform values bit for
-    bit; beta, gamma and the areas agree to rounding, since array and
-    scalar complex products may round differently.
+    The exponential sums (every analytic waveform but a ``SumField``) are
+    evaluated in one call per term count, their step monomials stacked on
+    a leading axis; the others go one by one through ``build_drive_path``.
+    Every value equals the per-waveform one bit for bit.
     """
     if t < 0:
         raise DomainError("drive endpoints require t >= 0")
@@ -484,25 +452,25 @@ def drive_endpoints(
     waveforms = list(waveforms)
     grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
     scales, mirrored = sys.internal_scales(), sys.mirrored
-    t_i = grid[-1] / scales.time
-    groups, rest, ill = {}, [], 0
+    t_i = grid / scales.time
+    groups, rest = {}, []
     for p, w in enumerate(waveforms):
         w._check_domain(grid)
-        paths, declined = _exp_paths(w.rescaled(scales, mirrored), method, t_i)
-        ill += declined
-        if paths is None:
+        w_i = w.rescaled(scales, mirrored)
+        if method == "quadrature" or not isinstance(w_i, _ExpSumField):
             rest.append(p)
         else:  # stacked in groups of equal term counts
-            groups.setdefault(tuple(len(q.terms) for q in paths), []).append((p, paths))
+            pairs = w_i.exp_terms()
+            groups.setdefault(len(pairs), []).append((p, pairs))
     n = len(waveforms)
     out = [np.empty(n, dtype=kind) for kind in (complex, complex, float, float, float, float)]
-    provenance = ["closed-form"] * n
-    for members in groups.values():
-        index = [p for p, _ in members]
-        rp, up = (ExpPath.stack(col) for col in zip(*(paths for _, paths in members)))
-        samples = _user_frame(*_closed_form_samples(rp, up, t_i), scales, mirrored)
-        for arr, values in zip(out, samples):
-            arr[index] = values
+    provenance = ["exact"] * n
+    for size, members in groups.items():
+        index, pairs = zip(*members)
+        pairs = np.array(pairs, dtype=complex).reshape(len(index), size, 2)
+        samples = _exact_samples(*_ExpSumField.stacked_step_terms(pairs, t_i), t_i, -1)
+        for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):
+            arr[list(index)] = values
     for p in rest:
         dp = build_drive_path(sys, waveforms[p], grid, method=method, abs_tol=abs_tol)
         for arr, values in zip(out, (dp.r, dp.u, dp.beta, dp.gamma, dp.area_r, dp.area_u)):
@@ -510,4 +478,4 @@ def drive_endpoints(
         provenance[p] = dp.provenance
     for arr in out:
         arr.setflags(write=False)
-    return DriveEndpoints(*out, provenance=tuple(provenance), ill_conditioned=ill)
+    return DriveEndpoints(*out, provenance=tuple(provenance))

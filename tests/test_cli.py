@@ -51,6 +51,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("suffix", [".json", ".toml"])
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b'{"task": "simulate"\xff}' if suffix == ".json" else b'task = "\xff"\n')
+        with pytest.raises(ConfigError):
+            cli.load_config(path)
+        assert cli.main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error")
+
     def test_toml_config(self, tmp_path):
         path = tmp_path / "run.toml"
         path.write_text(
@@ -377,19 +386,17 @@ class TestRunSweep:
             assert report.columns["beta"][i] == p.beta
             assert report.columns["gamma"][i] == p.gamma
 
-    @pytest.mark.parametrize("method, routes, ill_conditioned", [
-        ("auto", {"closed-form": 1, "quadrature": 2}, 2),
-        ("closed_form", {"closed-form": 3}, 0),
-        ("quadrature", {"quadrature": 3}, 0),
+    @pytest.mark.parametrize("method, routes", [
+        ("auto", {"exact": 3}),
+        ("quadrature", {"quadrature": 3}),
     ])
-    def test_report_counts_routes(self, method, routes, ill_conditioned):
-        # nu/omega = 1 -+ 1e-5 at t = 20: |mu| t = 2e-4 takes auto off the closed form
+    def test_report_counts_routes(self, method, routes):
+        # nu/omega = 1 -+ 1e-5 at t = 20 (|mu| t = 2e-4) stays on the exact route
         doc = dict(self.SWEEP_DOC, numerics={"method": method},
                    sweep={"parameter": "nu_over_omega", "start": 1.0 - 1e-5,
                           "stop": 1.0 + 1e-5, "steps": 3})
         report = cli.run_sweep(cli.resolve_config(doc, "sweep"))
         assert report.routes == routes
-        assert report.ill_conditioned_points == ill_conditioned
 
     def test_unhealthy_point_is_truncation_error(self, tmp_path, capsys, natural):
         # dim 100, level 25: healthy off resonance, but at nu = omega
@@ -471,9 +478,8 @@ class TestMainAndOutputs:
         assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 0
         report = json.loads((tmp_path / "o" / f"{command}_report.json").read_text())
         assert set(report) == {"config", "population_sum_max_dev", "dimension",
-                               "routes", "ill_conditioned_points", "timing_seconds"}
-        assert report["routes"] == {"closed-form": 3 if command == "sweep" else 11}
-        assert report["ill_conditioned_points"] == (0 if command == "sweep" else None)
+                               "routes", "timing_seconds"}
+        assert report["routes"] == {"exact": 3 if command == "sweep" else 11}
         assert report["dimension"] == dimension
         if dimension is None:
             assert report["population_sum_max_dev"] is None
@@ -623,21 +629,9 @@ class TestMainAndOutputs:
     FIVE_NODES = {"type": "sampled", "times": [-0.5, 1.0, 2.5, 3.0, 4.0],
                   "e1": [0.1, -0.05, 0.2, 0.0, 0.12], "e2": [0.0, 0.08, -0.1, 0.15, 0.03]}
 
-    def test_closed_form_runs_sampled_piecewise_exact(self, tmp_path):
-        # "closed_form" means an exact route: a sampled waveform needs no quadrature
-        tables = {}
-        for method in ("closed_form", "auto"):
-            doc = dict(BASE_SIM, waveform=self.FIVE_NODES, time={"t_final": 4.0, "samples": 9},
-                       numerics={"dimension": 48, "method": method},
-                       output={"directory": str(tmp_path / method)})
-            assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0
-            report = json.loads((tmp_path / method / "simulate_report.json").read_text())
-            assert report["routes"] == {"piecewise-exact": 9}
-            tables[method] = (tmp_path / method / "simulate_samples.csv").read_bytes()
-        assert tables["closed_form"] == tables["auto"]
-
-    def test_closed_form_without_exact_route_is_config_error(self, tmp_path, capsys):
-        # a sampled term plus an analytic one has neither a closed form nor nodes
+    def test_closed_form_method_is_config_error(self, tmp_path, capsys):
+        # one exact route serves every waveform, so there is no "closed_form"
+        # to ask for; a sampled term plus an analytic one runs exact under auto
         waveform = {"type": "sum", "terms": [self.FIVE_NODES,
                                              {"type": "rotating", "amplitude": 0.1, "nu": 0.7}]}
         doc = dict(BASE_SIM, waveform=waveform, time={"t_final": 4.0, "samples": 9},
@@ -645,11 +639,38 @@ class TestMainAndOutputs:
                    output={"directory": str(tmp_path / "o")})
         assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: numerics.method: 'closed_form'")
+        assert err.startswith("config error: numerics.method: unknown method 'closed_form'")
         assert not (tmp_path / "o").exists()
-        for method in ("auto", "quadrature"):
+        for method, route in (("auto", "exact"), ("quadrature", "quadrature")):
             doc["numerics"] = {"dimension": 48, "method": method}
             assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 0
+            report = json.loads((tmp_path / "o" / "simulate_report.json").read_text())
+            assert report["routes"] == {route: 9}
+
+    #: One block per waveform type, sampled over [-0.5, 4]; the analytic
+    #: ones are also summed with the sampled one.
+    EXAMPLES = {
+        "zero": {"type": "zero"},
+        "constant": {"type": "constant", "e1": 0.1, "e2": -0.05},
+        "rotating": {"type": "rotating", "amplitude": 0.1, "nu": 0.7, "phase": 0.2},
+        "linear_sinusoid": {"type": "linear_sinusoid", "amplitude": 0.1, "direction": 0.3,
+                            "angular_frequency": 2.1, "phase": 0.2},
+        "sampled": FIVE_NODES,
+        "sum": {"type": "sum", "terms": [{"type": "constant", "e1": 0.1},
+                                         {"type": "rotating", "amplitude": 0.1, "nu": 1.3}]},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EXAMPLES))
+    def test_every_waveform_type_takes_the_exact_route(self, kind):
+        assert set(self.EXAMPLES) == set(cli._WAVEFORMS)
+        blocks = [self.EXAMPLES[kind]]
+        if kind != "sampled":
+            blocks.append({"type": "sum", "terms": [self.FIVE_NODES, self.EXAMPLES[kind]]})
+        for block in blocks:
+            doc = dict(BASE_SIM, task="phases", waveform=block,
+                       time={"t_final": 4.0, "samples": 9})
+            report = cli.run_phases(cli.resolve_config(doc, "phases"))
+            assert report.routes == {"exact": 9}, block
 
     def test_seed_warning(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(BASE_SIM, output={"directory": str(tmp_path / "o")}))

@@ -42,7 +42,7 @@ class TestAssemble:
         assert p.gamma == pytest.approx(
             (r0**2 / 2) * (nu / (1 - nu)) ** 2 * ((1 - nu) * t - math.sin((1 - nu) * t))
         )
-        assert p.provenance == "closed-form"
+        assert p.provenance == "exact"
 
     def test_amplitude_mapping_sign(self, rotating, natural):
         p, *_ = rotating
