@@ -32,6 +32,7 @@ from .field_model import (
 from .fock_algebra import (
     CoherentAmplitude,
     TruncatedOperator,
+    column_unitarity_defect,
     displacement_columns,
     displacement_matrix,
     ladder_ops,
@@ -84,7 +85,8 @@ __all__ = [
     "ConstantField", "RotatingField", "LinearSinusoidField", "SampledField",
     "SumField", "eval_field", "guiding_center_path", "internalize",
     "sample_waveform",
-    "TruncatedOperator", "CoherentAmplitude", "ladder_ops",
+    "TruncatedOperator", "column_unitarity_defect", "CoherentAmplitude",
+    "ladder_ops",
     "displacement_matrix", "displacement_columns", "matrix_exponential",
     "suggested_dimension",
     "DrivePath", "signed_area", "magnetic_phase", "coherent_phase",

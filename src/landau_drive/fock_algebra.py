@@ -19,6 +19,7 @@ from .errors import AccuracyError, TruncationError
 
 __all__ = [
     "TruncatedOperator",
+    "column_unitarity_defect",
     "CoherentAmplitude",
     "ladder_ops",
     "displacement_matrix",
@@ -57,9 +58,17 @@ class TruncatedOperator:
 
     def unitarity_defect(self, block: int | None = None) -> float:
         """max |(U^dag U - I)| restricted to the leading ``block`` states."""
-        b = self.dim if block is None else block
-        g = self.matrix.conj().T @ self.matrix - np.eye(self.dim)
-        return float(np.max(np.abs(g[:b, :b])))
+        return column_unitarity_defect(self.matrix[:, :block])
+
+
+def column_unitarity_defect(columns: np.ndarray) -> float:
+    """max |C^dag C - I| of a block C of an operator's columns.
+
+    Entry (i, j) of U^dag U involves only columns i and j of U, so the
+    leading b x b block of the Gram matrix needs only the leading b columns.
+    """
+    c = np.asarray(columns)
+    return float(np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1]))))
 
 
 @dataclass(frozen=True)

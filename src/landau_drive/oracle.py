@@ -8,7 +8,10 @@ only the ladder-sector Hamiltonian built directly from E(t),
 
 and integrates i dU/dt = H(t) U from the identity.  Comparing the result
 against the dynamical-phase factor times the closed-form level-mixing
-operator is the deciding cross-check for the whole package.
+operator is the deciding cross-check for the whole package.  Every check
+reads only U's leading dim // 2 columns, the block that keeps truncation
+headroom, so only those columns are integrated: each column of U evolves
+on its own, and the rest would be work no check reads.
 
 Two dissimilar integrators are provided: classic fixed-step RK4 applied in
 the frame that removes the stiff static diagonal (required to reach 1e-6
@@ -40,7 +43,7 @@ from .field_model import (
     ZeroField,
     internalize,
 )
-from .fock_algebra import TruncatedOperator, ladder_ops
+from .fock_algebra import TruncatedOperator, column_unitarity_defect, ladder_ops
 from .propagator import (
     assemble,
     resonance_survival,
@@ -86,10 +89,15 @@ class IntegratorConfig:
             raise ValueError("tolerance must be positive")
 
 
-def _hamiltonian(w_i: FieldWaveform, t: float, a: np.ndarray, ad: np.ndarray):
+def _static_parts(dim: int):
+    """The static diagonal n + 1/2 and the ladder pair a, a^dag of H(t)."""
+    a, ad = (op.matrix for op in ladder_ops(dim))
+    return np.diag(np.arange(dim) + 0.5).astype(complex), a, ad
+
+
+def _hamiltonian(w_i: FieldWaveform, t: float, diag, a, ad):
     """H(t) in internal units of hbar omega, built directly from E(t)."""
     rdot = complex(-1j * w_i.field(t))
-    diag = np.diag(np.arange(a.shape[0]) + 0.5).astype(complex)
     return diag - (_SQRT2 / 2.0) * (np.conj(rdot) * a + rdot * ad)
 
 
@@ -118,14 +126,18 @@ def pi_sector_hamiltonian(
     w_i, scales, _ = internalize(sys, w)
     t_i = t / scales.time
     w_i._check_domain(t_i)
-    a, ad = (op.matrix for op in ladder_ops(dim))
-    return TruncatedOperator(_hamiltonian(w_i, t_i, a, ad))
+    return TruncatedOperator(_hamiltonian(w_i, t_i, *_static_parts(dim)))
 
 
 def integrate_schrodinger(
     sys: PhysicalSystem, w: FieldWaveform, t_final: float, cfg: IntegratorConfig
-) -> TruncatedOperator:
-    """Numerical evolution operator U(t_final, 0) of the ladder sector.
+) -> np.ndarray:
+    """Leading columns of the evolution operator U(t_final, 0), ladder sector.
+
+    Returns the read-only (dim, dim // 2) complex array U[:, :dim // 2]:
+    the leading-half block every oracle check reads.  Both schemes start
+    from those columns of the identity, and each column evolves on its
+    own, so they equal the matching columns of a full-square run.
 
     rk4 integrates the rotating-frame equation dW/dt = G(t) W with
     G(t) = (i k / 2)(Rdot* e^{-i omega t} a + Rdot e^{i omega t} a^dag)
@@ -138,22 +150,23 @@ def integrate_schrodinger(
     produces.  expmid multiplies midpoint exponentials of the full
     Hamiltonian.  Steps never straddle waveform kinks.
 
-    Raises AccuracyError when leading-half-block columns put more than
-    100 * cfg.tolerance of probability on the truncation edge: past that
-    point the basis is too small for the drive and the result is junk.
+    Raises AccuracyError when the columns put more than 100 *
+    cfg.tolerance of probability on the truncation edge (or are not
+    finite): past that point the basis is too small for the drive and the
+    result is junk.
     """
     if t_final < 0:
         raise DomainError("integration requires t_final >= 0")
     w_i, scales, _ = internalize(sys, w)
     t_i = t_final / scales.time
     dim = cfg.dim
+    u_mat = np.eye(dim, dim // 2, dtype=complex)
 
     if cfg.scheme == "rk4":
         # a and a^dag are single off-diagonals, so row m of
         # (c_a a + c_ad a^dag) v is c_a sqrt(m+1) v[m+1] + c_ad sqrt(m) v[m-1]:
         # two shifted row scalings instead of a dense product.
         sqrt_n = np.sqrt(np.arange(1.0, dim))[:, None]
-        u_mat = np.eye(dim, dtype=complex)
         stage, k1, k2, k3, k4 = (np.empty_like(u_mat) for _ in range(5))
 
         def gen_apply(c_a, c_ad, v, out):
@@ -191,25 +204,25 @@ def integrate_schrodinger(
         u_mat = phases[:, None] * u_mat
     else:
         from scipy.linalg import expm  # only this scheme needs scipy
-        a, ad = (op.matrix for op in ladder_ops(dim))
-        u_mat = np.eye(dim, dtype=complex)
+        static = _static_parts(dim)
         for lo, hi in _spans(w_i, t_i):
             n = max(1, math.ceil((hi - lo) / cfg.dt))
             h = (hi - lo) / n
             t = lo
             for _ in range(n):
-                u_mat = expm(-1j * h * _hamiltonian(w_i, t + h / 2.0, a, ad)) @ u_mat
+                u_mat = expm(-1j * h * _hamiltonian(w_i, t + h / 2.0, *static)) @ u_mat
                 t += h
 
-    edge = float(np.max(np.abs(u_mat[-2:, : dim // 2])))
-    if edge * edge > 100.0 * cfg.tolerance:
+    edge = float(np.max(np.abs(u_mat[-2:])))
+    if not edge * edge <= 100.0 * cfg.tolerance:
         raise AccuracyError(
             f"truncation health violated: leading-block columns reach the "
             f"basis edge with probability {edge * edge:.3g} at dim = {dim}; "
             f"increase the truncation",
             achieved=edge * edge,
         )
-    return TruncatedOperator(u_mat)
+    u_mat.setflags(write=False)
+    return u_mat
 
 
 def _drive_integral(w_i: FieldWaveform, t_i: float) -> complex:
@@ -245,24 +258,29 @@ def _drive_integral(w_i: FieldWaveform, t_i: float) -> complex:
 
 
 def heisenberg_residual(
-    u_num: TruncatedOperator, sys: PhysicalSystem, w: FieldWaveform, t: float
+    u_cols: np.ndarray, sys: PhysicalSystem, w: FieldWaveform, t: float
 ) -> float:
     """Deviation of U^dag a U from a e^{-i omega t} + c(t) I.
 
-    The scalar c(t) = (i/k) e^{-i omega t} * integral of e^{i omega s}
-    Rdot(s) ds is the driven part of the ladder operator's Heisenberg
-    solution, evaluated here by independent quadrature.  The maximum entry
-    deviation over the leading half block is returned.
+    ``u_cols`` holds U's leading columns, a (dim, b) block with b <= dim
+    such as ``integrate_schrodinger`` returns; the leading b x b block of
+    U^dag a U is U[:, :b]^dag a U[:, :b].  The scalar c(t) = (i/k)
+    e^{-i omega t} * integral of e^{i omega s} Rdot(s) ds is the driven
+    part of the ladder operator's Heisenberg solution, evaluated here by
+    independent quadrature.  The maximum entry deviation over that b x b
+    block is returned.
     """
+    u = np.asarray(u_cols)
+    if u.ndim != 2 or not 0 < u.shape[1] <= u.shape[0]:
+        raise ValueError("u_cols must be a (dim, b) block of columns with b <= dim")
     w_i, scales, _ = internalize(sys, w)
     t_i = t / scales.time
-    dim = u_num.dim
-    a = ladder_ops(dim)[0].matrix
+    b = u.shape[1]
+    a = ladder_ops(u.shape[0])[0].matrix
     sigma = 1j * np.exp(-1j * t_i) * _drive_integral(w_i, t_i) / _SQRT2
-    lhs = u_num.matrix.conj().T @ a @ u_num.matrix
-    rhs = a * np.exp(-1j * t_i) + sigma * np.eye(dim)
-    half = dim // 2
-    return float(np.max(np.abs((lhs - rhs)[:half, :half])))
+    lhs = u.conj().T @ a @ u
+    rhs = a[:b, :b] * np.exp(-1j * t_i) + sigma * np.eye(b)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def guiding_center_residual(
@@ -399,7 +417,7 @@ def run_validation(
         if entry.name == "rotating_resonant":
             u_resonant = u_num
         u_fac = _factorized_matrix(sys, entry, dim)
-        resid = float(np.max(np.abs((u_num.matrix - u_fac)[:half, :half])))
+        resid = float(np.max(np.abs(u_num[:half] - u_fac[:half, :half])))
         checks.append(
             CheckResult(
                 f"factorization[{entry.name}]", resid, 1e-6, resid < 1e-6,
@@ -410,7 +428,7 @@ def run_validation(
         checks.append(
             CheckResult(f"heisenberg[{entry.name}]", hres, 1e-6, hres < 1e-6, {})
         )
-        udef = u_num.unitarity_defect(half)
+        udef = column_unitarity_defect(u_num)
         checks.append(
             CheckResult(f"unitarity[{entry.name}]", udef, 1e-7, udef < 1e-7, {})
         )
@@ -426,7 +444,7 @@ def run_validation(
     # the prefactor-2 variant must not.
     resonant = next(e for e in corpus if e.name == "rotating_resonant")
     e0 = resonant.waveform.amplitude
-    surv_num = float(abs(u_resonant.matrix[0, 0]) ** 2)
+    surv_num = float(abs(u_resonant[0, 0]) ** 2)
     surv_half = resonance_survival(sys, e0, resonant.t_final)
     surv_two = resonance_survival_alt_prefactor(sys, e0, resonant.t_final)
     dev_half = abs(surv_num - surv_half)
@@ -466,7 +484,7 @@ def run_validation(
             u_num = integrate_schrodinger(sys, probe.waveform, probe.t_final, cfg)
             u_fac = _factorized_matrix(sys, probe, probe_dim)
             resids[dti] = float(
-                np.max(np.abs((u_num.matrix - u_fac)[:probe_half, :probe_half]))
+                np.max(np.abs(u_num[:probe_half] - u_fac[:probe_half, :probe_half]))
             )
         r1, r2, r4 = resids[0.01], resids[0.02], resids[0.04]
         ratios = (r2 / r1, r4 / r2)
@@ -485,7 +503,7 @@ def run_validation(
         probe_off = next(e for e in corpus if e.name == "rotating_off")
         u_mid = integrate_schrodinger(sys, probe_off.waveform, probe_off.t_final, cfg)
         u_fac = _factorized_matrix(sys, probe_off, 48)
-        resid = float(np.max(np.abs((u_mid.matrix - u_fac)[:24, :24])))
+        resid = float(np.max(np.abs(u_mid[:24] - u_fac[:24, :24])))
         checks.append(
             CheckResult(
                 "scheme_crosscheck[expmid]", resid, 1e-3, resid < 1e-3, {"dt": 0.02}

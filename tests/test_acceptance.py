@@ -235,7 +235,7 @@ def test_criterion_8_resonance_survival(natural):
         w = ld.RotatingField(e0, 1.0)
         cfg = ld.IntegratorConfig(dt=0.005, dim=dim)
         u_num = ld.integrate_schrodinger(natural, w, t, cfg)
-        surv = abs(u_num.matrix[0, 0]) ** 2
+        surv = abs(u_num[0, 0]) ** 2
         worst = max(worst, abs(surv - ld.resonance_survival(natural, e0, t)))
         alt_gap = min(
             alt_gap, abs(surv - ld.resonance_survival_alt_prefactor(natural, e0, t))

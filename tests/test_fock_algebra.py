@@ -104,6 +104,17 @@ class TestDisplacementMatrix:
         op = ld.displacement_matrix(alpha, n)
         assert op.unitarity_defect(32) < 1e-8
 
+    def test_unitarity_defect_from_leading_columns(self):
+        # the leading b x b block of U^dag U needs only U's leading b columns
+        op = ld.displacement_matrix(2.0 - 1.0j, 64)
+        u = op.matrix
+        square = u.conj().T @ u - np.eye(64)
+        for b in (1, 32, 64):
+            expected = np.max(np.abs(square[:b, :b]))
+            assert abs(ld.column_unitarity_defect(u[:, :b]) - expected) <= 1e-15
+            assert op.unitarity_defect(b) == ld.column_unitarity_defect(u[:, :b])
+        assert op.unitarity_defect() == op.unitarity_defect(64)
+
     def test_column_normalization(self):
         n = 96
         op = ld.displacement_matrix(1.7 - 0.9j, n)
