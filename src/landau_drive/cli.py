@@ -10,7 +10,6 @@ reproduce identical bytes.  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -351,6 +350,8 @@ class SimulationReport:
 def _drive_table(cfg: RunConfig):
     span, num = cfg.resolved["time"], cfg.resolved["numerics"]
     times = np.linspace(0.0, span["t_final"], span["samples"])
+    if np.any(np.diff(times) <= 0):
+        raise ConfigError("time.t_final: too short to hold time.samples distinct times")
     dp = build_drive_path(
         cfg.system, cfg.waveform, times, method=num["method"], abs_tol=num["quadrature_tol"]
     )
@@ -498,14 +499,15 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_table(path: Path, columns: dict, fmt: str) -> None:
     """One row per index of the equal-length ``columns`` (lists of floats)."""
-    rows = zip(*columns.values())
     if fmt == "csv":
+        # Column names are plain identifiers and cells are float reprs, so no
+        # field needs quoting: each column is formatted once, rows joined.
+        lines = map(",".join, zip(*(map(repr, column) for column in columns.values())))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(rows)
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(line + "\n" for line in lines)
     else:
-        _write_json(path, [dict(zip(columns, row)) for row in rows])
+        _write_json(path, [dict(zip(columns, row)) for row in zip(*columns.values())])
 
 
 def _gnuplot_script(data_name: str, columns: list[str]) -> str:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -289,7 +290,6 @@ class SampledField(FieldWaveform):
     times: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    _prefix: np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
@@ -304,14 +304,23 @@ class SampledField(FieldWaveform):
         e1, e2 = np.array(self.e1, dtype=float), np.array(self.e2, dtype=float)
         if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
             raise ValueError("sample field values must be finite")
-        values = e1 + 1j * e2
-        # exact running trapezoid of the interpolant up to each node
+        self._hold(t, e1, e2)
+
+    def _hold(self, times, e1, e2):
+        """Keep the three float64 arrays, made read-only, as the fields."""
+        for name, array in (("times", times), ("e1", e1), ("e2", e2)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def _prefix(self) -> np.ndarray:
+        """Exact running trapezoid of the interpolant up to each node."""
+        t, values = self.times, self.e1 + 1j * self.e2
         prefix = np.concatenate(
             ([0.0 + 0.0j], np.cumsum(np.diff(t) * (values[1:] + values[:-1]) / 2.0))
         )
-        for name, array in (("times", t), ("e1", e1), ("e2", e2), ("_prefix", prefix)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        prefix.setflags(write=False)
+        return prefix
 
     def __eq__(self, other):
         if not isinstance(other, SampledField):
@@ -356,10 +365,27 @@ class SampledField(FieldWaveform):
         return out[()]
 
     def rescaled(self, scales, mirror):
+        """Raises DomainError when scaling overflows a value or rounds two
+        adjacent sample times to the same float."""
         sign = -1.0 if mirror else 1.0
-        return SampledField(
-            self.times / scales.time, sign * self.e1 / scales.field, self.e2 / scales.field
-        )
+        with np.errstate(over="ignore"):
+            arrays = (self.times / scales.time, sign * self.e1 / scales.field,
+                      self.e2 / scales.field)
+        for name, array in zip(("times", "e1", "e2"), arrays):
+            finite = np.isfinite(array)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise DomainError(f"sampled {name}[{i}] = {float(getattr(self, name)[i])!r} "
+                                  "is not finite in internal units")
+        collapsed = np.diff(arrays[0]) <= 0
+        if collapsed.any():
+            i = int(np.argmax(collapsed))
+            raise DomainError(
+                f"sample times[{i}] = {float(self.times[i])!r} and times[{i + 1}] = "
+                f"{float(self.times[i + 1])!r} round to one time in internal units")
+        out = object.__new__(SampledField)
+        out._hold(*arrays)
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,3 @@
-import os
-
-# Pin BLAS/OpenMP to one thread before anything imports numpy: threading
-# tiny matrix products on a few cores slows the oracle several-fold.  An
-# explicit setting in the environment still wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import pytest
 
 import landau_drive as ld
@@ -13,9 +5,7 @@ from landau_drive.cli import UNIT_CONSTANTS
 
 
 def pytest_configure(config):
-    # A TruncationWarning no test expects fails the suite.  Declared here,
-    # not in pyproject.toml: pytest resolves an ini filter's category by
-    # importing landau_drive (and numpy) before this file pins the threads.
+    # A TruncationWarning no test expects fails the suite.
     config.addinivalue_line("filterwarnings", "error::landau_drive.errors.TruncationWarning")
     # So does a numpy floating-point warning: a division by zero, overflow or
     # invalid operation outside an errstate would otherwise leave a silent

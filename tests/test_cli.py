@@ -507,7 +507,7 @@ class TestMainAndOutputs:
     def test_write_table_matches_row_index_loop(self, tmp_path, fmt, rows):
         rng = np.random.default_rng(rows)
         special = np.array([0.0, -0.0, 0.1, -1.5e-310, 5e-324, 1e22, 1.7976931348623157e308,
-                            -2.5, 1.0 / 3.0])
+                            -2.5, 1.0 / 3.0, math.nan, math.inf, -math.inf])
         values = np.concatenate([special, rng.normal(0.0, 1e3, rows)])[:rows]
         columns = {"t": np.arange(rows, dtype=float).tolist(),
                    "re_u": values.tolist(), "survival": np.exp(-np.abs(values)).tolist(),
@@ -534,6 +534,31 @@ class TestMainAndOutputs:
         cfg_path = write_config(tmp_path, dict(doc, output={"directory": str(tmp_path / "o")}))
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
         assert "increase numerics.dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "phases"])
+    @pytest.mark.parametrize("t_final", [0.0, 1e-323])
+    def test_grid_without_distinct_times_is_config_error(self, tmp_path, capsys, command,
+                                                         t_final):
+        doc = dict(BASE_SIM, task=command, time={"t_final": t_final, "samples": 5},
+                   output={"directory": str(tmp_path / "o")})
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 1
+        assert capsys.readouterr().err.startswith("config error: time.t_final: too short")
+
+    def test_nodes_collapsing_in_internal_units_is_numeric_error(self, tmp_path, capsys):
+        # valid in user units; dividing by the time scale (mass 0.75) rounds
+        # the two middle nodes to one float
+        doc = {
+            "system": {"units": "natural", "mass": 0.75},
+            "waveform": {"type": "sampled",
+                         "times": [0.0, 1.510204081632653, 1.5102040816326532, 3.0],
+                         "e1": [0.1, 0.2, 0.3, 0.1], "e2": [0.0, 0.0, 0.1, 0.0]},
+            "time": {"t_final": 3.0, "samples": 5},
+            "output": {"directory": str(tmp_path / "o")},
+        }
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric error: sample times[1] = 1.510204081632653")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_laguerre_overflow_is_numeric_error(self, tmp_path, capsys, command):

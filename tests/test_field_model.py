@@ -256,6 +256,27 @@ class TestInternalize:
             expected = -np.conj(e_user) / scales.field
             assert complex(w_i.field(t_i)) == pytest.approx(expected, rel=1e-12)
 
+    def test_nodes_that_collapse_in_internal_units_raise_domain_error(self):
+        # dividing by the time scale 0.75 rounds these two adjacent nodes to
+        # one float; the field in user units is valid
+        times = [0.0, 1.510204081632653, 1.5102040816326532, 3.0]
+        w = ld.SampledField(times, [0.1, 0.2, 0.3, 0.1], [0.0, 0.0, 0.1, 0.0])
+        system = ld.PhysicalSystem(charge=1.0, magnetic_field=1.0, mass=0.75)
+        assert system.internal_scales().time == 0.75
+        with pytest.raises(DomainError, match=r"times\[1\] = 1\.510204081632653 and times\[2\]"):
+            ld.internalize(system, w)
+        with pytest.raises(DomainError, match="round to one time"):
+            ld.build_drive_path(system, w, [0.0, 3.0])
+
+    @pytest.mark.parametrize("name, scales", [
+        ("times", ld.InternalScales(1e-300, 1.0, 1.0)),
+        ("e1", ld.InternalScales(1.0, 1.0, 1e-300)),
+    ])
+    def test_overflow_in_internal_units_raises_domain_error(self, name, scales):
+        w = ld.SampledField([0.0, 1.0, 1e10], [0.0, 1e10, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match=rf"{name}\[\d\] = .* not finite"):
+            w.rescaled(scales, False)
+
     def test_scales(self, electron_si):
         scales = electron_si.internal_scales()
         assert scales.time == pytest.approx(1.0 / electron_si.omega)
@@ -350,6 +371,23 @@ class TestSampledFieldArrays:
             expected = self.rescaled_with_generators(samples, scales, mirror)
             for got, want in zip((w.times, w.e1, w.e2), expected):
                 assert got.dtype == np.float64 and not got.flags.writeable
+                assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_rescaled_evaluates_like_a_fresh_field(self, trace, samples, electron_si, mirror):
+        for scales in (electron_si.internal_scales(), ld.InternalScales(0.37, 1.0, 2.9)):
+            w = trace.rescaled(scales, mirror)
+            fresh = ld.SampledField(*self.rescaled_with_generators(samples, scales, mirror))
+            lo, hi = fresh.domain()
+            assert w.domain() == (lo, hi)
+            between = np.random.default_rng(5).uniform(lo, hi, 500)
+            t = np.concatenate([fresh.times, between, [lo, hi, 0.0]])
+            assert _bits(w.field(t)) == _bits(fresh.field(t))
+            assert _bits(w.field_integral(t)) == _bits(fresh.field_integral(t))
+            assert not w._prefix.flags.writeable
+            assert _bits(w._prefix) == _bits(fresh._prefix)
+            knots = np.sort(np.concatenate([fresh.times, between]))
+            for got, want in zip(w.step_terms(knots), fresh.step_terms(knots)):
                 assert _bits(got) == _bits(want)
 
     def test_equality_by_value(self, trace, samples):
