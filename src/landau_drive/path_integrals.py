@@ -354,14 +354,27 @@ def _exact_samples(coef, powers, rates, knots, idx):
 
 def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
     """Internal R, u, S_R, S_u as user-unit (r, u, beta, gamma, area_r,
-    area_u), the reflection of a mirrored system undone."""
+    area_u), the reflection of a mirrored system undone.
+
+    Raises DomainError when a value is not finite: the drive overflowed
+    float64 somewhere on the way.  Callers compute the samples under
+    ``np.errstate(over="ignore", invalid="ignore")`` so that this error,
+    not a numpy warning, reports it.
+    """
     beta = -s_r + 0.0
     gamma = -4.0 * s_u + 0.0
     if mirrored:
         r_i, u_i, s_r, s_u = np.conj(r_i), np.conj(u_i), -s_r, -s_u
     length2 = scales.length**2
-    return (r_i * scales.length, u_i * scales.length, beta, gamma,
-            s_r * length2, s_u * length2)
+    out = (r_i * scales.length, u_i * scales.length, beta, gamma,
+           s_r * length2, s_u * length2)
+    for name, values in zip(("R", "u", "beta", "gamma", "area_R", "area_u"), out):
+        if not np.isfinite(values).all():
+            raise DomainError(
+                f"drive path overflows float64: {name} is not finite; the "
+                f"field is too strong or the time too long"
+            )
+    return out
 
 
 def build_drive_path(
@@ -396,14 +409,15 @@ def build_drive_path(
     t_i = t_grid / scales.time
     cuts = np.asarray(w_i.breakpoints(), dtype=float)
     knots = np.union1d(t_i, cuts[(cuts > 0.0) & (cuts < t_i[-1])])
-    terms = w_i.step_terms(knots) if method != "quadrature" else None
-    if terms is not None:
-        samples = _exact_samples(*terms, knots, np.searchsorted(knots, t_i))
-        provenance = "exact"
-    else:
-        samples = _quadrature_path_samples(w_i, t_i, abs_tol)
-        provenance = "quadrature"
-    r, u, beta, gamma, area_r, area_u = _user_frame(*samples, scales, mirrored)
+    with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
+        terms = w_i.step_terms(knots) if method != "quadrature" else None
+        if terms is not None:
+            samples = _exact_samples(*terms, knots, np.searchsorted(knots, t_i))
+            provenance = "exact"
+        else:
+            samples = _quadrature_path_samples(w_i, t_i, abs_tol)
+            provenance = "quadrature"
+        r, u, beta, gamma, area_r, area_u = _user_frame(*samples, scales, mirrored)
     return DrivePath(
         times=t_grid.copy(),
         r=r,
@@ -468,9 +482,11 @@ def drive_endpoints(
     for size, members in groups.items():
         index, pairs = zip(*members)
         pairs = np.array(pairs, dtype=complex).reshape(len(index), size, 2)
-        samples = _exact_samples(*_ExpSumField.stacked_step_terms(pairs, t_i), t_i, -1)
-        for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):
-            arr[list(index)] = values
+        with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
+            samples = _exact_samples(*_ExpSumField.stacked_step_terms(pairs, t_i), t_i, -1)
+            values = _user_frame(*samples, scales, mirrored)
+        for arr, column in zip(out, values):
+            arr[list(index)] = column
     for p in rest:
         dp = build_drive_path(sys, waveforms[p], grid, method=method, abs_tol=abs_tol)
         for arr, values in zip(out, (dp.r, dp.u, dp.beta, dp.gamma, dp.area_r, dp.area_u)):

@@ -207,13 +207,20 @@ def level_populations(
     times at most) until every row is healthy.  Matrix elements do not
     depend on D, so the leading entries of row s equal
     ``transition_probabilities`` of that sample's propagator.  Also raises
-    TruncationError when n >= dim or an element is not finite.
+    TruncationError when n >= dim, an element is not finite, or some
+    |alpha|^2 is not: no basis holds such an amplitude.
     """
-    alphas = displacement_argument(sys, u)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        alphas = displacement_argument(sys, u)
+        # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise
+        largest = np.hypot(alphas.real, alphas.imag).max(initial=0.0)
     if dim is not None and n >= dim:
         raise TruncationError(f"level {n} lies outside dimension {dim}")
-    # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise
-    largest = np.hypot(alphas.real, alphas.imag).max(initial=0.0)
+    if not math.isfinite(float(largest) * float(largest)):
+        raise TruncationError(
+            f"drive amplitude |alpha| = {float(largest):.3g} has no finite "
+            f"|alpha|^2; no truncation holds it"
+        )
     start = max(suggested_dimension(largest), 2 * (n + 1))
     for size in [dim] if dim else [start << k for k in range(_MAX_DOUBLINGS + 1)]:
         pops = np.abs(displacement_columns(alphas, n, size)) ** 2

@@ -544,6 +544,25 @@ class TestMainAndOutputs:
         assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 1
         assert capsys.readouterr().err.startswith("config error: time.t_final: too short")
 
+    @pytest.mark.parametrize("command", ["phases", "simulate", "sweep"])
+    def test_overflowing_drive_is_numeric_error(self, tmp_path, capsys, command):
+        # phases and simulate: E = 1e300 for t = 1e10 takes R past float64,
+        # where phases wrote rows of nan and inf; sweep: the resonant point's
+        # |u| ~ 7e298 has no finite |alpha|^2
+        if command == "sweep":
+            doc = {"waveform": {"type": "rotating", "amplitude": 0.1, "nu": 1.0},
+                   "time": {"t_final": 1e300, "samples": 3},
+                   "sweep": {"parameter": "nu_over_omega", "start": 0.5, "stop": 1.5,
+                             "steps": 5}}
+        else:
+            doc = {"waveform": {"type": "constant", "e1": 1e300},
+                   "time": {"t_final": 1e10, "samples": 3}}
+        doc.update(task=command, output={"directory": str(tmp_path / "o")})
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "finite" in err
+        assert "Traceback" not in err and not list(tmp_path.glob("o/*.csv"))
+
     def test_nodes_collapsing_in_internal_units_is_numeric_error(self, tmp_path, capsys):
         # valid in user units; dividing by the time scale (mass 0.75) rounds
         # the two middle nodes to one float

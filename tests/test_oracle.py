@@ -57,7 +57,9 @@ def square_banded_rk4(sys_, w, t_final, dim, dt):
 
     The same shifted-row generator, stage buffers, in-place update and node
     times, started from the square identity instead of its leading
-    columns.  Returns all dim columns.
+    columns.  The generator keeps the broadcast formula the oracle used
+    before it filled full-shape coefficient arrays: each (dim - 1, 1)
+    coefficient column times the block.  Returns all dim columns.
     """
     w_i, scales, _ = ld.internalize(sys_, w)
     t_i = t_final / scales.time
@@ -264,16 +266,24 @@ class TestIntegrateSchrodinger:
         ref = dense_rk4(natural, w, t_final, dim, dt)
         assert np.max(np.abs(u - ref[:, : dim // 2])) <= 1e-13
 
-    @pytest.mark.parametrize("dim", [13, 64])
     @pytest.mark.parametrize(
-        "w,t_final",
+        "w,t_final,dim",
         [
-            (ld.ZeroField(), 4.0),
-            (ld.RotatingField(0.1, 0.9, 0.3), 4.0),
-            (KINKED, 3.3),
-            (ld.SumField((ld.RotatingField(0.06, 1.0), KINKED)), 3.3),
+            pytest.param(w, t_final, dim, id=f"{name}-{dim}")
+            for dim in (13, 48, 64)
+            for name, w, t_final in (
+                ("zero", ld.ZeroField(), 4.0),
+                ("rotating", ld.RotatingField(0.1, 0.9, 0.3), 4.0),
+                ("sampled", KINKED, 3.3),
+                ("sum", ld.SumField((ld.RotatingField(0.06, 1.0), KINKED)), 3.3),
+            )
+        ]
+        # dim 3 gives the smallest odd block, (3, 1); only a weak drive
+        # keeps its one column off the edge rows
+        + [
+            pytest.param(ld.ZeroField(), 2.0, 3, id="zero-3"),
+            pytest.param(ld.RotatingField(0.001, 1.0), 2.0, 3, id="weak-3"),
         ],
-        ids=["zero", "rotating", "sampled", "sum"],
     )
     def test_leading_columns_match_square_run(self, natural, w, t_final, dim):
         # each column evolves on its own under the row-wise stages, so the

@@ -214,6 +214,21 @@ class TestBuildDrivePath:
         with pytest.raises(ValueError):
             ld.build_drive_path(natural, w, [0.0, 2.0], method="bogus")
 
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_overflowing_path_raises_domain_error(self, charge):
+        # E = 1e300 for t = 1e10 takes R past float64's range, and the
+        # areas overflow already at t = 10; no numpy warning escapes
+        sys_ = ld.PhysicalSystem(charge, 1.0, 1.0)
+        w = ld.ConstantField(1e300, 0.0)
+        for method, t in (("auto", 1e10), ("auto", 10.0), ("quadrature", 10.0)):
+            with pytest.raises(ld.DomainError, match="not finite"):
+                ld.build_drive_path(sys_, w, [0.0, t / 2.0, t], method=method)
+        # stacked exponential sums and the per-waveform route alike
+        sampled = ld.sample_waveform(w, np.linspace(0.0, 1e10, 3))
+        for strong in (w, sampled):
+            with pytest.raises(ld.DomainError, match="not finite"):
+                ld.drive_endpoints(sys_, [ld.RotatingField(0.1, 0.5), strong], 1e10)
+
     def test_zero_field_all_zeros(self, natural):
         dp = ld.build_drive_path(natural, ld.ZeroField(), np.linspace(0, 9, 10))
         for arr in (dp.r, dp.u, dp.beta, dp.gamma, dp.area_r, dp.area_u):

@@ -261,6 +261,17 @@ class TestLevelPopulations:
         assert pops.shape == (1, 82)
         assert abs(1.0 - pops.sum()) <= NORM_TOL
 
+    @pytest.mark.parametrize(
+        "u", [math.inf, complex(0.0, -math.inf), math.nan, complex(0.3, math.nan), 1e200],
+        ids=["inf", "-inf_j", "nan", "nan_j", "square_overflows"],
+    )
+    @pytest.mark.parametrize("dim", [None, 40])
+    def test_non_finite_amplitude_rejected(self, natural, u, dim):
+        # no basis holds a non-finite |alpha|^2; the auto size used to hit
+        # math.ceil(inf) or math.ceil(nan)
+        with pytest.raises(TruncationError, match="no finite"):
+            ld.level_populations(natural, [0.1, u], 0, dim)
+
     @pytest.mark.parametrize("x, dim, n", [(0.5, 32, 21), (4.5, 52, 25), (10.1, 97, 47)])
     def test_lossy_level_rejected(self, natural, x, dim, n):
         # dim is the auto size for |alpha|^2 = x; column n loses 1.7e-4,
