@@ -25,7 +25,6 @@ from .field_model import (
     SumField,
     ZeroField,
     eval_field,
-    guiding_center_path,
     internalize,
     sample_waveform,
 )
@@ -83,8 +82,7 @@ __all__ = [
     "TruncationWarning",
     "PhysicalSystem", "InternalScales", "FieldWaveform", "ZeroField",
     "ConstantField", "RotatingField", "LinearSinusoidField", "SampledField",
-    "SumField", "eval_field", "guiding_center_path", "internalize",
-    "sample_waveform",
+    "SumField", "eval_field", "internalize", "sample_waveform",
     "TruncatedOperator", "column_unitarity_defect", "CoherentAmplitude",
     "ladder_ops",
     "displacement_matrix", "displacement_columns", "matrix_exponential",

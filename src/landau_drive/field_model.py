@@ -5,7 +5,7 @@ v = v1 + i v2.  The drive field is E(t) = E1(t) + i E2(t) and the
 guiding-center path obeys dR/dt = -i (c/B) E(t).  Every analytic waveform
 is declared once, as the pairs (c_j, lambda_j) of an exponential sum
 E(t) = sum_j c_j e^{i lambda_j t} (``exp_terms``), from which its field,
-integral, rate, step monomials and internal-unit form all follow.  Every
+rate, step monomials and internal-unit form all follow.  Every
 waveform reports its field on each step between knots as monomials
 c tau^k e^{i lambda tau} with k = 0 or 1 (``step_terms``), which the exact
 drive path integrates.
@@ -22,11 +22,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from ._expsum import eps0
 from .errors import DomainError
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "SampledField",
     "SumField",
     "eval_field",
-    "guiding_center_path",
     "internalize",
     "sample_waveform",
 ]
@@ -121,10 +118,6 @@ class FieldWaveform:
         """E(t) = E1 + i E2; accepts scalars or arrays."""
         raise NotImplementedError
 
-    def field_integral(self, t):
-        """Exact integral of E(s) ds over [0, t]."""
-        raise NotImplementedError
-
     def domain(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
@@ -170,26 +163,20 @@ class FieldWaveform:
 
 class _ExpSumField(FieldWaveform):
     """A waveform declared by its ``exp_terms`` alone; the field, its
-    integral, rate, step monomials and rescaling all follow from the pairs."""
+    rate, step monomials and rescaling all follow from the pairs."""
 
     def exp_terms(self) -> tuple[tuple[complex, float], ...]:
         """Pairs (c_j, lambda_j) with E(t) = sum_j c_j e^{i lambda_j t}."""
         raise NotImplementedError
 
-    def _sum(self, basis, t):
-        """sum_j c_j basis(lambda_j, t), summed from the first term on: a
-        sum started from zeros would turn a term's -0.0 into 0.0."""
+    def field(self, t):
+        # summed from the first term on: a sum started from zeros would
+        # turn a term's -0.0 into 0.0
         t = np.asarray(t, dtype=float)
-        parts = [c * basis(lam, t) for c, lam in self.exp_terms()]
+        parts = [c * np.exp(1j * (lam * t)) for c, lam in self.exp_terms()]
         if not parts:
             return np.zeros(t.shape, dtype=complex)[()]
         return sum(parts[1:], parts[0])[()]
-
-    def field(self, t):
-        return self._sum(lambda lam, t: np.exp(1j * (lam * t)), t)
-
-    def field_integral(self, t):
-        return self._sum(eps0, t)
 
     def rate(self) -> float:
         return max((abs(lam) for _, lam in self.exp_terms()), default=0.0)
@@ -312,16 +299,6 @@ class SampledField(FieldWaveform):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    @cached_property
-    def _prefix(self) -> np.ndarray:
-        """Exact running trapezoid of the interpolant up to each node."""
-        t, values = self.times, self.e1 + 1j * self.e2
-        prefix = np.concatenate(
-            ([0.0 + 0.0j], np.cumsum(np.diff(t) * (values[1:] + values[:-1]) / 2.0))
-        )
-        prefix.setflags(write=False)
-        return prefix
-
     def __eq__(self, other):
         if not isinstance(other, SampledField):
             return NotImplemented
@@ -347,22 +324,6 @@ class SampledField(FieldWaveform):
         self._check_domain(t)
         t = np.asarray(t, dtype=float)
         return (np.interp(t, self.times, self.e1) + 1j * np.interp(t, self.times, self.e2))[()]
-
-    def _integral_from_first_node(self, t):
-        """Exact integral of the interpolant from times[0] to t."""
-        t = np.asarray(t, dtype=float)
-        tn = self.times
-        idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
-        seg = (self.field(tn[idx]) + self.field(t)) / 2.0 * (t - tn[idx])
-        return self._prefix[idx] + seg
-
-    def field_integral(self, t):
-        lo, hi = self.domain()
-        if lo > 0.0 or hi < 0.0:
-            raise DomainError("sample range must bracket t = 0 to integrate from 0")
-        self._check_domain(t)
-        out = self._integral_from_first_node(t) - self._integral_from_first_node(0.0)
-        return out[()]
 
     def rescaled(self, scales, mirror):
         """Raises DomainError when scaling overflows a value or rounds two
@@ -401,13 +362,6 @@ class SumField(FieldWaveform):
             out = out + w.field(t)
         return out[()]
 
-    def field_integral(self, t):
-        self._check_domain(t)
-        out = np.zeros_like(np.asarray(t, dtype=float), dtype=complex)
-        for w in self.terms:
-            out = out + w.field_integral(t)
-        return out[()]
-
     def domain(self):
         lo, hi = -math.inf, math.inf
         for w in self.terms:
@@ -437,21 +391,6 @@ def eval_field(w: FieldWaveform, t) -> complex:
     w._check_domain(t)
     value = w.field(t)
     return complex(value) if np.ndim(value) == 0 else value
-
-
-def guiding_center_path(sys: PhysicalSystem, w: FieldWaveform, t):
-    """Orbit-center displacement R(t) = -i (c/B) * integral of E over [0, t].
-
-    Exact for every variant (analytic antiderivatives; running trapezoid of
-    the interpolant for sampled data, which is exact per segment).  R does
-    not depend on the charge, only on the drift factor c/B.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("guiding-center path requires t >= 0")
-    w._check_domain(t)
-    r = -1j * sys.c / sys.magnetic_field * np.asarray(w.field_integral(t))
-    return complex(r) if np.ndim(t) == 0 else r
 
 
 def internalize(sys: PhysicalSystem, w: FieldWaveform):

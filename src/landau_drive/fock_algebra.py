@@ -127,6 +127,24 @@ def _laguerre_functions(x: np.ndarray, rows: int, dim: int) -> np.ndarray:
     return table
 
 
+def _require_representable(size: float, dim: int | None = None) -> None:
+    """Raise TruncationError unless e^{-|alpha|^2/2} is a normal float,
+    given size = |alpha|: past |alpha|^2 of about 1417 no displacement
+    element is representable, and a NaN or infinite |alpha|^2 fails too."""
+    x = size * size  # inf where size ** 2 would raise OverflowError
+    # a NaN compares false, so it falls through to the errors below
+    if math.exp(-x / 2.0) >= np.finfo(float).tiny:
+        return
+    at = "" if dim is None else f", dim = {dim}"
+    if not math.isfinite(x):
+        raise TruncationError(f"drive amplitude has no finite square, |alpha|^2 = "
+                              f"{x:.3g}{at}; no truncation holds it")
+    raise TruncationError(
+        f"displacement elements not representable at |alpha|^2 = {x:.3g}{at}: "
+        f"e^(-|alpha|^2/2) is not a normal float"
+    )
+
+
 def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
     """E[s, m, j] = <m|D(alphas[s])|cols[j]> for m < ``dim``: the one
     evaluation of the displacement matrix elements.
@@ -137,19 +155,17 @@ def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
     and the m < n elements follow with alpha -> -alpha*.  Only the rows
     p <= max(cols) are built, so S amplitudes and C columns cost
     O(S (max(cols) + 1) dim) for the table plus O(S dim C) for the elements.
-    Raises TruncationError when e^{-|a|^2/2} is not a normal float.
+    Raises TruncationError when e^{-|a|^2/2} is not a normal float
+    (``_require_representable``).
     """
     alphas = np.asarray(alphas, dtype=complex)
     cols = np.asarray(cols)
     # |alpha| by Python's complex abs, one amplitude at a time: numpy's
     # vectorized version rounds differently in the last bit
-    x = np.array([abs(a) ** 2 for a in alphas.tolist()], dtype=float)
-    # negated so that a NaN amplitude fails the test too
-    if x.size and not math.exp(-x.max() / 2.0) >= np.finfo(float).tiny:
-        raise TruncationError(
-            f"displacement elements not representable at |alpha|^2 = {x.max():.3g}, "
-            f"dim = {dim}: e^(-|alpha|^2/2) is not a normal float"
-        )
+    sizes = np.array([abs(a) for a in alphas.tolist()], dtype=float)
+    if sizes.size:
+        _require_representable(float(sizes.max()), dim)
+    x = np.array([v ** 2 for v in sizes.tolist()], dtype=float)
 
     rows = np.arange(dim)[:, None]
     p = np.minimum(rows, cols[None, :])
@@ -223,8 +239,11 @@ def suggested_dimension(alpha) -> int:
     """Default truncation for a displacement of amplitude ``alpha``.
 
     max(32, ceil(8 |alpha|^2 + 16)) keeps the displaced occupation well
-    inside the leading block.
+    inside the leading block.  Raises TruncationError where no truncation
+    holds the amplitude, by the rule the displacement elements obey: when
+    e^{-|alpha|^2/2} is not a normal float (NaN and inf included).
     """
     if isinstance(alpha, CoherentAmplitude):
         alpha = alpha.alpha
+    _require_representable(abs(alpha))
     return max(32, math.ceil(8.0 * abs(alpha) ** 2 + 16.0))

@@ -26,7 +26,8 @@ node's coefficients times sqrt(n) fill two full-shape arrays, because
 numpy multiplies a broadcast column by the block in a slow loop (6.7 us
 against 2.9 us at (63, 32)).  One kernel, ``_banded_rk4``, runs every
 step from per-node coefficient pairs.  The orbit-center check evaluates
-its field the same way, one call per span.
+its field the same way, one call per span, and integrates the drift
+against ``build_drive_path``'s R, the one every output table prints.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .field_model import (
     internalize,
 )
 from .fock_algebra import TruncatedOperator, column_unitarity_defect, ladder_ops
+from .path_integrals import build_drive_path
 from .propagator import (
     assemble,
     resonance_survival,
@@ -325,11 +327,12 @@ def heisenberg_residual(
 def guiding_center_residual(
     sys: PhysicalSystem, w: FieldWaveform, t_grid, *, phase_per_step: float = 0.005
 ) -> float:
-    """Gap between an RK4-integrated orbit-center drift and the closed path.
+    """Gap between an RK4-integrated orbit-center drift and the R path.
 
     Integrates the center-of-orbit equation of motion (dw/dt = E in complex
-    internal form) and compares, at every grid time, with the production
-    guiding-center path, which predicts the drift i R(t).  Steps split at
+    internal form) and compares, at every grid time, against
+    ``build_drive_path``'s R, taken to internal units (reflected for a
+    mirrored system), which predicts the drift i R(t).  Steps split at
     waveform kinks, so piecewise-linear fields integrate exactly.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -337,7 +340,7 @@ def guiding_center_residual(
         raise ValueError("t_grid must be a one-dimensional, nonempty array")
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing from 0")
-    w_i, scales, _ = internalize(sys, w)
+    w_i, scales, mirrored = internalize(sys, w)
     grid_i = t_grid / scales.time
     rate = max(w_i.rate(), 1e-12)
     breaks = sorted(w_i.breakpoints())
@@ -356,8 +359,10 @@ def guiding_center_residual(
         return 0.0
     # cumsum adds the steps one at a time, in time order
     wc = np.cumsum(np.concatenate(steps))[ends]
-    target = np.asarray(w_i.field_integral(grid_i[1:]), dtype=complex)
-    return float(np.max(np.abs(wc - target)))
+    r_i = build_drive_path(sys, w, t_grid).r[1:] / scales.length
+    if mirrored:
+        r_i = np.conj(r_i)
+    return float(np.max(np.abs(wc - 1j * r_i)))
 
 
 @dataclass(frozen=True)

@@ -224,14 +224,14 @@ def _quadrature_path_samples(
 ):
     """R, u, S_R, S_u at the requested internal times, by grid numerics.
 
-    u accumulates per-substep Gauss panels; areas come from the polyline
-    shoelace on the fine grid with Richardson extrapolation.
+    R and u accumulate per-substep Gauss panels; areas come from the
+    polyline shoelace on the fine grid with Richardson extrapolation.
     """
     step = 0.02 / (1.0 + w_i.rate())
     err = math.inf
     for level in range(4):
         nodes, idx = _refined_grid(t_i, w_i, step, level)
-        r_fine = -1j * np.asarray(w_i.field_integral(nodes), dtype=complex)
+        r_fine = _cumulative_gl5(lambda s: -1j * w_i.field(s), nodes)
         u_fine = _cumulative_gl5(
             lambda s: -0.5 * np.exp(-1j * s) * np.conj(w_i.field(s)), nodes
         )

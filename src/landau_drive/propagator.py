@@ -210,19 +210,18 @@ def level_populations(
     TruncationError when n >= dim, an element is not finite, or some
     |alpha|^2 is not: no basis holds such an amplitude.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite alphas raise below
         alphas = displacement_argument(sys, u)
-        # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise
-        largest = np.hypot(alphas.real, alphas.imag).max(initial=0.0)
     if dim is not None and n >= dim:
         raise TruncationError(f"level {n} lies outside dimension {dim}")
-    if not math.isfinite(float(largest) * float(largest)):
-        raise TruncationError(
-            f"drive amplitude |alpha| = {float(largest):.3g} has no finite "
-            f"|alpha|^2; no truncation holds it"
-        )
-    start = max(suggested_dimension(largest), 2 * (n + 1))
-    for size in [dim] if dim else [start << k for k in range(_MAX_DOUBLINGS + 1)]:
+    if dim:
+        sizes = [dim]
+    else:
+        # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise
+        largest = float(np.hypot(alphas.real, alphas.imag).max(initial=0.0))
+        start = max(suggested_dimension(largest), 2 * (n + 1))
+        sizes = [start << k for k in range(_MAX_DOUBLINGS + 1)]
+    for size in sizes:
         pops = np.abs(displacement_columns(alphas, n, size)) ** 2
         worst = float(_norm_deficit(pops).max(initial=0.0))
         if worst <= NORM_TOL:

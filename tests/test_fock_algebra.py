@@ -255,6 +255,13 @@ class TestDisplacementColumns:
         with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = nan"):
             ld.displacement_columns([0.5, complex("nan")], 0, 8)
 
+    def test_overflowing_square_is_truncation_error(self):
+        # |alpha|^2 overflows float64; Python's |alpha| ** 2 raised OverflowError
+        with pytest.raises(TruncationError, match=r"no finite square, \|alpha\|\^2 = inf"):
+            ld.displacement_columns([0.5, 1e200], 0, 8)
+        with pytest.raises(TruncationError, match="no finite"):
+            ld.displacement_matrix(1e200, 8)
+
     def test_argument_checks(self):
         with pytest.raises(IndexError):
             ld.displacement_columns([0.5], 8, 8)
@@ -298,3 +305,18 @@ def test_suggested_dimension_rule():
     assert ld.suggested_dimension(0.0) == 32
     assert ld.suggested_dimension(2.0) == max(32, math.ceil(8 * 4 + 16))
     assert ld.suggested_dimension(ld.CoherentAmplitude(3.0)) == 88
+
+
+@pytest.mark.parametrize("alpha", [math.inf, complex(0.0, -math.inf), math.nan, 1e200],
+                         ids=["inf", "-inf_j", "nan", "square_overflows"])
+def test_suggested_dimension_rejects_non_finite_square(alpha):
+    with pytest.raises(TruncationError, match="no finite"):
+        ld.suggested_dimension(alpha)
+
+
+def test_suggested_dimension_follows_the_element_rule():
+    # the size exists exactly where the displacement elements do: up to
+    # e^(-|alpha|^2/2) reaching the smallest normal float, |alpha|^2 ~ 1417
+    assert ld.suggested_dimension(37.0) == 8 * 37**2 + 16
+    with pytest.raises(TruncationError, match="not representable"):
+        ld.suggested_dimension(38.0)

@@ -1,4 +1,5 @@
 
+import dataclasses
 import math
 
 import numpy as np
@@ -107,18 +108,22 @@ def loop_guiding_center(sys_, w, t_grid, phase_per_step=0.005):
     """guiding_center_residual restated as a scalar step loop.
 
     One field call per node, node times from a running t += h, and the
-    Simpson steps added to the drift one at a time.
+    Simpson steps added to the drift one at a time, each grid time's drift
+    compared with i R from ``build_drive_path`` in internal units.
     """
-    w_i, scales, _ = ld.internalize(sys_, w)
+    w_i, scales, mirrored = ld.internalize(sys_, w)
     grid_i = np.asarray(t_grid, dtype=float) / scales.time
     rate = max(w_i.rate(), 1e-12)
+    r_i = ld.build_drive_path(sys_, w, t_grid).r / scales.length
+    if mirrored:
+        r_i = np.conj(r_i)
 
     def f(t):
         return complex(w_i.field(t))
 
     breaks = sorted(w_i.breakpoints())
     residual, wc = 0.0, 0.0 + 0.0j
-    for t0, t1 in zip(grid_i[:-1], grid_i[1:]):
+    for t0, t1, r1 in zip(grid_i[:-1], grid_i[1:], r_i[1:]):
         edges = [t0] + [p for p in breaks if t0 < p < t1] + [t1]
         for lo, hi in zip(edges[:-1], edges[1:]):
             n = max(1, math.ceil((hi - lo) * rate / phase_per_step))
@@ -127,7 +132,7 @@ def loop_guiding_center(sys_, w, t_grid, phase_per_step=0.005):
             for _ in range(n):
                 wc += (h / 6.0) * (f(t) + 4.0 * f(t + h / 2.0) + f(t + h))
                 t += h
-        residual = max(residual, abs(wc - complex(w_i.field_integral(t1))))
+        residual = max(residual, abs(wc - 1j * complex(r1)))
     return residual
 
 
@@ -406,6 +411,29 @@ class TestGuidingCenterResidual:
     def test_single_point_grid(self, natural):
         w = ld.RotatingField(0.2, 1.2)
         assert ld.guiding_center_residual(natural, w, [0.0]) == 0.0
+
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    @pytest.mark.parametrize("corrupt", [np.conj, np.negative], ids=["conjugated", "negated"])
+    def test_negative_control_corrupted_r(self, charge, corrupt, monkeypatch):
+        # the check reads build_drive_path's R, so a wrong R there must fail
+        # it for every corpus entry that drifts at all
+        from landau_drive import oracle
+
+        sys_ = ld.PhysicalSystem(charge, 1.0, 1.0)
+        build = oracle.build_drive_path
+
+        def corrupted(*args, **kwargs):
+            dp = build(*args, **kwargs)
+            return dataclasses.replace(dp, r=corrupt(dp.r))
+
+        monkeypatch.setattr(oracle, "build_drive_path", corrupted)
+        for entry in ld.validation_corpus(sys_):
+            grid = np.linspace(0.0, entry.t_final, 21)
+            gres = ld.guiding_center_residual(sys_, entry.waveform, grid)
+            if entry.name == "zero":
+                assert gres == 0.0
+            else:
+                assert gres > 1e-3, entry.name
 
     def test_grid_validation(self, natural):
         with pytest.raises(ValueError):

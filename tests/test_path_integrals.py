@@ -65,7 +65,7 @@ class TestMagneticPhase:
         e0, nu, t = 0.35, 0.8, 9.0
         r0 = e0 / nu
         s = np.linspace(0.0, t, 400_000)
-        pts = ld.guiding_center_path(natural, ld.RotatingField(e0, nu), s)
+        pts = ld.build_drive_path(natural, ld.RotatingField(e0, nu), s).r
         assert ld.magnetic_phase(natural, pts) == pytest.approx(
             rotating_beta(r0, nu, t), rel=1e-8
         )
@@ -173,13 +173,8 @@ class TestDisplacementAmplitude:
             ld.displacement_amplitude(natural, w, t + h)
             - ld.displacement_amplitude(natural, w, t - h)
         ) / (2.0 * h)
-        dr_conj = np.conj(
-            (
-                ld.guiding_center_path(natural, w, t + h)
-                - ld.guiding_center_path(natural, w, t - h)
-            )
-            / (2.0 * h)
-        )
+        r = ld.build_drive_path(natural, w, [0.0, t - h, t + h]).r
+        dr_conj = np.conj((r[2] - r[1]) / (2.0 * h))
         assert abs(du - 0.5j * np.exp(-1j * t) * dr_conj) < 1e-7
 
     @pytest.mark.parametrize(
@@ -265,15 +260,16 @@ class TestBuildDrivePath:
     def test_linear_sinusoid_quadrature_vs_closed(self, natural):
         w = ld.LinearSinusoidField(0.15, 0.6, 1.3, 0.2)
         grid = np.linspace(0.0, 40.0, 33)
-        cf = ld.build_drive_path(natural, w, grid)
-        q = ld.build_drive_path(natural, w, grid, method="quadrature")
-        # straight-line R path: no enclosed area, no translation phase
-        assert_allclose(cf.beta, 0.0, atol=1e-12)
-        assert_allclose(q.beta, 0.0, atol=1e-10)
-        for name in ("u", "gamma"):
-            a, b = getattr(cf, name), getattr(q, name)
-            scale = np.max(np.abs(a))
-            assert np.max(np.abs(a - b)) / scale < 1e-8, name
+        for sys_ in (natural, ld.PhysicalSystem(-1.0, 1.0, 1.0)):
+            cf = ld.build_drive_path(sys_, w, grid)
+            q = ld.build_drive_path(sys_, w, grid, method="quadrature")
+            # straight-line R path: no enclosed area, no translation phase
+            assert_allclose(cf.beta, 0.0, atol=1e-12)
+            assert_allclose(q.beta, 0.0, atol=1e-10)
+            for name in ("r", "u", "gamma"):
+                a, b = getattr(cf, name), getattr(q, name)
+                scale = np.max(np.abs(a))
+                assert np.max(np.abs(a - b)) / scale < 1e-8, (sys_.charge, name)
 
     @pytest.mark.parametrize("sysname", ["natural", "electron_si"])
     def test_phase_area_locks(self, request, sysname):
@@ -328,13 +324,8 @@ def test_differential_relation_random_rotating(e0, nu, phi, t):
         ld.displacement_amplitude(natural, w, t + h)
         - ld.displacement_amplitude(natural, w, t - h)
     ) / (2.0 * h)
-    dr_conj = np.conj(
-        (
-            ld.guiding_center_path(natural, w, t + h)
-            - ld.guiding_center_path(natural, w, t - h)
-        )
-        / (2.0 * h)
-    )
+    r = ld.build_drive_path(natural, w, [0.0, t - h, t + h]).r
+    dr_conj = np.conj((r[2] - r[1]) / (2.0 * h))
     resid = abs(du - 0.5j * np.exp(-1j * t) * dr_conj)
     assert resid < 5.0 * e0 * max(nu, 1.0) ** 2 * h**2
 

@@ -62,6 +62,14 @@ class TestAssemble:
         p = ld.assemble(natural, ld.RotatingField(0.1, 1.0), 2.0)
         assert p.dim == ld.suggested_dimension(p.alpha)
 
+    @pytest.mark.parametrize("amplitude", [1.5e152, 1.5e150])
+    def test_default_dimension_of_unrepresentable_drive(self, natural, amplitude):
+        # a finite drive path whose 8|alpha|^2 + 16 overflows (1.5e152) or
+        # is merely huge (1.5e150) gets no auto size; it used to raise a
+        # bare OverflowError or numpy's allocation ValueError
+        with pytest.raises(TruncationError, match="not representable"):
+            ld.assemble(natural, ld.RotatingField(amplitude, 1.0), 100.0)
+
     def test_negative_time_rejected(self, natural):
         with pytest.raises(ValueError):
             ld.assemble(natural, ld.ZeroField(), -1.0)
