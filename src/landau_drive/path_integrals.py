@@ -117,14 +117,11 @@ def displacement_amplitude(
 ) -> complex:
     """Oscillatory drive amplitude u(t) = -(c/2B) int_0^t e^{-i omega s} E*(s) ds.
 
-    The end value of ``build_drive_path`` on the grid [0, t], with the same
-    ``method`` and so the same route: exact, or quadrature on request.
+    The end value of ``build_drive_path`` on the grid [0, t], read by
+    ``drive_endpoints`` (DomainError for t < 0), with the same ``method``
+    and so the same route: exact, or quadrature on request.
     """
-    if t < 0:
-        raise DomainError("displacement amplitude requires t >= 0")
-    grid = [0.0, t] if t > 0 else [0.0]
-    dp = build_drive_path(sys, w, grid, method=method, abs_tol=abs_tol)
-    return complex(dp.u[-1])
+    return complex(drive_endpoints(sys, [w], t, method=method, abs_tol=abs_tol).u[0])
 
 
 @dataclass(frozen=True)

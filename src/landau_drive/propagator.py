@@ -26,7 +26,7 @@ from .fock_algebra import (
     displacement_matrix,
     suggested_dimension,
 )
-from .path_integrals import DEFAULT_ABS_TOL, build_drive_path
+from .path_integrals import DEFAULT_ABS_TOL, drive_endpoints
 
 __all__ = [
     "FactorizedPropagator",
@@ -119,18 +119,14 @@ def assemble(
     """Build the factorized propagator record for time t.
 
     R and beta come from the guiding-center path, u and gamma from the
-    drive-amplitude path, and j_op = e^{i gamma} D(-u* k).  With dim
+    drive-amplitude path, all read at t by ``drive_endpoints`` (DomainError
+    for t < 0), and j_op = e^{i gamma} D(-u* k).  With dim
     omitted, the truncation is ``suggested_dimension(alpha)``, which knows
     no level; ``healthy_dim`` measures how many columns it keeps healthy.
     """
-    if t < 0:
-        raise ValueError("propagator time must be nonnegative")
-    grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
-    dp = build_drive_path(sys, w, grid, method=method, abs_tol=abs_tol)
-    r = complex(dp.r[-1])
-    u = complex(dp.u[-1])
-    beta = float(dp.beta[-1])
-    gamma = float(dp.gamma[-1])
+    ends = drive_endpoints(sys, [w], t, method=method, abs_tol=abs_tol)
+    r, u = complex(ends.r[0]), complex(ends.u[0])
+    beta, gamma = float(ends.beta[0]), float(ends.gamma[0])
     alpha = CoherentAmplitude(displacement_argument(sys, u))
     n = suggested_dimension(alpha) if dim is None else dim
     d_op = displacement_matrix(alpha, n)
@@ -144,7 +140,7 @@ def assemble(
         gamma=gamma,
         alpha=alpha,
         j_op=j,
-        provenance=dp.provenance,
+        provenance=ends.provenance[0],
     )
 
 

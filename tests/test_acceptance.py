@@ -247,13 +247,16 @@ def test_criterion_8_resonance_survival(natural):
     assert passed
 
 
-def test_criterion_9_determinism(tmp_path):
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_criterion_9_determinism(tmp_path, method):
+    # both drive-path routes: auto (the default, exact) and the quadrature
+    # cross-check
     doc = {
         "task": "simulate",
         "system": {"units": "natural"},
         "waveform": {"type": "rotating", "amplitude": 0.12, "nu": 0.9},
         "time": {"t_final": 8.0, "samples": 17},
-        "numerics": {"dimension": 48, "method": "quadrature"},
+        "numerics": {"dimension": 48, "method": method},
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(doc))
@@ -263,5 +266,5 @@ def test_criterion_9_determinism(tmp_path):
     bytes_a = (out_a / "simulate_samples.csv").read_bytes()
     bytes_b = (out_b / "simulate_samples.csv").read_bytes()
     passed = bytes_a == bytes_b and len(bytes_a) > 0
-    _line(9, passed, f"{len(bytes_a)} bytes, identical across runs: {passed}")
+    _line(9, passed, f"{method}: {len(bytes_a)} bytes, identical across runs: {passed}")
     assert passed

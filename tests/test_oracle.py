@@ -104,7 +104,7 @@ def square_banded_rk4(sys_, w, t_final, dim, dt):
     return dynamical_diag(dim, t_i)[:, None] * u
 
 
-def loop_guiding_center(sys_, w, t_grid, phase_per_step=0.005):
+def loop_guiding_center(sys_, w, t_grid):
     """guiding_center_residual restated as a scalar step loop.
 
     One field call per node, node times from a running t += h, and the
@@ -126,7 +126,7 @@ def loop_guiding_center(sys_, w, t_grid, phase_per_step=0.005):
     for t0, t1, r1 in zip(grid_i[:-1], grid_i[1:], r_i[1:]):
         edges = [t0] + [p for p in breaks if t0 < p < t1] + [t1]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(1, math.ceil((hi - lo) * rate / phase_per_step))
+            n = max(1, math.ceil((hi - lo) * rate / 0.005))
             h = (hi - lo) / n
             t = lo
             for _ in range(n):
@@ -155,7 +155,6 @@ class TestIntegratorConfig:
             {"dt": 0.06},
             {"dim": 1},
             {"scheme": "euler"},
-            {"tolerance": 0.0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -474,14 +473,73 @@ class TestValidationCorpus:
         from landau_drive import propagator
         from landau_drive.oracle import _factorized_matrix
 
-        entry = ld.CorpusEntry("probe", ld.RotatingField(0.1, 0.7), 6.0)
-        dim = 32
-        u = ld.integrate_schrodinger(
-            natural, entry.waveform, entry.t_final, ld.IntegratorConfig(dim=dim)
-        )
-        good = _factorized_matrix(natural, entry, dim)
+        w, t, dim = ld.RotatingField(0.1, 0.7), 6.0, 32
+        u = ld.integrate_schrodinger(natural, w, t, ld.IntegratorConfig(dim=dim))
+        good = _factorized_matrix(natural, w, t, dim)
         argument = propagator.displacement_argument
         monkeypatch.setattr(propagator, "displacement_argument", lambda s, u: -argument(s, u))
-        bad = _factorized_matrix(natural, entry, dim)
+        bad = _factorized_matrix(natural, w, t, dim)
         assert np.max(np.abs(u[:16] - good[:16, :16])) < 1e-6
         assert np.max(np.abs(u[:16] - bad[:16, :16])) > 1e-2
+
+
+CORPUS_NAMES = ("zero", "constant", "linear_sinusoid", "rotating_off",
+                "rotating_near", "rotating_resonant", "sampled_random")
+
+#: (kind, tolerance, details keys) of each corpus entry's checks, in order.
+ENTRY_ROWS = (
+    ("factorization", 1e-6, ["dt", "dim"]),
+    ("heisenberg", 1e-6, []),
+    ("unitarity", 1e-7, []),
+    ("guiding_center", 1e-9, []),
+)
+
+
+def report_schema(include_convergence):
+    """The ordered (name, tolerance, details keys) of every validate check."""
+    schema = [(f"{kind}[{name}]", tol, keys)
+              for name in CORPUS_NAMES for kind, tol, keys in ENTRY_ROWS]
+    schema.append(("resonance_survival_prefactor", 1e-6, [
+        "integrator_survival", "half_prefactor_survival", "two_prefactor_survival",
+        "half_prefactor_deviation", "two_prefactor_deviation", "adjudication",
+    ]))
+    if include_convergence:
+        schema.append(("rk4_convergence_order", 16.0, ["residuals", "ratios"]))
+        schema.append(("scheme_crosscheck[expmid]", 1e-3, ["dt"]))
+    return schema
+
+
+class TestRunValidation:
+    @pytest.mark.parametrize("include_convergence", [True, False])
+    @pytest.mark.parametrize("system", [(1.0, 1.0, 1.0), (-1.0, 2.0, 0.7)],
+                             ids=["positive", "mirrored"])
+    def test_report_schema(self, system, include_convergence):
+        # names, order, tolerances and details keys depend on neither dim
+        # nor dt, so a coarse run pins them
+        checks = ld.run_validation(ld.PhysicalSystem(*system), dim=16, dt=0.05,
+                                   include_convergence=include_convergence)
+        got = [(c.name, c.tolerance, list(c.details)) for c in checks]
+        assert got == report_schema(include_convergence)
+        assert len(got) == (31 if include_convergence else 29)
+        compound = ("resonance_survival_prefactor", "rk4_convergence_order")
+        bounded = [c for c in checks if c.name not in compound]
+        assert all(c.passed == (c.value < c.tolerance) for c in bounded)
+
+    def test_layer_functions_are_looked_up_on_the_module(self, natural, monkeypatch):
+        # perfbench wraps these module attributes to time each layer, so the
+        # suite must call them through the module, not through saved objects
+        from landau_drive import oracle
+
+        calls = {}
+        for name in ("integrate_schrodinger", "heisenberg_residual",
+                     "guiding_center_residual", "assemble"):
+            def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, counted)
+        checks = ld.run_validation(natural)
+        assert calls == {"integrate_schrodinger": 11, "heisenberg_residual": 7,
+                         "guiding_center_residual": 7, "assemble": 11}
+        assert [c.name for c in checks] == [name for name, _, _ in report_schema(True)]
+        assert all(c.passed for c in checks)

@@ -71,7 +71,7 @@ class TestAssemble:
             ld.assemble(natural, ld.RotatingField(amplitude, 1.0), 100.0)
 
     def test_negative_time_rejected(self, natural):
-        with pytest.raises(ValueError):
+        with pytest.raises(ld.DomainError):
             ld.assemble(natural, ld.ZeroField(), -1.0)
 
 
