@@ -164,8 +164,10 @@ _SCHEMA = {
         "oracle_dimension": _Key("integer", 64, lambda v: v >= 2, "must be at least 2"),
         "quadrature_tol": _Key("number", 1e-10, lambda v: 0 < v <= 1e-4,
                                "must lie in (0, 1e-4]"),
-        "integrator_dt": _Key("number", 0.01, lambda v: 0 < v <= 0.05,
-                              "must lie in (0, 0.05] (units of 1/omega)"),
+        "integrator_dt": _Key("number", 0.01,
+                              lambda v: oracle.DT_RANGE[0] <= v <= oracle.DT_RANGE[1],
+                              "must lie in [{:g}, {:g}] (units of 1/omega)".format(
+                                  *oracle.DT_RANGE)),
         "method": _Key("string", "auto", ("auto", "quadrature").__contains__,
                        "unknown method {!r}"),
     },

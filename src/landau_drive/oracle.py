@@ -21,11 +21,10 @@ exponentiates the full Hamiltonian without any frame change.
 The drive couples each level only to its neighbours, so RK4 never builds
 a dense generator: it applies c_a a + c_ad a^dag as two shifted row
 scalings, O(N^2) per stage instead of an O(N^3) matrix product, and takes
-E(t) at every node of a smooth span from one vectorized field call.  Each
-node's coefficients times sqrt(n) fill two full-shape arrays, because
-numpy multiplies a broadcast column by the block in a slow loop (6.7 us
-against 2.9 us at (63, 32)).  One kernel, ``_banded_rk4``, runs every
-step from per-node coefficient pairs.  The orbit-center check evaluates
+E(t) at every node of a smooth span from one vectorized field call.  One
+kernel, ``_banded_rk4``, runs every step from per-node coefficient pairs
+in fixed work buffers, with 28 numpy calls per step and none on a span
+where the field is exactly zero.  The orbit-center check evaluates
 its field the same way, one call per span, and integrates the drift
 against ``build_drive_path``'s R, the one every output table prints.
 
@@ -81,13 +80,18 @@ _EDGE_PROBABILITY = 1e-4
 #: Drift phase per step of the orbit-center RK4.
 _PHASE_PER_STEP = 0.005
 
+#: Allowed step sizes in internal time units (1/omega): at most 0.05
+#: resolves the cyclotron oscillation; at least 1e-4 keeps a corpus run
+#: (t = 10/omega) to 10^5 steps, so no step table outgrows memory.
+DT_RANGE = (1e-4, 0.05)
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    ``dt`` is measured in internal time units (1/omega), so dt <= 0.05
-    resolves the cyclotron oscillation regardless of the unit system.
+    ``dt`` is measured in internal time units (1/omega) and lies in
+    ``DT_RANGE``, whatever the unit system.
     """
 
     dt: float = 0.01
@@ -95,8 +99,9 @@ class IntegratorConfig:
     scheme: str = "rk4"
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 0.05:
-            raise ValueError("dt must lie in (0, 0.05] internal time units")
+        lo, hi = DT_RANGE
+        if not lo <= self.dt <= hi:
+            raise ValueError(f"dt must lie in [{lo:g}, {hi:g}] internal time units")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if self.scheme not in ("rk4", "expmid"):
@@ -153,52 +158,78 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     m of G v is c_a sqrt(m+1) v[m+1] + c_ad sqrt(m) v[m-1]: two shifted
     row scalings instead of a dense product.
 
-    Each coefficient times sqrt(m+1) is filled once per node into a
-    full-shape (dim - 1, cols) array, so every product in a stage is
-    between operands of one shape; the midpoint arrays serve both k2 and
-    k3.  Every element is the float product c sqrt(m+1) a broadcast
-    column would give, and the stage sums keep their order, so the
-    columns equal a broadcast run's bit for bit.
+    Each step makes 28 numpy calls and no temporaries:
+    - The block and the stage sit between two zero rows, so both shifted
+      products are full-height and G v is two multiplies and one add, with
+      no edge row to clear.
+    - Each node's coefficients times sqrt fill two full-shape arrays,
+      since a broadcast column makes numpy's complex multiply take a slow
+      loop.  The midpoint fill serves k2 and k3.  Step k ends on the node
+      step k + 1 starts from (``_step_nodes`` makes both start + h, the
+      same float), so its end fill also serves the next k1.
+    - Scalings by the real h/2, h, 2 and h/6 and every addition run on
+      float64 views of the complex buffers.
+    - A span whose coefficients are all exactly zero has G = 0, so each
+      of its steps is the identity; it is skipped.
+
+    Every element goes through the float products and sums of a
+    broadcast-column run with the stage sums in their order, so the
+    columns equal such a run's bit for bit, up to the sign of a zero.
     """
     dim, cols = u.shape
-    sqrt_n = np.empty((dim - 1, cols), dtype=complex)
-    sqrt_n[...] = np.sqrt(np.arange(1.0, dim))[:, None]
-    stage, k1, k2, k3, k4 = (np.empty_like(u) for _ in range(5))
-    ca, cad, ca_mid, cad_mid, prod = (np.empty_like(sqrt_n) for _ in range(5))
-
-    def gen_apply(ca, cad, v, out):
-        np.multiply(ca, v[1:], out=out[:-1])
-        out[-1] = 0.0
-        np.multiply(cad, v[:-1], out=prod)
-        out[1:] += prod
+    u_pad = np.zeros((dim + 2, cols), dtype=complex)
+    s_pad = np.zeros_like(u_pad)
+    u_pad[1:-1] = u
+    root = np.empty((dim + 1, cols), dtype=complex)
+    root[...] = np.sqrt(np.arange(dim + 1.0))[:, None]
+    below, above = root[1:], root[:-1]  # sqrt(m + 1) and sqrt(m) in row m
+    ca, cad, ca_mid, cad_mid, k1, k2, k3, prod = (
+        np.empty((dim, cols), dtype=complex) for _ in range(8)
+    )
+    u_up, u_down, s_up, s_down = u_pad[2:], u_pad[:-2], s_pad[2:], s_pad[:-2]
+    uf, sf = u_pad[1:-1].view(float), s_pad[1:-1].view(float)
+    k1f, k2f, k3f, pf = (b.view(float) for b in (k1, k2, k3, prod))
+    mul, add = np.multiply, np.add
 
     for h, c_a, c_ad in spans:
+        if not (c_a.any() or c_ad.any()):
+            continue
         n = len(c_a) // 3
+        h2, h6 = h / 2.0, h / 6.0
+        mul(c_a[0], below, ca)
+        mul(c_ad[0], above, cad)
         for k in range(n):
-            mid, end = n + k, 2 * n + k
-            np.multiply(c_a[k], sqrt_n, out=ca)
-            np.multiply(c_ad[k], sqrt_n, out=cad)
-            gen_apply(ca, cad, u, k1)
-            np.multiply(k1, h / 2.0, out=stage)
-            stage += u
-            np.multiply(c_a[mid], sqrt_n, out=ca_mid)
-            np.multiply(c_ad[mid], sqrt_n, out=cad_mid)
-            gen_apply(ca_mid, cad_mid, stage, k2)
-            np.multiply(k2, h / 2.0, out=stage)
-            stage += u
-            gen_apply(ca_mid, cad_mid, stage, k3)
-            np.multiply(k3, h, out=stage)
-            stage += u
-            np.multiply(c_a[end], sqrt_n, out=ca)
-            np.multiply(c_ad[end], sqrt_n, out=cad)
-            gen_apply(ca, cad, stage, k4)
-            # u += h/6 (k1 + 2 k2 + 2 k3 + k4), in place
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 *= h / 6.0
-            u += k2
+            mul(ca, u_up, k1)
+            mul(cad, u_down, prod)
+            add(k1f, pf, k1f)
+            mul(k1f, h2, sf)
+            add(sf, uf, sf)
+            mul(c_a[n + k], below, ca_mid)
+            mul(c_ad[n + k], above, cad_mid)
+            mul(ca_mid, s_up, k2)
+            mul(cad_mid, s_down, prod)
+            add(k2f, pf, k2f)
+            mul(k2f, h2, sf)
+            add(sf, uf, sf)
+            mul(ca_mid, s_up, k3)
+            mul(cad_mid, s_down, prod)
+            add(k3f, pf, k3f)
+            mul(k3f, h, sf)
+            add(sf, uf, sf)
+            add(k2f, k3f, k2f)
+            # k3's buffer takes k4, at the end node
+            mul(c_a[2 * n + k], below, ca)
+            mul(c_ad[2 * n + k], above, cad)
+            mul(ca, s_up, k3)
+            mul(cad, s_down, prod)
+            add(k3f, pf, k3f)
+            # u += h/6 (2 (k2 + k3) + k1 + k4), in place
+            mul(k2f, 2.0, k2f)
+            add(k2f, k1f, k2f)
+            add(k2f, k3f, k2f)
+            mul(k2f, h6, k2f)
+            add(uf, k2f, uf)
+    u[...] = u_pad[1:-1]
 
 
 def integrate_schrodinger(
@@ -219,12 +250,10 @@ def integrate_schrodinger(
     product.  The two coefficients of G are kept as one complex scalar per
     node; every span gets them at t, t + h/2 and t + h for all its steps
     from one vectorized field call, at the node times a running t += h
-    produces.  ``_banded_rk4`` runs the steps; it fills each node's
-    coefficients times sqrt(n) into full-shape arrays, since a broadcast
-    (dim - 1, 1) column makes numpy's complex multiply take a slow loop
-    (6.7 us against 2.9 us at (63, 32)).  expmid multiplies midpoint
-    exponentials of the full Hamiltonian.  Steps never straddle waveform
-    kinks.
+    produces.  ``_banded_rk4`` runs the steps and skips a span where both
+    coefficients are exactly zero, since each of its steps is the identity.
+    expmid multiplies midpoint exponentials of the full Hamiltonian.
+    Steps never straddle waveform kinks.
 
     Raises AccuracyError when the columns put more than 1e-4 of
     probability on the truncation edge (or are not finite): past that

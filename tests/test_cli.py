@@ -196,6 +196,8 @@ class TestResolveConfig:
             ({"numerics": {"dimension": 1}}, "numerics.dimension"),
             ({"initial_state": {"level": -1}}, "initial_state.level"),
             ({"output": {"format": "xml"}}, "output.format"),
+            ({"numerics": {"integrator_dt": 1e-300}}, "numerics.integrator_dt"),
+            ({"numerics": {"integrator_dt": 9e-5}}, "numerics.integrator_dt"),
         ],
     )
     def test_field_level_errors(self, doc, field):
@@ -669,6 +671,16 @@ class TestMainAndOutputs:
         cfg_path = write_config(tmp_path, {"system": {"units": "imperial"}})
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_tiny_integrator_dt_is_config_error(self, tmp_path, capsys):
+        # a positive but tiny step would ask the oracle for ~1e301 nodes;
+        # the config check stops it before anything is allocated
+        cfg_path = write_config(tmp_path, {"task": "validate",
+                                           "numerics": {"integrator_dt": 1e-300}})
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: numerics.integrator_dt" in err
+        assert "Traceback" not in err
 
     FIVE_NODES = {"type": "sampled", "times": [-0.5, 1.0, 2.5, 3.0, 4.0],
                   "e1": [0.1, -0.05, 0.2, 0.0, 0.12], "e2": [0.0, 0.08, -0.1, 0.15, 0.03]}

@@ -1,6 +1,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ def loop_guiding_center(sys_, w, t_grid):
     return residual
 
 
+# exactly zero on the kink-bounded spans [1.0, 1.5] and [1.5, 2.0], and
+# nonzero on every other span
+ZERO_STRETCH = ld.SampledField(
+    np.arange(-0.5, 4.01, 0.5),
+    [0.1, -0.05, 0.2, 0.0, 0.0, 0.0, 0.12, -0.1, 0.06, 0.02],
+    [0.0, 0.08, -0.1, 0.0, 0.0, 0.0, 0.03, 0.1, -0.04, 0.05],
+)
+
 # piecewise linear with a kink every 0.5, so t = 3.0 lands on one
 KINKED = ld.sample_waveform(
     ld.SumField((ld.RotatingField(0.08, 0.7, 0.2), ld.ConstantField(0.03, -0.02))),
@@ -153,6 +162,8 @@ class TestIntegratorConfig:
         [
             {"dt": 0.0},
             {"dt": 0.06},
+            {"dt": 1e-300},  # positive, but 10^301 steps per unit time
+            {"dt": 9e-5},
             {"dim": 1},
             {"scheme": "euler"},
         ],
@@ -298,6 +309,43 @@ class TestIntegrateSchrodinger:
         assert u.shape == (dim, dim // 2) and not u.flags.writeable
         ref = square_banded_rk4(natural, w, t_final, dim, 0.02)
         assert np.array_equal(u, ref[:, : dim // 2])
+
+    @pytest.mark.parametrize("dim", [13, 64])
+    @pytest.mark.parametrize(
+        "w", [ZERO_STRETCH, ld.SumField((ZERO_STRETCH, ld.ZeroField()))],
+        ids=["sampled", "sum"],
+    )
+    def test_zero_spans_skip_exactly(self, natural, w, dim):
+        # G = 0 on a zero-field span, so each of its RK4 steps is the
+        # identity: skipping the span keeps the columns bit for bit
+        assert not np.any(w.field(np.linspace(1.0, 2.0, 41)))
+        u = ld.integrate_schrodinger(natural, w, 3.7, ld.IntegratorConfig(dt=0.02, dim=dim))
+        ref = square_banded_rk4(natural, w, 3.7, dim, 0.02)
+        assert np.array_equal(u, ref[:, : dim // 2])
+
+    def test_zero_field_is_the_static_phases(self, natural):
+        dim, t = 16, 6.0
+        u = ld.integrate_schrodinger(natural, ld.ZeroField(), t, ld.IntegratorConfig(dim=dim))
+        assert np.array_equal(u, dynamical_diag(dim, t)[:, None] * np.eye(dim, dim // 2))
+
+    def test_banded_rk4_allocates_no_step_temporaries(self):
+        # 1000 steps run in the kernel's fixed work buffers: the peak stays
+        # under 12 (64, 32) complex blocks, so no step allocates a block
+        from landau_drive.oracle import _banded_rk4
+
+        dim, n = 64, 1000
+        rng = np.random.default_rng(7)
+        c_a, c_ad = (0.05 * (rng.standard_normal(3 * n) + 1j * rng.standard_normal(3 * n))
+                     for _ in range(2))
+        u = np.eye(dim, dim // 2, dtype=complex)
+        tracemalloc.start()
+        try:
+            _banded_rk4(u, [(0.01, c_a, c_ad)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.array_equal(u, np.eye(dim, dim // 2))
+        assert peak <= 12 * u.nbytes
 
     def test_overflowing_columns_raise_accuracy_error(self, natural):
         # non-finite columns fail the edge check rather than passing it
