@@ -199,6 +199,11 @@ _ROOT = {
     **{section: _Key("table", {}) for section in _SCHEMA},
 }
 
+#: The keys that size each task's arrays, named when memory runs out.
+_SIZE_KEYS = {"simulate": "time.samples or numerics.dimension", "phases": "time.samples",
+              "sweep": "sweep.steps or numerics.dimension",
+              "validate": "numerics.oracle_dimension"}
+
 #: Waveform type -> (class, key -> _Key).  The keys are the class's
 #: constructor arguments; the class checks their values (ValueError).
 _WAVEFORMS = {
@@ -602,6 +607,10 @@ def main(argv=None) -> int:
         return 1
     except (AccuracyError, TruncationError, DomainError) as exc:
         print(f"numeric error: {exc}", file=_sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"numeric error: out of memory; reduce {_SIZE_KEYS[args.command]}",
+              file=_sys.stderr)
         return 2
 
 

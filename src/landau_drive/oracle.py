@@ -16,12 +16,13 @@ on its own, and the rest would be work no check reads.
 Two dissimilar integrators are provided: classic fixed-step RK4 applied in
 the frame that removes the stiff static diagonal (required to reach 1e-6
 accuracy at dt = 0.01/omega), and a second-order midpoint rule that
-exponentiates the full Hamiltonian without any frame change.
+exponentiates the full Hamiltonian without any frame change, by numpy's
+``eigh`` (H is Hermitian), so the oracle needs no scipy.  Both read one
+span list, with E(t) at every node of a span from one vectorized call.
 
 The drive couples each level only to its neighbours, so RK4 never builds
 a dense generator: it applies c_a a + c_ad a^dag as two shifted row
-scalings, O(N^2) per stage instead of an O(N^3) matrix product, and takes
-E(t) at every node of a smooth span from one vectorized field call.  One
+scalings, O(N^2) per stage instead of an O(N^3) matrix product.  One
 kernel, ``_banded_rk4``, runs every step from per-node coefficient pairs
 in fixed work buffers, with 28 numpy calls per step and none on a span
 where the field is exactly zero.  The orbit-center check evaluates
@@ -108,16 +109,12 @@ class IntegratorConfig:
             raise ValueError("scheme must be 'rk4' or 'expmid'")
 
 
-def _static_parts(dim: int):
-    """The static diagonal n + 1/2 and the ladder pair a, a^dag of H(t)."""
-    a, ad = (op.matrix for op in ladder_ops(dim))
-    return np.diag(np.arange(dim) + 0.5).astype(complex), a, ad
-
-
-def _hamiltonian(w_i: FieldWaveform, t: float, diag, a, ad):
-    """H(t) in internal units of hbar omega, built directly from E(t)."""
-    rdot = complex(-1j * w_i.field(t))
-    return diag - (_SQRT2 / 2.0) * (np.conj(rdot) * a + rdot * ad)
+def _hamiltonian(rdot: complex, dim: int) -> np.ndarray:
+    """H = diag(n + 1/2) - (sqrt 2 / 2)(Rdot* a + Rdot a^dag) in units of
+    hbar omega, for Rdot = -i E(t): tridiagonal, with conjugate
+    off-diagonals, so exactly Hermitian."""
+    g = -(_SQRT2 / 2.0) * rdot * np.sqrt(np.arange(1.0, dim))
+    return np.diag(np.arange(dim) + 0.5) + np.diag(np.conj(g), 1) + np.diag(g, -1)
 
 
 def _spans(w: FieldWaveform, t_end: float):
@@ -145,7 +142,7 @@ def pi_sector_hamiltonian(
     w_i, scales, _ = internalize(sys, w)
     t_i = t / scales.time
     w_i._check_domain(t_i)
-    return TruncatedOperator(_hamiltonian(w_i, t_i, *_static_parts(dim)))
+    return TruncatedOperator(_hamiltonian(complex(-1j * w_i.field(t_i)), dim))
 
 
 def _banded_rk4(u: np.ndarray, spans) -> None:
@@ -242,18 +239,15 @@ def integrate_schrodinger(
     from those columns of the identity, and each column evolves on its
     own, so they equal the matching columns of a full-square run.
 
+    Both schemes read one span list: each span holds Rdot at t, t + h/2
+    and t + h for all its steps, from one vectorized field call at the
+    node times a running t += h produces.  Steps never straddle kinks.
     rk4 integrates the rotating-frame equation dW/dt = G(t) W with
-    G(t) = (i k / 2)(Rdot* e^{-i omega t} a + Rdot e^{i omega t} a^dag)
-    and restores the static phases exactly at the end.  G is banded: a
-    has sqrt(n) on its superdiagonal and a^dag on its subdiagonal, so each
-    stage's G(t) W is two shifted row scalings of W, never a dense
-    product.  The two coefficients of G are kept as one complex scalar per
-    node; every span gets them at t, t + h/2 and t + h for all its steps
-    from one vectorized field call, at the node times a running t += h
-    produces.  ``_banded_rk4`` runs the steps and skips a span where both
-    coefficients are exactly zero, since each of its steps is the identity.
-    expmid multiplies midpoint exponentials of the full Hamiltonian.
-    Steps never straddle waveform kinks.
+    G(t) = (i k / 2)(Rdot* e^{-i omega t} a + Rdot e^{i omega t} a^dag),
+    banded, by ``_banded_rk4`` (which skips a span where G is exactly
+    zero), and restores the static phases exactly at the end.  expmid
+    multiplies the midpoint exponentials exp(-i h H(t + h/2)) of the full
+    Hamiltonian, each V e^{-i h Lambda} V^dag from numpy's ``eigh``.
 
     Raises AccuracyError when the columns put more than 1e-4 of
     probability on the truncation edge (or are not finite): past that
@@ -266,29 +260,25 @@ def integrate_schrodinger(
     dim = cfg.dim
     u_mat = np.eye(dim, dim // 2, dtype=complex)
 
+    spans = []
+    for lo, hi in _spans(w_i, t_i):
+        n = max(1, math.ceil((hi - lo) / cfg.dt))
+        h = (hi - lo) / n
+        nodes = _step_nodes(lo, h, n)
+        spans.append((h, nodes, -1j * np.asarray(w_i.field(nodes), dtype=complex)))
+
     if cfg.scheme == "rk4":
-        spans = []
-        for lo, hi in _spans(w_i, t_i):
-            n = max(1, math.ceil((hi - lo) / cfg.dt))
-            h = (hi - lo) / n
-            nodes = _step_nodes(lo, h, n)
-            rdot = -1j * np.asarray(w_i.field(nodes), dtype=complex)
-            c_a = (0.5j * _SQRT2) * (np.conj(rdot) * np.exp(-1j * nodes))
-            c_ad = (0.5j * _SQRT2) * (rdot * np.exp(1j * nodes))
-            spans.append((h, c_a, c_ad))
-        _banded_rk4(u_mat, spans)
+        _banded_rk4(u_mat, [(h, (0.5j * _SQRT2) * (np.conj(rdot) * np.exp(-1j * nodes)),
+                             (0.5j * _SQRT2) * (rdot * np.exp(1j * nodes)))
+                            for h, nodes, rdot in spans])
         phases = np.exp(-1j * (np.arange(dim) + 0.5) * t_i)
         u_mat = phases[:, None] * u_mat
     else:
-        from scipy.linalg import expm  # only this scheme needs scipy
-        static = _static_parts(dim)
-        for lo, hi in _spans(w_i, t_i):
-            n = max(1, math.ceil((hi - lo) / cfg.dt))
-            h = (hi - lo) / n
-            t = lo
-            for _ in range(n):
-                u_mat = expm(-1j * h * _hamiltonian(w_i, t + h / 2.0, *static)) @ u_mat
-                t += h
+        for h, nodes, rdot in spans:
+            n = len(nodes) // 3
+            for r in rdot[n : 2 * n]:
+                lam, v = np.linalg.eigh(_hamiltonian(r, dim))
+                u_mat = (v * np.exp(-1j * h * lam)) @ (v.conj().T @ u_mat)
 
     edge = float(np.max(np.abs(u_mat[-2:])))
     if not edge * edge <= _EDGE_PROBABILITY:

@@ -253,6 +253,24 @@ class TestIntegrateSchrodinger:
         )
         assert np.max(np.abs((u_rk - u_mid)[:16])) < 1e-4
 
+    @pytest.mark.parametrize("dim", [8, 16, 48])
+    @pytest.mark.parametrize("system", [(1.0, 1.0, 1.0), (-1.0, 2.0, 0.7)],
+                             ids=["positive", "mirrored"])
+    def test_expmid_step_matches_scipy_expm(self, system, dim):
+        # one expmid step is exp(-i dt H(dt/2)); scipy's Pade expm of the
+        # same Hamiltonian is the reference for numpy's eigh exponential
+        sys_ = ld.PhysicalSystem(*system)
+        scales = sys_.internal_scales()
+        w = ld.ConstantField(0.3 * scales.field * math.cos(0.4),
+                             0.3 * scales.field * math.sin(0.4))
+        dt = 0.02
+        t = dt * scales.time
+        u = ld.integrate_schrodinger(sys_, w, t, ld.IntegratorConfig(dt=dt, dim=dim,
+                                                                     scheme="expmid"))
+        h = ld.pi_sector_hamiltonian(sys_, w, t / 2.0, dim).matrix
+        ref = ld.matrix_exponential(ld.TruncatedOperator(-1j * dt * h)).matrix
+        assert np.max(np.abs(u - ref[:, : dim // 2])) <= 1e-13
+
     def test_unitary_on_healthy_block(self, natural):
         w = ld.RotatingField(0.1, 0.7)
         u = ld.integrate_schrodinger(natural, w, 10.0, ld.IntegratorConfig(dim=48))
