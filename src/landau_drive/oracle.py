@@ -20,6 +20,13 @@ exponentiates the full Hamiltonian without any frame change, by numpy's
 ``eigh`` (H is Hermitian), so the oracle needs no scipy.  Both read one
 span list, with E(t) at every node of a span from one vectorized call.
 
+The midpoint rule works in a gauge.  The drive's phase is a rotation
+generated by the number operator, H(Rdot) = P H(|Rdot|) P^dag with
+P = diag(e^{i m arg Rdot}), and H(|Rdot|) is real, symmetric and
+tridiagonal.  So each run diagonalizes one real matrix per distinct
+|Rdot| float, kept in a small memo keyed by that exact float (a constant
+amplitude repeats a handful of them), and applies P as phases.
+
 The drive couples each level only to its neighbours, so RK4 never builds
 a dense generator: it applies c_a a + c_ad a^dag as two shifted row
 scalings, O(N^2) per stage instead of an O(N^3) matrix product.  One
@@ -37,6 +44,7 @@ gives every comparison of the integrated U with the factorized one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +94,10 @@ _PHASE_PER_STEP = 0.005
 #: (t = 10/omega) to 10^5 steps, so no step table outgrows memory.
 DT_RANGE = (1e-4, 0.05)
 
+#: Decompositions one expmid run keeps, keyed by the exact |Rdot| float:
+#: a constant-amplitude drive repeats a few values, a varying one none.
+_EIGH_MEMO = 8
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -112,9 +124,16 @@ class IntegratorConfig:
 def _hamiltonian(rdot: complex, dim: int) -> np.ndarray:
     """H = diag(n + 1/2) - (sqrt 2 / 2)(Rdot* a + Rdot a^dag) in units of
     hbar omega, for Rdot = -i E(t): tridiagonal, with conjugate
-    off-diagonals, so exactly Hermitian."""
+    off-diagonals, so exactly Hermitian.  A real Rdot gives the real
+    symmetric matrix.  It is filled in place, so a build holds one
+    (dim, dim) array."""
     g = -(_SQRT2 / 2.0) * rdot * np.sqrt(np.arange(1.0, dim))
-    return np.diag(np.arange(dim) + 0.5) + np.diag(np.conj(g), 1) + np.diag(g, -1)
+    h = np.zeros((dim, dim), dtype=g.dtype)
+    n = np.arange(dim)
+    h[n, n] = n + 0.5
+    h[n[1:], n[:-1]] = g
+    h[n[:-1], n[1:]] = np.conj(g)
+    return h
 
 
 def _spans(w: FieldWaveform, t_end: float):
@@ -229,6 +248,23 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     u[...] = u_pad[1:-1]
 
 
+def _expmid_step(u: np.ndarray, h: float, r: complex, lam: np.ndarray, v: np.ndarray):
+    """exp(-i h H(r)) u, given H(|r|) = V diag(lam) V^T.
+
+    The drive's phase is a rotation generated by the number operator:
+    H(r) = P H(|r|) P^dag with P = diag(e^{i m arg r}), so the step is
+    P V e^{-i h Lambda} V^T P^dag u.  V is real, so both products run on
+    float64 views of the complex blocks, as real matrix products.  Beside
+    u, at most two blocks are alive at once.
+    """
+    p = np.exp(1j * math.atan2(r.imag, r.real) * np.arange(len(lam)))[:, None]
+    y = (v.T @ (np.conj(p) * u).view(float)).view(complex)
+    y *= np.exp(-1j * h * lam)[:, None]
+    y = (v @ y.view(float)).view(complex)
+    y *= p
+    return y
+
+
 def integrate_schrodinger(
     sys: PhysicalSystem, w: FieldWaveform, t_final: float, cfg: IntegratorConfig
 ) -> np.ndarray:
@@ -247,7 +283,12 @@ def integrate_schrodinger(
     banded, by ``_banded_rk4`` (which skips a span where G is exactly
     zero), and restores the static phases exactly at the end.  expmid
     multiplies the midpoint exponentials exp(-i h H(t + h/2)) of the full
-    Hamiltonian, each V e^{-i h Lambda} V^dag from numpy's ``eigh``.
+    Hamiltonian, each P V e^{-i h Lambda} V^T P^dag by ``_expmid_step``,
+    from numpy's ``eigh`` of the real H(|Rdot|).  That decomposition is
+    memoized for the call, keyed by the exact |Rdot| float and bounded to
+    ``_EIGH_MEMO`` entries, so a repeated value reuses the very matrices
+    eigh would recompute.  expmid skips a zero-length span (t_final = 0),
+    so, like rk4, it then returns the identity's columns exactly.
 
     Raises AccuracyError when the columns put more than 1e-4 of
     probability on the truncation edge (or are not finite): past that
@@ -274,11 +315,15 @@ def integrate_schrodinger(
         phases = np.exp(-1j * (np.arange(dim) + 0.5) * t_i)
         u_mat = phases[:, None] * u_mat
     else:
+        eigh_real = functools.lru_cache(maxsize=_EIGH_MEMO)(
+            lambda mod: np.linalg.eigh(_hamiltonian(mod, dim))
+        )
         for h, nodes, rdot in spans:
+            if h == 0.0:
+                continue
             n = len(nodes) // 3
             for r in rdot[n : 2 * n]:
-                lam, v = np.linalg.eigh(_hamiltonian(r, dim))
-                u_mat = (v * np.exp(-1j * h * lam)) @ (v.conj().T @ u_mat)
+                u_mat = _expmid_step(u_mat, h, r, *eigh_real(float(abs(r))))
 
     edge = float(np.max(np.abs(u_mat[-2:])))
     if not edge * edge <= _EDGE_PROBABILITY:

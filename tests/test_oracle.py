@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import landau_drive as ld
 from landau_drive.errors import AccuracyError
+from landau_drive.oracle import _EIGH_MEMO, _expmid_step, _hamiltonian
 
 
 def dynamical_diag(dim, t):
@@ -105,6 +106,51 @@ def square_banded_rk4(sys_, w, t_final, dim, dt):
     return dynamical_diag(dim, t_i)[:, None] * u
 
 
+def expmid_loop(sys_, w, t_final, dim, dt, step):
+    """The expmid scheme of integrate_schrodinger as a plain step loop.
+
+    Node times laid out as ``_step_nodes`` lays them out, one field call
+    per span, and u = step(u, h, Rdot) at every midpoint, from the
+    identity's leading columns.
+    """
+    w_i, scales, _ = ld.internalize(sys_, w)
+    t_i = t_final / scales.time
+    u = np.eye(dim, dim // 2, dtype=complex)
+    edges = [0.0] + [p for p in sorted(w_i.breakpoints()) if 0.0 < p < t_i] + [t_i]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = max(1, math.ceil((hi - lo) / dt))
+        h = (hi - lo) / n
+        starts = np.cumsum(np.r_[lo, np.full(n - 1, h)])
+        nodes = np.concatenate([starts, starts + h / 2.0, starts + h])
+        for r in -1j * np.asarray(w_i.field(nodes), dtype=complex)[n : 2 * n]:
+            u = step(u, h, r)
+    return u
+
+
+def complex_eigh_step(u, h, r):
+    """exp(-i h H(r)) u by a complex eigh of H(r) itself, at every step."""
+    lam, v = np.linalg.eigh(_hamiltonian(r, u.shape[0]))
+    return (v * np.exp(-1j * h * lam)) @ (v.conj().T @ u)
+
+
+def recomputed_gauge_step(u, h, r):
+    """The oracle's gauge step, with the real eigh recomputed every step."""
+    return _expmid_step(u, h, r, *np.linalg.eigh(_hamiltonian(float(abs(r)), u.shape[0])))
+
+
+def expmid_waveform(sys_, name):
+    """A validation-corpus waveform by name, or a linear-sinusoid drive."""
+    if name == "linear_sinusoid_fast":
+        scales = sys_.internal_scales()
+        return ld.LinearSinusoidField(0.12 * scales.field, 0.3, 0.8 / scales.time, 0.1)
+    return {e.name: e.waveform for e in ld.validation_corpus(sys_)}[name]
+
+
+SYSTEMS = pytest.mark.parametrize(
+    "system", [(1.0, 1.0, 1.0), (-1.0, 2.0, 0.7)], ids=["positive", "mirrored"]
+)
+
+
 def loop_guiding_center(sys_, w, t_grid):
     """guiding_center_residual restated as a scalar step loop.
 
@@ -198,6 +244,28 @@ class TestPiSectorHamiltonian:
         assert_allclose(h, expected, atol=1e-15)
 
 
+class TestHamiltonianGauge:
+    @pytest.mark.parametrize(
+        "r",
+        [0.3 + 0.2j, -0.3 + 0.2j, -0.3 - 0.2j, 0.3 - 0.2j, 0.25 + 0j, -0.25 + 0j,
+         0.25j, -0.25j, complex(-0.3, -0.0), complex(0.3, -0.0), 0j],
+        ids=["q1", "q2", "q3", "q4", "re+", "re-", "im+", "im-", "re-im-0", "re+im-0",
+             "zero"],
+    )
+    def test_phase_rotates_real_hamiltonian(self, r):
+        # H(r) = P H(|r|) P^dag with P = diag(e^{i m arg r}); the diagonal
+        # is shared exactly, and each entry of P H P^dag rounds within a few
+        # ulps times m |arg r|, the size of P's largest phase
+        dim = 48
+        phi = math.atan2(r.imag, r.real)
+        p = np.exp(1j * phi * np.arange(dim))[:, None]
+        h, h_real = _hamiltonian(r, dim), _hamiltonian(abs(r), dim)
+        assert h_real.dtype == np.float64 and np.array_equal(h_real, h_real.T)
+        assert np.array_equal(np.diag(h), np.diag(h_real))
+        bound = np.finfo(float).eps * (4.0 + 2.0 * dim * abs(phi)) * np.abs(h)
+        assert np.all(np.abs(h - p * h_real * np.conj(p).T) <= bound)
+
+
 class TestIntegrateSchrodinger:
     def test_zero_field_exact_phases(self, natural):
         for scheme in ("rk4", "expmid"):
@@ -206,10 +274,14 @@ class TestIntegrateSchrodinger:
             assert u.shape == (16, 8)
             assert np.max(np.abs(u - np.diag(dynamical_diag(16, 6.0))[:, :8])) < 1e-9
 
-    def test_time_zero_identity(self, natural):
-        cfg = ld.IntegratorConfig(dim=8)
-        u = ld.integrate_schrodinger(natural, ld.ZeroField(), 0.0, cfg)
-        assert_allclose(u, np.eye(8, 4))
+    @pytest.mark.parametrize("scheme", ["rk4", "expmid"])
+    def test_time_zero_identity(self, natural, scheme):
+        # no step runs at t = 0, so both schemes return the identity's
+        # leading columns exactly
+        for w, dim in ((ld.ZeroField(), 8), (ld.RotatingField(0.1, 0.9, 0.3), 16)):
+            cfg = ld.IntegratorConfig(dim=dim, scheme=scheme)
+            u = ld.integrate_schrodinger(natural, w, 0.0, cfg)
+            assert np.array_equal(u, np.eye(dim, dim // 2))
 
     def test_factorization_off_resonance(self, natural):
         w = ld.RotatingField(0.1, 0.7)
@@ -270,6 +342,57 @@ class TestIntegrateSchrodinger:
         h = ld.pi_sector_hamiltonian(sys_, w, t / 2.0, dim).matrix
         ref = ld.matrix_exponential(ld.TruncatedOperator(-1j * dt * h)).matrix
         assert np.max(np.abs(u - ref[:, : dim // 2])) <= 1e-13
+
+    @pytest.mark.parametrize("dim,t_units", [(8, 2.0), (16, 10.0), (48, 10.0)],
+                             ids=["8", "16", "48"])
+    @SYSTEMS
+    @pytest.mark.parametrize(
+        "name", ["rotating_off", "sampled_random", "linear_sinusoid_fast"]
+    )
+    def test_expmid_matches_complex_eigh_loop(self, name, system, dim, t_units):
+        # rotating_off repeats three |Rdot| values, so the memo serves
+        # nearly every step; the other two drives miss it on every step.
+        # At dim 8 the columns stay off the basis edge only up to t = 2.
+        sys_ = ld.PhysicalSystem(*system)
+        w, t = expmid_waveform(sys_, name), t_units * sys_.internal_scales().time
+        u = ld.integrate_schrodinger(sys_, w, t, ld.IntegratorConfig(dt=0.02, dim=dim,
+                                                                     scheme="expmid"))
+        ref = expmid_loop(sys_, w, t, dim, 0.02, complex_eigh_step)
+        assert np.max(np.abs(u - ref)) <= 5e-13
+
+    @pytest.mark.parametrize("dim", [16, 48])
+    @SYSTEMS
+    @pytest.mark.parametrize("name", ["rotating_off", "sampled_random"])
+    def test_expmid_memo_is_exact(self, name, system, dim):
+        # a memoized decomposition is the one eigh would recompute, bit for bit
+        sys_ = ld.PhysicalSystem(*system)
+        w, t = expmid_waveform(sys_, name), 10.0 * sys_.internal_scales().time
+        u = ld.integrate_schrodinger(sys_, w, t, ld.IntegratorConfig(dt=0.02, dim=dim,
+                                                                     scheme="expmid"))
+        assert np.array_equal(u, expmid_loop(sys_, w, t, dim, 0.02, recomputed_gauge_step))
+
+    def test_expmid_memory_stays_bounded(self, natural, monkeypatch):
+        # every step of the sampled drive misses the memo, and the peak
+        # stays under (memo limit + 4) real (64, 64) matrices: the memo
+        # holds at most its limit of decompositions, whatever the steps
+        dim = 64
+        cfg = ld.IntegratorConfig(dt=0.02, dim=dim, scheme="expmid")
+        ld.integrate_schrodinger(natural, KINKED, 3.3, cfg)  # one-time setup untraced
+        eigh, calls = np.linalg.eigh, [0]
+
+        def counting_eigh(a):
+            calls[0] += 1
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        tracemalloc.start()
+        try:
+            ld.integrate_schrodinger(natural, KINKED, 3.3, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls[0] == 165  # six spans of 25 steps and one of 15
+        assert peak <= (_EIGH_MEMO + 4) * dim * dim * 8
 
     def test_unitary_on_healthy_block(self, natural):
         w = ld.RotatingField(0.1, 0.7)
