@@ -2,10 +2,13 @@
 
 Ladder operators, closed-form displacement matrix elements, and a matrix
 exponential used as the independent cross-check for the closed form.
-The elements are evaluated in one place, from normalized associated
-Laguerre functions of modulus at most 1, finite in any dimension up to
-|alpha|^2 of about 1417; ``displacement_matrix`` takes every column of
-one amplitude and ``displacement_columns`` one column of many.
+The moduli of the elements are evaluated in one place, as normalized
+associated Laguerre functions of modulus at most 1, finite in any
+dimension up to |alpha|^2 of about 1417, and the elements are those
+moduli times a phase e^{i d arg alpha}.  ``displacement_matrix`` takes
+every column of one amplitude and ``displacement_columns`` one column of
+many; the level populations square the moduli of a column and never form
+the phases, on which they do not depend.
 """
 
 from __future__ import annotations
@@ -145,21 +148,17 @@ def _require_representable(size: float, dim: int | None = None) -> None:
     )
 
 
-def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
-    """E[s, m, j] = <m|D(alphas[s])|cols[j]> for m < ``dim``: the one
-    evaluation of the displacement matrix elements.
+def _displacement_moduli(alphas: np.ndarray, cols: np.ndarray, dim: int):
+    """Yield (block, phi) over blocks of the amplitudes, with
+    phi[s, m, j] = phi_p^{(d)}(|a|^2) for a = alphas[block][s],
+    p = min(m, cols[j]) and d = |m - cols[j]|: the one evaluation of the
+    moduli, signed, |phi[s, m, j]| = |<m|D(a)|cols[j]>|.
 
-    For m >= n,
-        <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2)
-                = phi_n^{(m-n)}(|a|^2) e^{i (m-n) arg alpha},
-    and the m < n elements follow with alpha -> -alpha*.  Only the rows
-    p <= max(cols) are built, so S amplitudes and C columns cost
-    O(S (max(cols) + 1) dim) for the table plus O(S dim C) for the elements.
-    Raises TruncationError when e^{-|a|^2/2} is not a normal float
-    (``_require_representable``).
+    Only the rows p <= max(cols) are built, so S amplitudes and C columns
+    cost O(S (max(cols) + 1) dim) for the table plus O(S dim C) for the
+    moduli.  Raises TruncationError when e^{-|a|^2/2} is not a normal
+    float (``_require_representable``).
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    cols = np.asarray(cols)
     # |alpha| by Python's complex abs, one amplitude at a time: numpy's
     # vectorized version rounds differently in the last bit
     sizes = np.array([abs(a) for a in alphas.tolist()], dtype=float)
@@ -170,19 +169,49 @@ def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
     rows = np.arange(dim)[:, None]
     p = np.minimum(rows, cols[None, :])
     d = np.abs(rows - cols[None, :])
-    lower = rows >= cols[None, :]
     degrees = int(cols.max()) + 1
-    out = np.empty((alphas.size, dim, cols.size), dtype=complex)
     # amplitudes go in blocks of about _BLOCK_ELEMENTS elements, which
     # bounds the temporaries whatever the number of amplitudes
     step = max(1, _BLOCK_ELEMENTS // (dim * cols.size))
     for lo in range(0, alphas.size, step):
         blk = slice(lo, lo + step)
+        yield blk, _laguerre_functions(x[blk], degrees, dim)[:, p, d]
+
+
+def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
+    """E[s, m, j] = <m|D(alphas[s])|cols[j]> for m < ``dim``: the one
+    evaluation of the displacement matrix elements.
+
+    For m >= n,
+        <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2)
+                = phi_n^{(m-n)}(|a|^2) e^{i (m-n) arg alpha},
+    and the m < n elements follow with alpha -> -alpha*: the phases of
+    this function times the moduli of ``_displacement_moduli``, block by
+    block, with its cost and its TruncationError.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    cols = np.asarray(cols)
+    offset = np.arange(dim)[:, None] - cols[None, :]
+    d, lower = np.abs(offset), offset >= 0
+    out = np.empty((alphas.size, dim, cols.size), dtype=complex)
+    for blk, phi in _displacement_moduli(alphas, cols, dim):
         a = alphas[blk, None, None]
         ang = np.where(lower, np.angle(a), np.angle(-np.conj(a)))
-        phi = _laguerre_functions(x[blk], degrees, dim)[:, p, d]
         out[blk] = np.exp(1j * d * ang) * phi
     return out
+
+
+def _column_amplitudes(alphas, n: int, dim: int) -> np.ndarray:
+    """``alphas`` as a 1-D complex array, once it, ``n`` and ``dim`` are
+    checked for column n of a ``dim``-state displacement."""
+    alphas = np.asarray(alphas, dtype=complex)
+    if alphas.ndim != 1:
+        raise ValueError("amplitudes must be a one-dimensional sequence")
+    if dim < 2:
+        raise ValueError("need at least two Fock states")
+    if not 0 <= n < dim:
+        raise IndexError(f"level {n} outside dimension {dim}")
+    return alphas
 
 
 def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
@@ -212,14 +241,22 @@ def displacement_columns(alphas, n: int, dim: int) -> np.ndarray:
     column without changing its leading entries.  Same TruncationError as
     ``displacement_matrix``, raised when any amplitude is past the limit.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    if alphas.ndim != 1:
-        raise ValueError("amplitudes must be a one-dimensional sequence")
-    if dim < 2:
-        raise ValueError("need at least two Fock states")
-    if not 0 <= n < dim:
-        raise IndexError(f"level {n} outside dimension {dim}")
+    alphas = _column_amplitudes(alphas, n, dim)
     return _displacement_elements(alphas, np.array([n]), dim)[:, :, 0]
+
+
+def _column_probabilities(alphas, n: int, dim: int) -> np.ndarray:
+    """|<m|D(alphas[s])|n>|^2 as an (S, dim) array: ``displacement_columns``
+    squared, with its checks and errors, but formed as phi * phi from the
+    moduli alone, so no phase is built.  Within a few ulp of
+    ``np.abs(displacement_columns(...)) ** 2``, and bit for bit at m = n,
+    where d = 0 and the phase is exactly 1.
+    """
+    alphas = _column_amplitudes(alphas, n, dim)
+    out = np.empty((alphas.size, dim))
+    for blk, phi in _displacement_moduli(alphas, np.array([n]), dim):
+        np.multiply(phi[:, :, 0], phi[:, :, 0], out=out[blk])
+    return out
 
 
 def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:

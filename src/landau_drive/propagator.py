@@ -22,7 +22,7 @@ from .field_model import FieldWaveform, PhysicalSystem
 from .fock_algebra import (
     CoherentAmplitude,
     TruncatedOperator,
-    displacement_columns,
+    _column_probabilities,
     displacement_matrix,
     suggested_dimension,
 )
@@ -196,13 +196,16 @@ def level_populations(
 ) -> np.ndarray:
     """P(n -> m) = |<m|J|n>|^2 for every drive amplitude in ``u``: (S, D).
 
-    Column n of D(alpha) is evaluated once for all samples, and every row
-    must sum to 1 within ``NORM_TOL``, else TruncationError.  D = ``dim``
-    if given; else D starts at the largest size ``assemble`` would choose
-    for a sample, and at least 2 (n + 1), and doubles (``_MAX_DOUBLINGS``
-    times at most) until every row is healthy.  Matrix elements do not
-    depend on D, so the leading entries of row s equal
-    ``transition_probabilities`` of that sample's propagator.  Also raises
+    The probabilities depend on |alpha| only, so they are the squared
+    Laguerre moduli of column n of D(alpha), evaluated once for all
+    samples with no phase formed.  Every row must sum to 1 within
+    ``NORM_TOL``, else TruncationError.  D = ``dim`` if given; else D
+    starts at the largest size ``assemble`` would choose for a sample, and
+    at least 2 (n + 1), and doubles (``_MAX_DOUBLINGS`` times at most)
+    until every row is healthy.  Matrix elements do not depend on D, so
+    the leading entries of row s match ``transition_probabilities`` of
+    that sample's propagator within a few ulp, and entry n bit for bit.
+    ``u`` must be one-dimensional (ValueError).  Also raises
     TruncationError when n >= dim, an element is not finite, or some
     |alpha|^2 is not: no basis holds such an amplitude.
     """
@@ -218,7 +221,7 @@ def level_populations(
         start = max(suggested_dimension(largest), 2 * (n + 1))
         sizes = [start << k for k in range(_MAX_DOUBLINGS + 1)]
     for size in sizes:
-        pops = np.abs(displacement_columns(alphas, n, size)) ** 2
+        pops = _column_probabilities(alphas, n, size)
         worst = float(_norm_deficit(pops).max(initial=0.0))
         if worst <= NORM_TOL:
             return pops

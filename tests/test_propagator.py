@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 import landau_drive as ld
 from landau_drive import propagator
 from landau_drive.errors import TruncationError, TruncationWarning
+from landau_drive.fock_algebra import _BLOCK_ELEMENTS
 from landau_drive.propagator import NORM_TOL
 
 
@@ -317,6 +320,70 @@ class TestLevelPopulations:
         assert ld.level_populations(natural, [], 3).shape == (0, 32)
         assert ld.level_populations(natural, [], 20).shape == (0, 42)
         assert ld.level_populations(natural, [], 3, 10).shape == (0, 10)
+
+    @pytest.mark.parametrize("dim", [None, 160])
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [0, 3, 20])
+    def test_squared_moduli_of_displacement_columns(self, n, charge, dim):
+        # |alpha|^2 up to 18, about the resonance sweep's largest, over
+        # three full blocks of amplitudes at dim 160 and part of a fourth
+        sys = ld.PhysicalSystem(charge=charge, magnetic_field=1.0, mass=1.0)
+        count = 3 * (_BLOCK_ELEMENTS // 160) + 7
+        rng = np.random.default_rng(23)
+        u = np.sqrt(rng.uniform(0.0, 9.0, count)) * np.exp(2j * math.pi * rng.random(count))
+        pops = ld.level_populations(sys, u, n, dim)
+        assert pops.shape == (count, 160)
+        cols = ld.displacement_columns(ld.displacement_argument(sys, u), n, 160)
+        squared = np.abs(cols) ** 2
+        assert np.max(np.abs(pops - squared)) <= 1e-15
+        assert np.array_equal(pops[:, n], squared[:, n])
+
+    @pytest.mark.parametrize("x", [0.5, 18.0, 100.0])
+    @pytest.mark.parametrize("n", [0, 5, 20])
+    def test_against_laguerre_reference(self, natural, x, n):
+        # P(n -> m) = (p!/(p+d)!) x^d e^{-x} [L_p^{(d)}(x)]^2 with
+        # p = min(m, n), d = |m - n|, at 50 digits on every seventh row
+        # and the rows next to n; x is the |alpha|^2 the code squares
+        alpha = ld.displacement_argument(natural, math.sqrt(x / 2.0))
+        pops = ld.level_populations(natural, [math.sqrt(x / 2.0)], n)[0]
+        rows = sorted({*range(0, pops.size, 7), *range(max(n - 1, 0), n + 2)})
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(abs(alpha) ** 2)
+            for m in rows:
+                p, d = min(m, n), abs(m - n)
+                ref = (mpmath.factorial(p) / mpmath.factorial(p + d) * xm ** d
+                       * mpmath.exp(-xm) * mpmath.laguerre(p, d, xm) ** 2)
+                if ref >= mpmath.mpf("1e-250"):
+                    assert abs(pops[m] - ref) <= 1e-12 * ref, (m, pops[m], ref)
+
+    @pytest.mark.parametrize("dim", [None, 40])
+    @pytest.mark.parametrize("u", [0.3, [[0.3, 0.1]]], ids=["scalar", "2-D"])
+    def test_amplitudes_must_be_one_dimensional(self, natural, u, dim):
+        with pytest.raises(ValueError, match="amplitudes must be a one-dimensional sequence"):
+            ld.level_populations(natural, u, 0, dim)
+
+    def test_level_and_dimension_checks(self, natural):
+        # n >= dim, non-finite |alpha|^2 and no samples are pinned above
+        with pytest.raises(IndexError):
+            ld.level_populations(natural, [0.3], -1)
+        with pytest.raises(ValueError, match="two Fock states"):
+            ld.level_populations(natural, [0.3], 0, 1)
+
+    def test_temporaries_bounded(self, natural):
+        # the squares are written block by block into the result, which is
+        # most of the peak; squaring the complex column of
+        # displacement_columns peaks at 3x the result, and a single
+        # (S, rows, dim) table would add one result's worth
+        rng = np.random.default_rng(29)
+        u = np.sqrt(rng.uniform(0.0, 9.0, 20_000)) * np.exp(2j * math.pi * rng.random(20_000))
+        ld.level_populations(natural, u[:10], 0, 160)  # one-time setup untraced
+        tracemalloc.start()
+        try:
+            pops = ld.level_populations(natural, u, 0, 160)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * pops.nbytes
 
 
 class TestAdiabaticEstimates:
