@@ -10,6 +10,7 @@ reproduce identical bytes.  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -423,8 +424,8 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
     base = cfg.waveform
     values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
     if sweep["parameter"] == "nu_over_omega":
-        waves = [RotatingField(base.amplitude, v * cfg.system.omega, base.phase)
-                 for v in values.tolist()]
+        omega = cfg.system.omega
+        waves = [RotatingField(base.amplitude, v * omega, base.phase) for v in values.tolist()]
     else:
         waves = [RotatingField(v, base.nu, base.phase) for v in values.tolist()]
     ends = drive_endpoints(cfg.system, waves, cfg.resolved["time"]["t_final"],
@@ -551,7 +552,9 @@ def _emit(cfg: RunConfig, report: SimulationReport, suffix: str) -> list[Path]:
     return [data_path, report_path]
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="landau-drive",
         description="Driven Landau-level simulations via a factorized propagator",
@@ -568,7 +571,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--format", default=None, choices=["csv", "json"])
         p.add_argument("--seed", default=None, help="ignored (no stochastic content)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.seed is not None:
         print("warning: --seed is ignored; runs are deterministic", file=_sys.stderr)

@@ -195,12 +195,29 @@ class _ExpSumField(FieldWaveform):
                 np.zeros(rates.shape[-1], dtype=int), rates)
 
     def rescaled(self, scales, mirror):
-        # -conj(c e^{i lam t}) = -conj(c) e^{-i lam t}
-        sign = -1.0 if mirror else 1.0
-        return _ExpSum(tuple(
-            ((-c.conjugate() if mirror else c) / scales.field, sign * lam * scales.time)
-            for c, lam in self.exp_terms()
-        ))
+        pairs = self.rescaled_pairs(np.array(self.exp_terms(), complex).reshape(-1, 2),
+                                    scales, mirror)
+        return _ExpSum(tuple((c, lam.real) for c, lam in pairs.tolist()))
+
+    @staticmethod
+    def rescaled_pairs(pairs: np.ndarray, scales: InternalScales, mirror: bool) -> np.ndarray:
+        """``exp_terms`` pairs, an array (..., M, 2) whose leading axes are
+        separate sums, in internal units and reflected when mirror is set:
+        -conj(c e^{i lam t}) = -conj(c) e^{-i lam t}.
+
+        c / field is Python's complex-by-float division, which divides by
+        complex(field, 0.0): real (re + im 0.0) / field and imaginary
+        (im - re 0.0) / field, signed zeros and all.
+        """
+        c, lam = pairs[..., 0], pairs[..., 1].real
+        if mirror:
+            c, lam = -np.conj(c), -lam
+        out = np.empty(pairs.shape, complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite paths raise later
+            out[..., 0].real = (c.real + c.imag * 0.0) / scales.field
+            out[..., 0].imag = (c.imag - c.real * 0.0) / scales.field
+            out[..., 1] = lam * scales.time
+        return out
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,9 @@ def _step_nodes(lo: float, h: float, n: int) -> np.ndarray:
     The start times are accumulated one step at a time (t += h), so every
     node is the float a sequential step loop would evaluate.
     """
-    starts = np.cumsum(np.r_[lo, np.full(n - 1, h)])
+    increments = np.full(n, h)
+    increments[0] = lo
+    starts = np.cumsum(increments)
     return np.concatenate([starts, starts + h / 2.0, starts + h])
 
 
@@ -337,6 +339,14 @@ def integrate_schrodinger(
     return u_mat
 
 
+@functools.cache
+def _gauss_legendre_8_16():
+    """numpy's 8- and 16-point Gauss-Legendre (nodes, weights), computed
+    once per process on first use: importing ``numpy.polynomial`` is left
+    out of the package import."""
+    return tuple(np.polynomial.legendre.leggauss(order) for order in (8, 16))
+
+
 def _drive_integral(w_i: FieldWaveform, t_i: float) -> complex:
     """Integral of e^{i s} Rdot(s) over [0, t_i] in internal units.
 
@@ -354,8 +364,7 @@ def _drive_integral(w_i: FieldWaveform, t_i: float) -> complex:
     hi = np.concatenate([e[1:] for e in edges])
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     values = []
-    for order in (8, 16):
-        x, weights = np.polynomial.legendre.leggauss(order)
+    for x, weights in _gauss_legendre_8_16():
         s = mid[:, None] + half[:, None] * x
         e = np.asarray(w_i.field(s.ravel()), dtype=complex).reshape(s.shape)
         values.append(np.sum(half * ((np.exp(1j * s) * (-1j * e)) @ weights)))

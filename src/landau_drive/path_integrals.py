@@ -69,6 +69,10 @@ _WG10 = np.array([
     0.06667134430868814,
 ])
 
+#: Elements of the largest temporary per block of step lengths in
+#: ``_step_table``.
+_STEP_BLOCK_ELEMENTS = 1 << 15
+
 
 def signed_area(points) -> float:
     """Shoelace area of the polyline through ``points`` plus the chord
@@ -275,8 +279,22 @@ def _step_table(h: np.ndarray, powers: np.ndarray, kappa: np.ndarray):
         K(2L) = K(L) + conj(D) K(L) D^T + conj(E(L)) (D E(L))^T
 
     with D the shift by L (``_shifted``).  Leading axes of ``kappa`` are
-    separate waveforms, each with its own p.
+    separate waveforms, each with its own p.  Every step's E and K depend
+    on that step alone, so the steps go in blocks whose temporaries hold
+    about ``_STEP_BLOCK_ELEMENTS`` elements each, written into the result.
     """
+    lead, size = kappa.shape[:-1], kappa.shape[-1]
+    e = np.empty(lead + (size, h.size), complex)
+    k = np.empty(lead + (size, size, h.size), complex)
+    width = max(1, _STEP_BLOCK_ELEMENTS // max(1, kappa.size * max(size, _WG10.size)))
+    for start in range(0, h.size, width):
+        block = slice(start, start + width)
+        e[..., block], k[..., block] = _step_block(h[block], powers, kappa)
+    return e, k
+
+
+def _step_block(h, powers, kappa):
+    """``_step_table`` for one block of step lengths, in one pass."""
     linear = powers == 1
     fastest = np.max(np.abs(kappa), axis=-1, initial=0.0)[..., None]
     base = np.broadcast_to(h, fastest.shape[:-1] + h.shape)
@@ -304,16 +322,16 @@ def _step_table(h: np.ndarray, powers: np.ndarray, kappa: np.ndarray):
     return _monomials(powers, kappa, np.broadcast_to(h, base.shape))[1], k
 
 
-def _exact_path(b, powers, kappa, steps, inverse):
+def _exact_path(b, e, k, inverse):
     """z and its running enclosed area at every knot, for a path that
     starts at the origin with z' = sum_m b_m tau^{k_m} e^{i kappa_m tau} on
-    each step; ``inverse`` maps each step to its length in ``steps``.
+    each step; ``e`` and ``k`` are ``_step_table``'s E and K for these
+    monomials, and ``inverse`` maps each step to its length in them.
 
     Each step adds dz = sum_m b_m E_m(h) and the area
     (1/2) Im(conj(z_a) dz + sum_nm conj(b_n) b_m K_nm(h)), where
     K_nm + conj(K_mn) = conj(E_n) E_m leaves one product per pair n < m.
     """
-    e, k = _step_table(steps, powers, kappa)
     be = b * np.take(e, inverse, axis=-1)
     # summed one monomial after the other: numpy's own sum over an axis
     # may group the terms differently for a stack of waveforms
@@ -339,13 +357,16 @@ def _exact_samples(coef, powers, rates, knots, idx):
     With omega = 1, R' = -i E keeps each monomial's rate, and
     u' = -(1/2) e^{-is} conj(E) turns c tau^k e^{i lambda tau} on the step
     from a into -(1/2) e^{-ia} conj(c) tau^k e^{-i (1 + lambda) tau}.
-    Leading axes of ``coef`` and ``rates`` are separate waveforms.
+    Leading axes of ``coef`` and ``rates`` are separate waveforms.  One
+    step table serves both paths: their rates are stacked on a new
+    leading axis, R's first.
     """
     steps, inverse = np.unique(np.diff(knots), return_inverse=True)
-    r, s_r = _exact_path(-1j * coef, powers, rates, steps, inverse)
+    e, k = _step_table(steps, powers, np.stack([rates, -(1.0 + rates)]))
+    r, s_r = _exact_path(-1j * coef, e[0], k[0], inverse)
     a = knots[:-1]
-    u, s_u = _exact_path(-0.5 * (np.cos(a) - 1j * np.sin(a)) * np.conj(coef), powers,
-                         -(1.0 + rates), steps, inverse)
+    u, s_u = _exact_path(-0.5 * (np.cos(a) - 1j * np.sin(a)) * np.conj(coef), e[1], k[1],
+                         inverse)
     return r[..., idx], u[..., idx], s_r[..., idx], s_u[..., idx]
 
 
@@ -452,9 +473,12 @@ def drive_endpoints(
     """``build_drive_path`` on [0, t] for each waveform, read at t.
 
     The exponential sums (every analytic waveform but a ``SumField``) are
-    evaluated in one call per term count, their step monomials stacked on
-    a leading axis; the others go one by one through ``build_drive_path``.
-    Every value equals the per-waveform one bit for bit.
+    evaluated in one call per term count: their user-unit ``exp_terms``
+    stacked into one array, rescaled at once
+    (``_ExpSumField.rescaled_pairs``, the formula of ``rescaled``), and
+    their step monomials on a leading axis.  The others go one by one
+    through ``build_drive_path``.  Every value equals the per-waveform one
+    bit for bit.
     """
     if t < 0:
         raise DomainError("drive endpoints require t >= 0")
@@ -467,18 +491,18 @@ def drive_endpoints(
     groups, rest = {}, []
     for p, w in enumerate(waveforms):
         w._check_domain(grid)
-        w_i = w.rescaled(scales, mirrored)
-        if method == "quadrature" or not isinstance(w_i, _ExpSumField):
+        if method == "quadrature" or not isinstance(w, _ExpSumField):
             rest.append(p)
         else:  # stacked in groups of equal term counts
-            pairs = w_i.exp_terms()
+            pairs = w.exp_terms()
             groups.setdefault(len(pairs), []).append((p, pairs))
     n = len(waveforms)
     out = [np.empty(n, dtype=kind) for kind in (complex, complex, float, float, float, float)]
     provenance = ["exact"] * n
     for size, members in groups.items():
         index, pairs = zip(*members)
-        pairs = np.array(pairs, dtype=complex).reshape(len(index), size, 2)
+        pairs = _ExpSumField.rescaled_pairs(
+            np.array(pairs, dtype=complex).reshape(len(index), size, 2), scales, mirrored)
         with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
             samples = _exact_samples(*_ExpSumField.stacked_step_terms(pairs, t_i), t_i, -1)
             values = _user_frame(*samples, scales, mirrored)

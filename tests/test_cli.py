@@ -750,6 +750,56 @@ class TestMainAndOutputs:
         assert "ignored" in capsys.readouterr().err
 
 
+def test_parser_reuse_in_one_process(tmp_path, capsys):
+    # main builds its parser once per process: consecutive calls with other
+    # subcommands and options, and a call after one argparse rejected,
+    # write what a fresh interpreter writes for the same arguments
+    docs = {"simulate": BASE_SIM,
+            "sweep": dict(BASE_SIM, task="sweep", sweep={"parameter": "nu_over_omega",
+                                                         "steps": 5}),
+            "phases": dict(BASE_SIM, task="phases")}
+    paths = {task: str(write_config(tmp_path, doc, f"{task}.json"))
+             for task, doc in docs.items()}
+    calls = [["simulate", "--config", paths["simulate"], "--format", "json"],
+             ["sweep", "--config", paths["sweep"], "--seed", "3"],
+             ["phases", "--config", paths["phases"], "--format", "json", "--seed", "4"],
+             ["simulate", "--config", paths["simulate"], "--seed", "5"]]
+    src = str(Path(ld.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def outputs(directory):
+        """Every file written, the reports without their wall time."""
+        files = {}
+        for path in sorted(directory.iterdir()):
+            if path.name.endswith("report.json"):
+                report = json.loads(path.read_text())
+                report.pop("timing_seconds")
+                report["config"]["output"].pop("directory")
+                files[path.name] = report
+            else:
+                files[path.name] = path.read_bytes()
+        return files
+
+    for i, argv in enumerate(calls):
+        fresh = tmp_path / f"fresh{i}"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from landau_drive import cli; "
+             "raise SystemExit(cli.main(sys.argv[1:]))", *argv, "--out", str(fresh)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        if i == 3:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["simulate", "--config", paths["simulate"], "--format", "xml"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+        reused = tmp_path / f"reused{i}"
+        assert cli.main([*argv, "--out", str(reused)]) == 0
+        warned = "--seed is ignored" in capsys.readouterr().err
+        assert warned == ("--seed" in argv) == ("--seed is ignored" in proc.stderr)
+        assert outputs(reused) == outputs(fresh), argv
+
+
 def sampled_block(nodes, t_end):
     """A sampled waveform block of two rotating modes, as plain lists."""
     times = np.linspace(0.0, t_end, nodes)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
+from landau_drive import path_integrals
+from landau_drive.cli import UNIT_CONSTANTS
 from landau_drive.errors import AccuracyError
+from landau_drive.field_model import _ExpSumField
 from landau_drive.path_integrals import DEFAULT_ABS_TOL, _refined_grid
 
 
@@ -472,6 +476,43 @@ class TestDriveEndpoints:
         ends = assert_endpoints_match(natural, waves, 6.0, "auto")
         assert ends.provenance == ("exact",) * len(waves)
 
+    #: Exponential sums whose rescaled pairs carry signed zeros (a zero
+    #: component beside a nonzero one, a zero amplitude at a phase whose
+    #: cosine is negative, a phase of pi/2), then random rotating fields:
+    #: multiplying by 1/field instead of dividing rounds about one
+    #: component in ten differently.
+    RESCALE_CASES = (ld.ConstantField(-0.0, 0.5), ld.ConstantField(0.5, -0.0),
+                     ld.ConstantField(-0.0, -0.0), ld.RotatingField(0.0, 0.7, 2.0),
+                     ld.RotatingField(0.2, 0.9, math.pi / 2), ld.RotatingField(0.2, -0.0),
+                     ld.LinearSinusoidField(0.15, 0.3, 1.3, 0.2), ld.ZeroField(),
+                     *(ld.RotatingField(a, nu, phase) for a, nu, phase in
+                       np.random.default_rng(17).uniform(0.0, 2.0, (40, 3)).tolist()))
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_array_rescale_matches_python_division(self, units, charge):
+        # the stacked rescale of drive_endpoints and rescaled() against
+        # Python's own complex-by-float division, (-conj(c) if mirrored
+        # else c) / field, sign bit included: one division per component
+        # turns -0.0 + 0.5j into -0.0 where Python gives 0.0, and numpy's
+        # complex division multiplies by 1/field
+        consts = UNIT_CONSTANTS[units]
+        sys_ = ld.PhysicalSystem(charge * consts["elementary_charge"], 2.0,
+                                 0.7 * consts["electron_mass"], consts["hbar"], consts["c"])
+        scales, mirror = sys_.internal_scales(), sys_.mirrored
+        assert_endpoints_match(sys_, self.RESCALE_CASES, 7.0 / sys_.omega, "auto")
+        hexed = lambda pairs: [(c.real.hex(), c.imag.hex(), float(lam).hex())
+                               for c, lam in pairs]
+        for w in self.RESCALE_CASES:
+            sign = -1.0 if mirror else 1.0
+            expected = [((-c.conjugate() if mirror else c) / scales.field,
+                         sign * lam * scales.time) for c, lam in w.exp_terms()]
+            assert hexed(w.rescaled(scales, mirror).exp_terms()) == hexed(expected), w
+            stacked = _ExpSumField.rescaled_pairs(
+                np.array([w.exp_terms()] * 2, complex).reshape(2, -1, 2), scales, mirror)
+            for row in stacked.tolist():
+                assert hexed((c, lam.real) for c, lam in row) == hexed(expected), w
+
     def test_time_zero(self, natural):
         waves = [ld.RotatingField(0.2, nu) for nu in (0.0, 0.5, 1.0)]
         ends = assert_endpoints_match(natural, waves, 0.0, "auto")
@@ -752,6 +793,97 @@ class TestPiecewiseExact:
         quad = ld.build_drive_path(sys_, w, grid, method="quadrature", abs_tol=1e-13)
         assert exact.provenance == "exact" and quad.provenance == "quadrature"
         assert_paths_close(sys_, exact, quad, 1e-13)
+
+
+def step_monomials(sys_, w, grid):
+    """Distinct step lengths and step monomials of ``w`` on ``grid`` in
+    internal units, on the knots ``build_drive_path`` integrates over."""
+    w_i, scales, _ = ld.internalize(sys_, w)
+    t_i = np.asarray(grid, dtype=float) / scales.time
+    cuts = np.asarray(w_i.breakpoints(), dtype=float)
+    knots = np.union1d(t_i, cuts[(cuts > 0.0) & (cuts < t_i[-1])])
+    coef, powers, rates = w_i.step_terms(knots)
+    return np.unique(np.diff(knots)), powers, rates
+
+
+def jittered_trace(nodes, seed):
+    """A SampledField on nodes 0.01 apart, each moved by up to 0.003: every
+    step length differs from the others."""
+    rng = np.random.default_rng(seed)
+    times = (np.arange(nodes) + rng.uniform(-0.3, 0.3, nodes)) * 0.01
+    times[0] = 0.0
+    return ld.SampledField(times, *rng.uniform(-0.01, 0.01, (2, nodes)))
+
+
+class TestStepTable:
+    """The step table of both paths, stacked and evaluated in blocks of
+    step lengths, against one unblocked table per path."""
+
+    CARRIER = ld.SumField((
+        ld.SampledField([-1.0, 6.0, 13.0, 20.0, 27.0], [0.21, -0.13, 0.08, 0.3, -0.17],
+                        [-0.05, 0.24, -0.19, 0.11, 0.2]),
+        ld.RotatingField(0.15, 0.8, 0.4)))
+
+    @staticmethod
+    def cases(natural):
+        """name -> (steps, powers, R-path rates): leading axes of the rates
+        are separate waveforms, as drive_endpoints stacks them."""
+        trace = jittered_trace(1201, 41)
+        return {
+            # test_long_segments_with_carrier's field: power-1 monomials on
+            # steps of 5 to 7, with doublings
+            "carrier": step_monomials(natural, TestStepTable.CARRIER, [0.0, 13.0, 25.0]),
+            # at h = 7 the R path's rates 0, -0.5 and 3 double 0, 1 and 4
+            # times, and the u path's -1, -0.5 and -4 double 2, 1 and 4 times
+            "doublings": (np.array([0.05, 0.7, 7.0]), np.zeros(1, int),
+                          np.array([[0.0], [-0.5], [3.0]])),
+            "zero": step_monomials(natural, ld.ZeroField(), [0.0, 2.0, 3.5]),
+            "stacked_zero": (np.array([2.0]), np.zeros(0, int), np.zeros((1, 0))),
+            # 1200 distinct steps, more than one block of 2^15 elements holds
+            "many_steps": step_monomials(natural, trace, np.linspace(0.0, 11.9, 25)),
+        }
+
+    @pytest.mark.parametrize("budget", [None, 100, 1])
+    @pytest.mark.parametrize("case", ["carrier", "doublings", "zero", "stacked_zero",
+                                      "many_steps"])
+    def test_stacked_blocks_equal_per_path_table(self, natural, monkeypatch, case, budget):
+        steps, powers, rates = self.cases(natural)[case]
+        kappas = (rates, -(1.0 + rates))
+        if budget is not None:
+            monkeypatch.setattr(path_integrals, "_STEP_BLOCK_ELEMENTS", budget)
+        e, k = path_integrals._step_table(steps, powers, np.stack(kappas))
+        for path, kappa in enumerate(kappas):
+            e_ref, k_ref = path_integrals._step_block(steps, powers, kappa)
+            assert e[path].shape == e_ref.shape and k[path].shape == k_ref.shape
+            assert e[path].tobytes() == e_ref.tobytes(), (case, path)
+            assert k[path].tobytes() == k_ref.tobytes(), (case, path)
+        if case == "many_steps":
+            width = max(1, path_integrals._STEP_BLOCK_ELEMENTS // (2 * rates.size * 10))
+            assert steps.size > max(1000, width)
+        if case == "doublings":  # p with 2 |kappa| h / 2^p <= 4 at h = 7
+            fastest = np.abs(np.stack(kappas)).max(axis=-1)
+            counts = np.ceil(np.log2(np.maximum(fastest * steps.max() / 2.0, 1.0)))
+            assert sorted(counts.ravel().tolist()) == [0, 1, 1, 2, 4, 4]
+
+    def test_irregular_trace_memory_bounded(self, natural):
+        # a jittered 40 001-node trace with a 1001-sample grid has 40 999
+        # distinct steps; the (E, K) table of both paths is 192 bytes per
+        # step (M = 2 monomials), which the blocks fill with temporaries of
+        # bounded size.  One table for all steps at once peaked at 13x the
+        # table, and at 26x when both paths are stacked.
+        w = jittered_trace(40_001, 3)
+        grid = np.linspace(0.0, w.times[-1], 1001)
+        steps = step_monomials(natural, w, grid)[0]
+        assert steps.size > 40_000
+        table = 2 * steps.size * (2 + 2 * 2) * 16
+        ld.build_drive_path(natural, w, grid[:3])  # one-time setup untraced
+        tracemalloc.start()
+        try:
+            ld.build_drive_path(natural, w, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * table
 
 
 @settings(max_examples=20, deadline=None)
