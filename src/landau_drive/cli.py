@@ -469,14 +469,13 @@ def _electron_benchmark() -> dict:
     }
 
 
-def run_validate(cfg: RunConfig, *, include_convergence: bool = True):
+def run_validate(cfg: RunConfig):
     """Residual suite over the validation corpus; returns (report, exit_code)."""
     start = time.perf_counter()
     checks = oracle.run_validation(
         cfg.system,
         dim=cfg.resolved["numerics"]["oracle_dimension"],
         dt=cfg.resolved["numerics"]["integrator_dt"],
-        include_convergence=include_convergence,
     )
     all_passed = all(c.passed for c in checks)
     report = {

@@ -292,12 +292,13 @@ def integrate_schrodinger(
     eigh would recompute.  expmid skips a zero-length span (t_final = 0),
     so, like rk4, it then returns the identity's columns exactly.
 
-    Raises AccuracyError when the columns put more than 1e-4 of
+    Raises DomainError unless t_final is finite and t_final >= 0, and
+    AccuracyError when the columns put more than 1e-4 of
     probability on the truncation edge (or are not finite): past that
     point the basis is too small for the drive and the result is junk.
     """
-    if t_final < 0:
-        raise DomainError("integration requires t_final >= 0")
+    if not 0 <= t_final < math.inf:
+        raise DomainError(f"integration requires a finite t_final >= 0, got {t_final!r}")
     w_i, scales, _ = internalize(sys, w)
     t_i = t_final / scales.time
     dim = cfg.dim
@@ -389,11 +390,13 @@ def heisenberg_residual(
     e^{-i omega t} * integral of e^{i omega s} Rdot(s) ds is the driven
     part of the ladder operator's Heisenberg solution, evaluated here by
     independent quadrature.  The maximum entry deviation over that b x b
-    block is returned.
+    block is returned; DomainError unless t is finite and t >= 0.
     """
     u = np.asarray(u_cols)
     if u.ndim != 2 or not 0 < u.shape[1] <= u.shape[0]:
         raise ValueError("u_cols must be a (dim, b) block of columns with b <= dim")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"Heisenberg residual requires a finite t >= 0, got {t!r}")
     w_i, scales, _ = internalize(sys, w)
     t_i = t / scales.time
     b = u.shape[1]

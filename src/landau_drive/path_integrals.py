@@ -11,7 +11,11 @@ The ingredients assembled here:
   provenance: "exact" for every waveform whose field is, on each step
   between knots, a sum of monomials c tau^k e^{i lambda tau} with k = 0
   or 1 (``FieldWaveform.step_terms``: every built-in waveform), and
-  "quadrature", a refined-grid numeric route kept as its cross-check.
+  "quadrature", a refined-grid numeric route kept as its cross-check,
+* one sampler, ``_drive_samples``, that checks the grid (finite, strictly
+  increasing, from 0) and sends many waveforms down those routes at
+  once: ``build_drive_path`` reads its one row for one waveform and
+  ``drive_endpoints`` its last column for many.
 
 Everything runs in dimensionless internal units (omega = l_b = 1,
 k = sqrt(2)) and converts at the boundary, so the default absolute
@@ -122,8 +126,9 @@ def displacement_amplitude(
     """Oscillatory drive amplitude u(t) = -(c/2B) int_0^t e^{-i omega s} E*(s) ds.
 
     The end value of ``build_drive_path`` on the grid [0, t], read by
-    ``drive_endpoints`` (DomainError for t < 0), with the same ``method``
-    and so the same route: exact, or quadrature on request.
+    ``drive_endpoints`` (DomainError unless t is finite and t >= 0), with
+    the same ``method`` and so the same route: exact, or quadrature on
+    request.
     """
     return complex(drive_endpoints(sys, [w], t, method=method, abs_tol=abs_tol).u[0])
 
@@ -395,6 +400,71 @@ def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
     return out
 
 
+def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: str,
+                   abs_tol: float):
+    """User-unit (r, u, beta, gamma, area_r, area_u), each a read-only array
+    with one row per waveform and one column per time of ``t_grid``, and
+    the route ("exact" or "quadrature") of each waveform.
+
+    The grid must be one-dimensional, nonempty, finite, strictly increasing
+    and start at 0 (ValueError otherwise), and inside every waveform's
+    domain (DomainError).  The exponential sums (every analytic waveform but
+    a ``SumField``) take the exact route in one call per term count: their
+    user-unit ``exp_terms`` stacked into one array, rescaled at once
+    (``_ExpSumField.rescaled_pairs``, the formula of ``rescaled``), and
+    their step monomials on a leading axis.  Every other waveform, and
+    every waveform under method "quadrature", is internalized on its own
+    and takes the exact route when it reports ``step_terms`` on the knots
+    (the grid and its breakpoints), the quadrature route otherwise.
+    """
+    if t_grid.ndim != 1 or t_grid.size < 1:
+        raise ValueError("t_grid must be a one-dimensional, nonempty array")
+    if t_grid[0] != 0.0:
+        raise ValueError("t_grid must start at 0")
+    if not (np.isfinite(t_grid).all() and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be finite and strictly increasing")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    scales, mirrored = sys.internal_scales(), sys.mirrored
+    t_i = t_grid / scales.time
+    groups, rest = {}, []
+    for p, w in enumerate(waveforms):
+        w._check_domain(t_grid)
+        if method == "quadrature" or not isinstance(w, _ExpSumField):
+            rest.append(p)
+        else:  # stacked in groups of equal term counts
+            pairs = w.exp_terms()
+            groups.setdefault(len(pairs), []).append((p, pairs))
+    n = len(waveforms)
+    out = [np.empty((n, t_grid.size), dtype=kind)
+           for kind in (complex, complex, float, float, float, float)]
+    provenance = ["exact"] * n
+    with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
+        for size, members in groups.items():
+            index, pairs = zip(*members)
+            pairs = _ExpSumField.rescaled_pairs(
+                np.array(pairs, dtype=complex).reshape(len(index), size, 2), scales, mirrored)
+            samples = _exact_samples(*_ExpSumField.stacked_step_terms(pairs, t_i), t_i,
+                                     slice(None))
+            for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):
+                arr[list(index)] = values
+        for p in rest:
+            w_i = internalize(sys, waveforms[p])[0]
+            cuts = np.asarray(w_i.breakpoints(), dtype=float)
+            knots = np.union1d(t_i, cuts[(cuts > 0.0) & (cuts < t_i[-1])])
+            terms = w_i.step_terms(knots) if method != "quadrature" else None
+            if terms is not None:
+                samples = _exact_samples(*terms, knots, np.searchsorted(knots, t_i))
+            else:
+                samples = _quadrature_path_samples(w_i, t_i, abs_tol)
+                provenance[p] = "quadrature"
+            for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):
+                arr[p] = values
+    for arr in out:
+        arr.setflags(write=False)
+    return (*out, tuple(provenance))
+
+
 def build_drive_path(
     sys: PhysicalSystem,
     w: FieldWaveform,
@@ -405,47 +475,18 @@ def build_drive_path(
 ) -> DrivePath:
     """Evaluate R, u, beta, gamma, and signed areas on a time grid.
 
-    The grid must be strictly increasing and start at 0.  Method "auto"
-    takes the "exact" route whenever the waveform reports its field as
-    step monomials (``step_terms``: every built-in waveform, sums included)
-    and the refined-grid "quadrature" route otherwise; method "quadrature"
-    forces the numeric route for cross-validation.  The route taken is the
-    path's ``provenance``.
+    The grid must be finite, strictly increasing and start at 0
+    (ValueError otherwise).  Method "auto" takes the "exact" route whenever
+    the waveform reports its field as step monomials (``step_terms``:
+    every built-in waveform, sums included) and the refined-grid
+    "quadrature" route otherwise; method "quadrature" forces the numeric
+    route for cross-validation.  The route taken is the path's
+    ``provenance``.  The values are row 0 of ``_drive_samples`` for this
+    one waveform, so they equal ``drive_endpoints``' bit for bit.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a one-dimensional, nonempty array")
-    if t_grid[0] != 0.0:
-        raise ValueError("t_grid must start at 0")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    w._check_domain(t_grid)
-
-    w_i, scales, mirrored = internalize(sys, w)
-    t_i = t_grid / scales.time
-    cuts = np.asarray(w_i.breakpoints(), dtype=float)
-    knots = np.union1d(t_i, cuts[(cuts > 0.0) & (cuts < t_i[-1])])
-    with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
-        terms = w_i.step_terms(knots) if method != "quadrature" else None
-        if terms is not None:
-            samples = _exact_samples(*terms, knots, np.searchsorted(knots, t_i))
-            provenance = "exact"
-        else:
-            samples = _quadrature_path_samples(w_i, t_i, abs_tol)
-            provenance = "quadrature"
-        r, u, beta, gamma, area_r, area_u = _user_frame(*samples, scales, mirrored)
-    return DrivePath(
-        times=t_grid.copy(),
-        r=r,
-        u=u,
-        beta=beta,
-        gamma=gamma,
-        area_r=area_r,
-        area_u=area_u,
-        provenance=provenance,
-    )
+    *rows, provenance = _drive_samples(sys, [w], t_grid, method, abs_tol)
+    return DrivePath(t_grid.copy(), *(row[0] for row in rows), provenance=provenance[0])
 
 
 @dataclass(frozen=True)
@@ -472,47 +513,14 @@ def drive_endpoints(
 ) -> DriveEndpoints:
     """``build_drive_path`` on [0, t] for each waveform, read at t.
 
-    The exponential sums (every analytic waveform but a ``SumField``) are
-    evaluated in one call per term count: their user-unit ``exp_terms``
-    stacked into one array, rescaled at once
-    (``_ExpSumField.rescaled_pairs``, the formula of ``rescaled``), and
-    their step monomials on a leading axis.  The others go one by one
-    through ``build_drive_path``.  Every value equals the per-waveform one
-    bit for bit.
+    DomainError unless t is finite and t >= 0.  All waveforms go through
+    one ``_drive_samples`` call on [0, t], whose last column this returns,
+    so every value equals the per-waveform one bit for bit; the
+    exponential sums are stacked there into one exact-route call per term
+    count.
     """
-    if t < 0:
-        raise DomainError("drive endpoints require t >= 0")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    waveforms = list(waveforms)
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"drive endpoints require a finite t >= 0, got {t!r}")
     grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
-    scales, mirrored = sys.internal_scales(), sys.mirrored
-    t_i = grid / scales.time
-    groups, rest = {}, []
-    for p, w in enumerate(waveforms):
-        w._check_domain(grid)
-        if method == "quadrature" or not isinstance(w, _ExpSumField):
-            rest.append(p)
-        else:  # stacked in groups of equal term counts
-            pairs = w.exp_terms()
-            groups.setdefault(len(pairs), []).append((p, pairs))
-    n = len(waveforms)
-    out = [np.empty(n, dtype=kind) for kind in (complex, complex, float, float, float, float)]
-    provenance = ["exact"] * n
-    for size, members in groups.items():
-        index, pairs = zip(*members)
-        pairs = _ExpSumField.rescaled_pairs(
-            np.array(pairs, dtype=complex).reshape(len(index), size, 2), scales, mirrored)
-        with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
-            samples = _exact_samples(*_ExpSumField.stacked_step_terms(pairs, t_i), t_i, -1)
-            values = _user_frame(*samples, scales, mirrored)
-        for arr, column in zip(out, values):
-            arr[list(index)] = column
-    for p in rest:
-        dp = build_drive_path(sys, waveforms[p], grid, method=method, abs_tol=abs_tol)
-        for arr, values in zip(out, (dp.r, dp.u, dp.beta, dp.gamma, dp.area_r, dp.area_u)):
-            arr[p] = values[-1]
-        provenance[p] = dp.provenance
-    for arr in out:
-        arr.setflags(write=False)
-    return DriveEndpoints(*out, provenance=tuple(provenance))
+    *columns, provenance = _drive_samples(sys, list(waveforms), grid, method, abs_tol)
+    return DriveEndpoints(*(column[:, -1] for column in columns), provenance=provenance)

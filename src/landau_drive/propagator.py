@@ -120,7 +120,7 @@ def assemble(
 
     R and beta come from the guiding-center path, u and gamma from the
     drive-amplitude path, all read at t by ``drive_endpoints`` (DomainError
-    for t < 0), and j_op = e^{i gamma} D(-u* k).  With dim
+    unless t is finite and t >= 0), and j_op = e^{i gamma} D(-u* k).  With dim
     omitted, the truncation is ``suggested_dimension(alpha)``, which knows
     no level; ``healthy_dim`` measures how many columns it keeps healthy.
     """

@@ -907,7 +907,7 @@ class TestValidateCommand:
             "numerics": {"oracle_dimension": 24, "integrator_dt": 0.02},
         }
         cfg = cli.resolve_config(doc, "validate")
-        report, code = cli.run_validate(cfg, include_convergence=False)
+        report, code = cli.run_validate(cfg)
         assert code == 2
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert any(name.startswith("factorization[rotating") for name in failed)

@@ -502,6 +502,17 @@ class TestIntegrateSchrodinger:
         assert exc.value.achieved > 1e-4
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_oracle_time_must_be_finite_and_nonnegative(natural, t):
+    # both count their steps with math.ceil, which raises a bare ValueError
+    # on NaN and OverflowError on inf
+    w = ld.RotatingField(0.1, 0.9)
+    with pytest.raises(ld.DomainError, match="finite t_final >= 0"):
+        ld.integrate_schrodinger(natural, w, t, ld.IntegratorConfig(dim=8))
+    with pytest.raises(ld.DomainError, match="finite t >= 0"):
+        ld.heisenberg_residual(np.eye(8, 4), natural, w, t)
+
+
 class TestHeisenbergResidual:
     def test_zero_field_pure_rotation(self, natural):
         dim = 24

@@ -228,6 +228,18 @@ class TestBuildDrivePath:
             with pytest.raises(ld.DomainError, match="not finite"):
                 ld.drive_endpoints(sys_, [ld.RotatingField(0.1, 0.5), strong], 1e10)
 
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, math.inf], [0.0, 1.0, math.inf],
+                                      [0.0, 1.0, math.nan, 2.0], [0.0, math.inf, math.inf]])
+    def test_non_finite_grid_rejected(self, natural, grid, method):
+        # NaN fails every comparison, so no step check catches it; a last
+        # time of inf would leave the step table halving an infinite step
+        w = ld.RotatingField(0.1, 0.9)
+        for wave in (ld.ZeroField(), w, ld.SumField((w, ld.ConstantField(0.1))),
+                     ld.sample_waveform(w, np.linspace(0.0, 3.0, 7))):
+            with pytest.raises(ValueError, match="t_grid must be finite"):
+                ld.build_drive_path(natural, wave, grid, method=method)
+
     def test_zero_field_all_zeros(self, natural):
         dp = ld.build_drive_path(natural, ld.ZeroField(), np.linspace(0, 9, 10))
         for arr in (dp.r, dp.u, dp.beta, dp.gamma, dp.area_r, dp.area_u):
@@ -513,6 +525,21 @@ class TestDriveEndpoints:
             for row in stacked.tolist():
                 assert hexed((c, lam.real) for c, lam in row) == hexed(expected), w
 
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_sum_of_one_matches_waveform(self, charge):
+        # a SumField rescales its terms one by one (_ExpSumField.rescaled,
+        # _ExpSum.step_terms), the sampler a waveform's pairs stacked; the
+        # signed-zero cases hold a constant, rotating, linear-sinusoid and
+        # zero field
+        sys_ = ld.PhysicalSystem(charge, 2.0, 0.7)
+        grid = np.linspace(0.0, 7.0, 8) / sys_.omega
+        for w in self.RESCALE_CASES[:8]:
+            alone = ld.build_drive_path(sys_, w, grid)
+            summed = ld.build_drive_path(sys_, ld.SumField((w,)), grid)
+            assert summed.provenance == alone.provenance == "exact"
+            for name in ("r", "u", "beta", "gamma", "area_r", "area_u"):
+                assert getattr(summed, name).tobytes() == getattr(alone, name).tobytes(), (w, name)
+
     def test_time_zero(self, natural):
         waves = [ld.RotatingField(0.2, nu) for nu in (0.0, 0.5, 1.0)]
         ends = assert_endpoints_match(natural, waves, 0.0, "auto")
@@ -530,6 +557,20 @@ class TestDriveEndpoints:
                                method="closed_form")
         with pytest.raises(ld.DomainError):
             ld.drive_endpoints(natural, [sampled], 3.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, natural, t):
+        # every entry point that reads the path at t: a NaN t must not be
+        # read as t = 0, nor an infinite t stepped
+        w = ld.RotatingField(0.1, 0.9)
+        sampled = ld.sample_waveform(w, np.linspace(0.0, 3.0, 7))
+        calls = (lambda: ld.drive_endpoints(natural, [w, sampled], t),
+                 lambda: ld.drive_endpoints(natural, [sampled], t, method="quadrature"),
+                 lambda: ld.assemble(natural, w, t),
+                 lambda: ld.displacement_amplitude(natural, w, t))
+        for call in calls:
+            with pytest.raises(ld.DomainError, match="finite t >= 0"):
+                call()
 
     def test_resonance_gamma_against_exact_area(self, natural):
         # gamma = (1/2) |A|^2 (r T - sin r T), A = E0 / r, r = omega - nu, on the
