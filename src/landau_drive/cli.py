@@ -580,9 +580,11 @@ def main(argv=None) -> int:
         print("warning: --seed is ignored; runs are deterministic", file=_sys.stderr)
 
     try:
-        raw = load_config(args.config)
+        # the parsed document is not kept: a sampled trace's lists of
+        # Python floats would stay alive through the whole run
         cfg = resolve_config(
-            raw, args.command, out_override=args.out, format_override=args.format
+            load_config(args.config), args.command, out_override=args.out,
+            format_override=args.format,
         )
         if args.command == "validate":
             report, code = run_validate(cfg)

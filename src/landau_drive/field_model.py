@@ -236,8 +236,26 @@ class ZeroField(_ExpSumField):
         return ()
 
 
+class _ParametrizedField(_ExpSumField):
+    """An exponential sum declared by numeric parameters, its dataclass
+    fields: each must be finite, and those named in ``_nonnegative`` also
+    >= 0 (ValueError naming the parameter otherwise)."""
+
+    _nonnegative: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # getattr, not vars(self): a __dict__ asked for is built, and slows
+        # every later attribute read
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0 and name in self._nonnegative:
+                raise ValueError(f"{name} must be nonnegative")
+
+
 @dataclass(frozen=True)
-class ConstantField(_ExpSumField):
+class ConstantField(_ParametrizedField):
     e1: float = 0.0
     e2: float = 0.0
 
@@ -246,23 +264,21 @@ class ConstantField(_ExpSumField):
 
 
 @dataclass(frozen=True)
-class RotatingField(_ExpSumField):
+class RotatingField(_ParametrizedField):
     """E(t) = amplitude * exp(i phase) * exp(-i nu t); nu may be negative."""
 
     amplitude: float
     nu: float
     phase: float = 0.0
 
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+    _nonnegative = ("amplitude",)
 
     def exp_terms(self):
         return ((cmath.rect(self.amplitude, self.phase), -self.nu),)
 
 
 @dataclass(frozen=True)
-class LinearSinusoidField(_ExpSumField):
+class LinearSinusoidField(_ParametrizedField):
     """E(t) = amplitude * cos(angular_frequency t + phase) along direction."""
 
     amplitude: float
@@ -270,9 +286,7 @@ class LinearSinusoidField(_ExpSumField):
     angular_frequency: float = 0.0
     phase: float = 0.0
 
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+    _nonnegative = ("amplitude",)
 
     def exp_terms(self):
         half, om = self.amplitude / 2.0, self.angular_frequency
@@ -311,10 +325,14 @@ class SampledField(FieldWaveform):
         self._hold(t, e1, e2)
 
     def _hold(self, times, e1, e2):
-        """Keep the three float64 arrays, made read-only, as the fields."""
+        """Keep the three float64 arrays as ``_table`` and read-only views of
+        them as the fields: ``np.interp`` copies a read-only table on every
+        call, so ``field`` reads the private one."""
+        object.__setattr__(self, "_table", (times, e1, e2))
         for name, array in (("times", times), ("e1", e1), ("e2", e2)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            view = array.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def __eq__(self, other):
         if not isinstance(other, SampledField):
@@ -339,8 +357,8 @@ class SampledField(FieldWaveform):
 
     def field(self, t):
         self._check_domain(t)
-        t = np.asarray(t, dtype=float)
-        return (np.interp(t, self.times, self.e1) + 1j * np.interp(t, self.times, self.e2))[()]
+        t, (times, e1, e2) = np.asarray(t, dtype=float), self._table
+        return (np.interp(t, times, e1) + 1j * np.interp(t, times, e2))[()]
 
     def rescaled(self, scales, mirror):
         """Raises DomainError when scaling overflows a value or rounds two

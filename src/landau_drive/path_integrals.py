@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,7 +75,8 @@ _WG10 = np.array([
 ])
 
 #: Elements of the largest temporary per block of step lengths in
-#: ``_step_table``.
+#: ``_step_table``, and of the monomials per run of steps in
+#: ``_exact_samples``.
 _STEP_BLOCK_ELEMENTS = 1 << 15
 
 
@@ -188,8 +190,12 @@ def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float, level: int 
     return nodes, idx
 
 
-def _running(increments: np.ndarray) -> np.ndarray:
-    """Running sum along the last axis from 0: one entry more than it has."""
+def _running(increments: np.ndarray, start=None) -> np.ndarray:
+    """Running sum along the last axis from ``start`` (0 when None): one
+    entry more than it has, each the one before plus the next increment."""
+    if start is not None:
+        return np.cumsum(np.concatenate([start[..., None], increments], axis=-1), axis=-1)
+    # not a start of 0.0: 0.0 + -0.0 would turn a first increment of -0.0 into 0.0
     out = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,),
                    dtype=increments.dtype)
     np.cumsum(increments, axis=-1, out=out[..., 1:])
@@ -327,11 +333,13 @@ def _step_block(h, powers, kappa):
     return _monomials(powers, kappa, np.broadcast_to(h, base.shape))[1], k
 
 
-def _exact_path(b, e, k, inverse):
-    """z and its running enclosed area at every knot, for a path that
-    starts at the origin with z' = sum_m b_m tau^{k_m} e^{i kappa_m tau} on
-    each step; ``e`` and ``k`` are ``_step_table``'s E and K for these
-    monomials, and ``inverse`` maps each step to its length in them.
+def _exact_path(b, e, k, inverse, z0=None, s0=None):
+    """z and its running enclosed area at every knot of a run of steps,
+    for a path with z' = sum_m b_m tau^{k_m} e^{i kappa_m tau} on each
+    step; ``e`` and ``k`` are ``_step_table``'s E and K for these
+    monomials, and ``inverse`` maps each step to its length in them.  The
+    run starts at z0 with area s0, or at the origin with area 0 when they
+    are None.
 
     Each step adds dz = sum_m b_m E_m(h) and the area
     (1/2) Im(conj(z_a) dz + sum_nm conj(b_n) b_m K_nm(h)), where
@@ -343,7 +351,7 @@ def _exact_path(b, e, k, inverse):
     dz = np.zeros(be.shape[:-2] + be.shape[-1:], complex)
     for m in range(b.shape[-2]):
         dz += be[..., m, :]
-    z = _running(dz)
+    z = _running(dz, z0)
     twice = np.imag(np.conj(z[..., :-1]) * dz)
     for n in range(b.shape[-2]):
         bn = np.conj(b[..., n, :])
@@ -352,27 +360,49 @@ def _exact_path(b, e, k, inverse):
             knm = np.take(k[..., n, m, :], inverse, axis=-1)
             twice += (2.0 * np.imag(bn * b[..., m, :] * knm)
                       + np.imag(np.conj(be[..., m, :]) * be[..., n, :]))
-    return z, _running(0.5 * twice)
+    return z, _running(0.5 * twice, s0)
 
 
-def _exact_samples(coef, powers, rates, knots, idx):
-    """R, u, S_R, S_u at ``knots[idx]`` for an internal-unit field given by
-    its step monomials (``FieldWaveform.step_terms``), exact up to rounding.
+def _exact_samples(terms, knots, idx):
+    """R, u, S_R, S_u at ``knots[idx]`` (``idx`` increasing) for an
+    internal-unit field whose step monomials on the steps between a run of
+    knots are ``terms(run)`` (``FieldWaveform.step_terms``), exact up to
+    rounding; None when ``terms`` gives None.
 
     With omega = 1, R' = -i E keeps each monomial's rate, and
     u' = -(1/2) e^{-is} conj(E) turns c tau^k e^{i lambda tau} on the step
     from a into -(1/2) e^{-ia} conj(c) tau^k e^{-i (1 + lambda) tau}.
-    Leading axes of ``coef`` and ``rates`` are separate waveforms.  One
-    step table serves both paths: their rates are stacked on a new
-    leading axis, R's first.
+    Leading axes of the coefficients and rates are separate waveforms.
+    One step table for every distinct step length serves both paths: their
+    rates are stacked on a new leading axis, R's first.  The knots are
+    walked in runs of steps whose monomials hold about
+    ``_STEP_BLOCK_ELEMENTS`` elements; z and the running area of both paths
+    carry over from one run to the next, so each is the same sequence of
+    additions as over all steps at once, and the samples are gathered run
+    by run.
     """
+    probe = terms(knots[:2])
+    if probe is None:
+        return None
+    _, powers, rates = probe
     steps, inverse = np.unique(np.diff(knots), return_inverse=True)
     e, k = _step_table(steps, powers, np.stack([rates, -(1.0 + rates)]))
-    r, s_r = _exact_path(-1j * coef, e[0], k[0], inverse)
-    a = knots[:-1]
-    u, s_u = _exact_path(-0.5 * (np.cos(a) - 1j * np.sin(a)) * np.conj(coef), e[1], k[1],
-                         inverse)
-    return r[..., idx], u[..., idx], s_r[..., idx], s_u[..., idx]
+    out = [np.empty(rates.shape[:-1] + (len(idx),), kind)
+           for kind in (complex, complex, float, float)]
+    carry = [None] * 4  # R, S_R, u, S_u at the first knot of the run
+    width = max(1, _STEP_BLOCK_ELEMENTS // max(1, rates.size))
+    for lo in range(0, max(1, knots.size - 1), width):
+        run = knots[lo:lo + width + 1]
+        coef, block = terms(run)[0], inverse[lo:lo + width]
+        a = run[:-1]
+        r, s_r = _exact_path(-1j * coef, e[0], k[0], block, *carry[:2])
+        u, s_u = _exact_path(-0.5 * (np.cos(a) - 1j * np.sin(a)) * np.conj(coef), e[1], k[1],
+                             block, *carry[2:])
+        first, last = np.searchsorted(idx, lo), np.searchsorted(idx, lo + run.size - 1, "right")
+        for arr, values in zip(out, (r, u, s_r, s_u)):
+            arr[..., first:last] = values[..., idx[first:last] - lo]
+        carry = [values[..., -1].copy() for values in (r, s_r, u, s_u)]
+    return tuple(out)
 
 
 def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
@@ -429,10 +459,10 @@ def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: s
     t_i = t_grid / scales.time
     groups, rest = {}, []
     for p, w in enumerate(waveforms):
-        w._check_domain(t_grid)
         if method == "quadrature" or not isinstance(w, _ExpSumField):
+            w._check_domain(t_grid)
             rest.append(p)
-        else:  # stacked in groups of equal term counts
+        else:  # defined at every time; stacked in groups of equal term counts
             pairs = w.exp_terms()
             groups.setdefault(len(pairs), []).append((p, pairs))
     n = len(waveforms)
@@ -442,20 +472,20 @@ def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: s
     with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
         for size, members in groups.items():
             index, pairs = zip(*members)
+            rows = np.array(index)  # one conversion for the six assignments
             pairs = _ExpSumField.rescaled_pairs(
                 np.array(pairs, dtype=complex).reshape(len(index), size, 2), scales, mirrored)
-            samples = _exact_samples(*_ExpSumField.stacked_step_terms(pairs, t_i), t_i,
-                                     slice(None))
+            samples = _exact_samples(partial(_ExpSumField.stacked_step_terms, pairs), t_i,
+                                     np.arange(t_i.size))
             for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):
-                arr[list(index)] = values
+                arr[rows] = values
         for p in rest:
             w_i = internalize(sys, waveforms[p])[0]
             cuts = np.asarray(w_i.breakpoints(), dtype=float)
             knots = np.union1d(t_i, cuts[(cuts > 0.0) & (cuts < t_i[-1])])
-            terms = w_i.step_terms(knots) if method != "quadrature" else None
-            if terms is not None:
-                samples = _exact_samples(*terms, knots, np.searchsorted(knots, t_i))
-            else:
+            samples = (_exact_samples(w_i.step_terms, knots, np.searchsorted(knots, t_i))
+                       if method != "quadrature" else None)
+            if samples is None:
                 samples = _quadrature_path_samples(w_i, t_i, abs_tol)
                 provenance[p] = "quadrature"
             for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TruncationError, TruncationWarning
+from .errors import DomainError, TruncationError, TruncationWarning
 from .field_model import FieldWaveform, PhysicalSystem
 from .fock_algebra import (
     CoherentAmplitude,
@@ -231,6 +231,20 @@ def level_populations(
     )
 
 
+def _nonnegative(name: str, value: float) -> float:
+    """``value`` when it is finite and >= 0; DomainError naming it otherwise."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def _resonance_argument(sys: PhysicalSystem, e0: float, t: float) -> float:
+    """|u k| = c e0 t / (B l_b) of a resonant rotating drive of amplitude e0
+    at time t; DomainError unless both are finite and >= 0."""
+    return (sys.c * _nonnegative("amplitude", e0) * _nonnegative("time", t)
+            / (sys.magnetic_field * sys.l_b))
+
+
 def adiabatic_estimates(sys: PhysicalSystem, n: int, u: complex) -> tuple[float, float]:
     """Leading-order slow-drive transition probabilities out of level n.
 
@@ -244,7 +258,7 @@ def adiabatic_estimates(sys: PhysicalSystem, n: int, u: complex) -> tuple[float,
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    x = (sys.k * abs(u)) ** 2
+    x = (sys.k * _nonnegative("|u|", abs(u))) ** 2
     return (n * x, (n + 1) * x)
 
 
@@ -254,9 +268,7 @@ def resonance_survival(sys: PhysicalSystem, e0: float, t: float) -> float:
     With u(t) = -c e0 t / (2B), survival is e^{-|u k|^2}, i.e. exponent
     (1/2) (e0/B)^2 c^2 t^2 / l_b^2.
     """
-    if e0 < 0 or t < 0:
-        raise ValueError("amplitude and time must be nonnegative")
-    y = sys.c * e0 * t / (sys.magnetic_field * sys.l_b)
+    y = _resonance_argument(sys, e0, t)
     return math.exp(-0.5 * y * y)
 
 
@@ -267,9 +279,7 @@ def resonance_survival_alt_prefactor(sys: PhysicalSystem, e0: float, t: float) -
     disagrees with the brute-force integrator while ``resonance_survival``
     matches it.
     """
-    if e0 < 0 or t < 0:
-        raise ValueError("amplitude and time must be nonnegative")
-    y = sys.c * e0 * t / (sys.magnetic_field * sys.l_b)
+    y = _resonance_argument(sys, e0, t)
     return math.exp(-2.0 * y * y)
 
 
@@ -279,7 +289,7 @@ def drive_strength_coefficient(sys: PhysicalSystem, e0: float) -> float:
     The slow-drive transition probabilities out of level n are bounded by
     about n times this dimensionless coefficient.
     """
-    u_max = sys.c * e0 / (sys.magnetic_field * sys.omega)
+    u_max = sys.c * _nonnegative("amplitude", e0) / (sys.magnetic_field * sys.omega)
     return (u_max / sys.l_b) ** 2
 
 

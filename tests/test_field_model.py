@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ class TestEvalField:
             ld.RotatingField(-1.0, 1.0)
         with pytest.raises(ValueError):
             ld.LinearSinusoidField(-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make,name", [
+        (lambda v: ld.RotatingField(v, 0.9), "amplitude"),
+        (lambda v: ld.RotatingField(0.1, v), "nu"),
+        (lambda v: ld.RotatingField(0.1, 0.9, phase=v), "phase"),
+        (lambda v: ld.ConstantField(v, 0.2), "e1"),
+        (lambda v: ld.ConstantField(0.1, v), "e2"),
+        (lambda v: ld.LinearSinusoidField(v), "amplitude"),
+        (lambda v: ld.LinearSinusoidField(0.1, direction=v), "direction"),
+        (lambda v: ld.LinearSinusoidField(0.1, angular_frequency=v), "angular_frequency"),
+        (lambda v: ld.LinearSinusoidField(0.1, phase=v), "phase"),
+    ])
+    def test_non_finite_parameter_rejected(self, make, name, bad):
+        # named at construction, not later as a drive-path overflow or a
+        # bare error from cmath.rect
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(bad)
 
 
 class TestGuidingCenterPath:
@@ -358,6 +377,24 @@ class TestSampledFieldArrays:
         points = [np.asarray(samples[0]), rng.uniform(lo, hi, 1000), lo, hi, 0.0, 1.7]
         for t in points:
             assert _bits(trace.field(t)) == _bits(self.field_from_tuples(samples, t))
+
+    def test_field_does_not_copy_the_table(self):
+        # np.interp copies a read-only table on every call: 6.4 MB for ten
+        # points on this trace, when the read-only arrays were the table
+        times = np.linspace(0.0, 400.0, 400_001)
+        w = ld.SampledField(times, np.cos(times), np.sin(times))
+        t = np.linspace(0.0, 400.0, 10)
+        w.field(t)
+        tracemalloc.start()
+        try:
+            values = w.field(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        assert _bits(values) == _bits(np.interp(t, times, np.cos(times))
+                                      + 1j * np.interp(t, times, np.sin(times)))
+        assert not (w.times.flags.writeable or w.e1.flags.writeable or w.e2.flags.writeable)
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_rescaled_bit_identical(self, trace, samples, electron_si, mirror):

@@ -949,3 +949,60 @@ def test_piecewise_exact_vs_quadrature(steps, values, start, samples, charge):
     for name in ("r", "u", "beta", "gamma", "area_r", "area_u"):
         assert_allclose(getattr(exact, name), getattr(quad, name),
                         rtol=0, atol=DEFAULT_ABS_TOL, err_msg=name)
+
+
+class TestKnotWalk:
+    """``_exact_samples`` walks the knots in runs of steps sized by
+    ``_STEP_BLOCK_ELEMENTS``, carrying R, u and both areas between runs."""
+
+    @staticmethod
+    def walk(sys_, w, grid, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(path_integrals, "_STEP_BLOCK_ELEMENTS", budget)
+        calls = []
+        step_terms = ld.SampledField.step_terms
+        monkeypatch.setattr(ld.SampledField, "step_terms",
+                            lambda self, knots: calls.append(knots.size) or step_terms(self, knots))
+        path = ld.build_drive_path(sys_, w, grid)
+        monkeypatch.undo()
+        return path, calls
+
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    def test_runs_of_any_length_give_the_same_path(self, monkeypatch, charge):
+        # 210 steps; the grid sits on every 7th knot, so on the edges of
+        # runs of 1 and of 7 steps.  R and its area are the same sums in
+        # the same order; u's coefficients are complex products, whose
+        # last bit numpy may round differently on an array of another length.
+        sys_ = ld.PhysicalSystem(charge, 1.0, 1.0)
+        trace = jittered_trace(211, 17)
+        w = ld.SumField((trace, ld.RotatingField(0.2, 0.7, 0.3)))
+        grid = trace.times[::7]
+        monomials = 3  # the trace's value and slope, and the rotating term
+        ref, calls = self.walk(sys_, w, grid, monkeypatch, None)
+        assert calls == [2, 211]  # a probe of one step, then one run
+        for steps in (1, 7):
+            path, calls = self.walk(sys_, w, grid, monkeypatch, steps * monomials)
+            assert calls == [2] + [steps + 1] * (210 // steps)
+            for name in ("times", "r", "beta", "area_r"):
+                assert getattr(path, name).tobytes() == getattr(ref, name).tobytes(), name
+            for name in ("u", "gamma", "area_u"):
+                want = getattr(ref, name)
+                assert_allclose(getattr(path, name), want, rtol=0,
+                                atol=1e-15 * np.max(np.abs(want)), err_msg=name)
+
+    def test_regular_trace_memory_bounded(self, natural):
+        # the whole walk at once peaked at 11x the trace's own arrays
+        # (105.7 MB here); in runs the knots, the step table and the
+        # internal-unit copy of the trace are most of what is left
+        times = np.linspace(0.0, 400.0, 400_001)
+        w = ld.SampledField(times, 0.01 * np.cos(0.9 * times), 0.01 * np.sin(0.9 * times))
+        grid = np.linspace(0.0, 400.0, 1001)
+        trace = 3 * times.nbytes
+        ld.build_drive_path(natural, w, grid[:3])  # one-time setup untraced
+        tracemalloc.start()
+        try:
+            ld.build_drive_path(natural, w, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * trace

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import landau_drive as ld
 from landau_drive import propagator
-from landau_drive.errors import TruncationError, TruncationWarning
+from landau_drive.errors import DomainError, TruncationError, TruncationWarning
 from landau_drive.fock_algebra import _BLOCK_ELEMENTS
 from landau_drive.propagator import NORM_TOL
 
@@ -452,6 +452,27 @@ class TestResonanceSurvival:
     def test_rejects_negative_inputs(self, natural):
         with pytest.raises(ValueError):
             ld.resonance_survival(natural, -0.1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("call", [
+    lambda s, v: ld.resonance_survival(s, v, 1.0),
+    lambda s, v: ld.resonance_survival(s, 0.1, v),
+    lambda s, v: ld.resonance_survival_alt_prefactor(s, v, 1.0),
+    lambda s, v: ld.resonance_survival_alt_prefactor(s, 0.1, v),
+    lambda s, v: ld.drive_strength_coefficient(s, v),
+], ids=["survival_e0", "survival_t", "alt_e0", "alt_t", "drive_strength"])
+def test_closed_forms_reject_non_finite_or_negative_inputs(natural, call, bad):
+    # a NaN input once came back as a nan result
+    with pytest.raises(DomainError, match="must be finite and nonnegative"):
+        call(natural, bad)
+
+
+@pytest.mark.parametrize("u", [complex(math.nan, 0.1), complex(0.1, math.inf),
+                               complex(-math.inf, 0.0), math.nan])
+def test_adiabatic_estimates_reject_non_finite_u(natural, u):
+    with pytest.raises(DomainError, match=r"\|u\| must be finite"):
+        ld.adiabatic_estimates(natural, 2, u)
 
 
 class TestEvolveState:
