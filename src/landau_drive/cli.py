@@ -36,7 +36,13 @@ from .field_model import (
     ZeroField,
 )
 from .path_integrals import build_drive_path, drive_endpoints
-from .propagator import _norm_deficit, drive_strength_coefficient, level_populations
+from .propagator import (
+    _amplitudes,
+    _auto_dimension,
+    _norm_deficit,
+    drive_strength_coefficient,
+    level_populations,
+)
 
 __all__ = ["main", "load_config", "resolve_config", "run_simulate", "run_sweep",
            "run_validate", "run_phases", "RunConfig", "SimulationReport"]
@@ -377,13 +383,16 @@ def _drive_table(cfg: RunConfig):
     return dp, columns
 
 
-def _populations(cfg: RunConfig, us) -> tuple[np.ndarray, dict]:
+def _populations(cfg: RunConfig, us, shown: int = 0) -> tuple[np.ndarray, dict]:
     """``level_populations`` from the initial level for drive amplitudes
-    ``us``, and the report fields that say how healthy their truncation was."""
+    ``us``, and the report fields that say how healthy their truncation was.
+    With ``numerics.dimension`` 0 the basis is the automatic one, widened
+    to hold the ``shown`` leading levels that the table prints."""
     level, dim = cfg.resolved["initial_state"]["level"], cfg.resolved["numerics"]["dimension"]
     if dim and level >= dim:
         raise ConfigError("initial_state.level: exceeds truncation dimension")
-    pops = level_populations(cfg.system, us, level, dim or None)
+    dim = dim or max(shown, _auto_dimension(_amplitudes(cfg.system, us), level))
+    pops = level_populations(cfg.system, us, level, dim)
     return pops, {"population_sum_max_dev": float(_norm_deficit(pops).max(initial=0.0)),
                   "dimension": pops.shape[1]}
 
@@ -392,9 +401,10 @@ def run_simulate(cfg: RunConfig) -> SimulationReport:
     """Per-sample drive history plus level populations from the initial level."""
     start = time.perf_counter()
     dp, columns = _drive_table(cfg)
-    pops, health = _populations(cfg, dp.u)
+    shown = cfg.resolved["report"]["population_levels"]
+    pops, health = _populations(cfg, dp.u, shown)
     columns["survival"] = pops[:, cfg.resolved["initial_state"]["level"]].tolist()
-    for m in range(min(cfg.resolved["report"]["population_levels"], pops.shape[1])):
+    for m in range(min(shown, pops.shape[1])):
         columns[f"pop_{m}"] = pops[:, m].tolist()
     return SimulationReport(
         config=cfg.resolved,

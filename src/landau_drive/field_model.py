@@ -43,6 +43,14 @@ __all__ = [
 ]
 
 
+def _require_normal(**scales: float) -> None:
+    """ValueError naming the first derived scale that is not a positive
+    normal float."""
+    for name, value in scales.items():
+        if not np.finfo(float).tiny <= value < math.inf:
+            raise ValueError(f"derived {name} = {value!r} is not a positive normal float")
+
+
 @dataclass(frozen=True)
 class PhysicalSystem:
     """Charge q, magnetic field B, mass m, and the constants hbar and c.
@@ -61,14 +69,23 @@ class PhysicalSystem:
     c: float = 1.0
 
     def __post_init__(self):
-        if not self.magnetic_field > 0:
-            raise ValueError("magnetic_field must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-        if self.charge == 0:
-            raise ValueError("charge must be nonzero")
-        if not (self.hbar > 0 and self.c > 0):
-            raise ValueError("hbar and c must be positive")
+        # every argument finite, the charge nonzero and the rest positive;
+        # then every derived scale a positive normal float: a system whose
+        # products overflow to inf or underflow to 0 has no internal units
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if name == "charge" and value == 0:
+                raise ValueError("charge must be nonzero")
+            if name != "charge" and not value > 0:
+                raise ValueError(f"{name} must be positive")
+        try:
+            _require_normal(omega=self.omega, l_b=self.l_b, k=self.k)
+        except ZeroDivisionError:
+            raise ValueError("derived scales divide by a product that underflows to 0") from None
+        scales = self.internal_scales()
+        _require_normal(**{"time scale": scales.time, "field scale": scales.field})
 
     @property
     def mirrored(self) -> bool:

@@ -272,15 +272,22 @@ def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
     return TruncatedOperator(expm(op.matrix))
 
 
-def suggested_dimension(alpha) -> int:
-    """Default truncation for a displacement of amplitude ``alpha``.
+def suggested_dimension(alpha, n: int = 0) -> int:
+    """Truncation that holds column n of D(alpha): ceil((|alpha| + sqrt(n) + 4)^2).
 
-    max(32, ceil(8 |alpha|^2 + 16)) keeps the displaced occupation well
-    inside the leading block.  Raises TruncationError where no truncation
-    holds the amplitude, by the rule the displacement elements obey: when
-    e^{-|alpha|^2/2} is not a normal float (NaN and inf included).
+    D(alpha)|n> spreads over the levels up to its classical turning point
+    (|alpha| + sqrt(n))^2, past which its probabilities fall off like an
+    Airy tail; the margin of 4 in the amplitude holds that tail to well
+    below ``propagator.NORM_TOL``.  A larger dim only lengthens the column
+    (the elements do not depend on dim), so this size holds every column
+    below n too.  Raises IndexError for a negative n, and TruncationError
+    where no truncation holds the amplitude, by the rule the displacement
+    elements obey: when e^{-|alpha|^2/2} is not a normal float (NaN and
+    inf included).
     """
     if isinstance(alpha, CoherentAmplitude):
         alpha = alpha.alpha
+    if n < 0:
+        raise IndexError(f"level {n} is negative")
     _require_representable(abs(alpha))
-    return max(32, math.ceil(8.0 * abs(alpha) ** 2 + 16.0))
+    return math.ceil((abs(alpha) + math.sqrt(n) + 4.0) ** 2)

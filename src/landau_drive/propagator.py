@@ -121,14 +121,15 @@ def assemble(
     R and beta come from the guiding-center path, u and gamma from the
     drive-amplitude path, all read at t by ``drive_endpoints`` (DomainError
     unless t is finite and t >= 0), and j_op = e^{i gamma} D(-u* k).  With dim
-    omitted, the truncation is ``suggested_dimension(alpha)``, which knows
-    no level; ``healthy_dim`` measures how many columns it keeps healthy.
+    omitted, the truncation is ``suggested_dimension(alpha, 7)``, which
+    holds the leading block of 8 columns, levels 0 .. 7; ``healthy_dim``
+    measures how many columns it keeps healthy, often more.
     """
     ends = drive_endpoints(sys, [w], t, method=method, abs_tol=abs_tol)
     r, u = complex(ends.r[0]), complex(ends.u[0])
     beta, gamma = float(ends.beta[0]), float(ends.gamma[0])
     alpha = CoherentAmplitude(displacement_argument(sys, u))
-    n = suggested_dimension(alpha) if dim is None else dim
+    n = suggested_dimension(alpha, 7) if dim is None else dim
     d_op = displacement_matrix(alpha, n)
     j = TruncatedOperator(np.exp(1j * gamma) * d_op.matrix)
     return FactorizedPropagator(
@@ -146,9 +147,6 @@ def assemble(
 
 #: A column of J is healthy when its probabilities sum to 1 within this.
 NORM_TOL = 1e-10
-
-#: Doublings of the auto dimension ``level_populations`` tries at most.
-_MAX_DOUBLINGS = 3
 
 
 def _norm_deficit(probs: np.ndarray) -> np.ndarray:
@@ -191,6 +189,20 @@ def transition_probabilities(p: FactorizedPropagator, n: int) -> np.ndarray:
     return np.abs(p.j_op.matrix[:, n]) ** 2
 
 
+def _amplitudes(sys: PhysicalSystem, u) -> np.ndarray:
+    """``displacement_argument`` of the amplitudes ``u``, with no numpy
+    warning for a non-finite one: ``level_populations`` raises for it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return displacement_argument(sys, u)
+
+
+def _auto_dimension(alphas: np.ndarray, n: int) -> int:
+    """The truncation that holds column n for every amplitude in ``alphas``:
+    ``suggested_dimension`` at the largest |alpha|, with its errors."""
+    # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise
+    return suggested_dimension(float(np.hypot(alphas.real, alphas.imag).max(initial=0.0)), n)
+
+
 def level_populations(
     sys: PhysicalSystem, u, n: int, dim: int | None = None
 ) -> np.ndarray:
@@ -198,37 +210,28 @@ def level_populations(
 
     The probabilities depend on |alpha| only, so they are the squared
     Laguerre moduli of column n of D(alpha), evaluated once for all
-    samples with no phase formed.  Every row must sum to 1 within
-    ``NORM_TOL``, else TruncationError.  D = ``dim`` if given; else D
-    starts at the largest size ``assemble`` would choose for a sample, and
-    at least 2 (n + 1), and doubles (``_MAX_DOUBLINGS`` times at most)
-    until every row is healthy.  Matrix elements do not depend on D, so
-    the leading entries of row s match ``transition_probabilities`` of
+    samples with no phase formed.  D = ``dim`` if given; else
+    ``suggested_dimension`` of the largest |alpha| at level n.  Every row
+    must sum to 1 within ``NORM_TOL``, else TruncationError naming D: a
+    lossy column is never returned.  Matrix elements do not depend on D,
+    so the leading entries of row s match ``transition_probabilities`` of
     that sample's propagator within a few ulp, and entry n bit for bit.
     ``u`` must be one-dimensional (ValueError).  Also raises
     TruncationError when n >= dim, an element is not finite, or some
     |alpha|^2 is not: no basis holds such an amplitude.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite alphas raise below
-        alphas = displacement_argument(sys, u)
+    alphas = _amplitudes(sys, u)
     if dim is not None and n >= dim:
         raise TruncationError(f"level {n} lies outside dimension {dim}")
-    if dim:
-        sizes = [dim]
-    else:
-        # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round otherwise
-        largest = float(np.hypot(alphas.real, alphas.imag).max(initial=0.0))
-        start = max(suggested_dimension(largest), 2 * (n + 1))
-        sizes = [start << k for k in range(_MAX_DOUBLINGS + 1)]
-    for size in sizes:
-        pops = _column_probabilities(alphas, n, size)
-        worst = float(_norm_deficit(pops).max(initial=0.0))
-        if worst <= NORM_TOL:
-            return pops
-    raise TruncationError(
-        f"level {n} populations sum to 1 only within {worst:.3g} at dimension "
-        f"{pops.shape[1]}; increase numerics.dimension"
-    )
+    size = dim or _auto_dimension(alphas, n)
+    pops = _column_probabilities(alphas, n, size)
+    worst = float(_norm_deficit(pops).max(initial=0.0))
+    if not worst <= NORM_TOL:  # NaN too
+        raise TruncationError(
+            f"level {n} populations sum to 1 only within {worst:.3g} at dimension "
+            f"{size}; increase numerics.dimension"
+        )
+    return pops
 
 
 def _nonnegative(name: str, value: float) -> float:

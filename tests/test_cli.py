@@ -142,6 +142,19 @@ class TestResolveConfig:
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_system_without_finite_scales_exit_1(self, tmp_path, capsys):
+        # schema-valid numbers whose cyclotron frequency overflows: a config
+        # error naming the system, before any array sees the scales
+        doc = {"task": "simulate", "system": {"units": "natural", "charge": 1e300,
+                                              "magnetic_field": 1e300},
+               "waveform": {"type": "rotating", "amplitude": 0.1, "nu": 1.0},
+               "output": {"directory": str(tmp_path / "o")}}
+        cfg_path = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: system: derived omega = inf is not a positive normal float\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "samples",
         [
@@ -306,6 +319,22 @@ class TestRunSimulate:
         with pytest.raises(ConfigError, match="level"):
             cli.run_simulate(cli.resolve_config(doc, "simulate"))
 
+    def test_auto_dimension_holds_every_population_column(self):
+        # a weak drive sizes the basis at 18 levels, narrower than the 30
+        # pop_m columns asked for; the auto basis widens to hold them all
+        doc = {
+            "waveform": {"type": "rotating", "amplitude": 0.05, "nu": 0.9},
+            "time": {"t_final": 5.0, "samples": 11},
+            "report": {"population_levels": 30},
+        }
+        auto = cli.run_simulate(cli.resolve_config(doc, "simulate"))
+        explicit = cli.run_simulate(
+            cli.resolve_config(dict(doc, numerics={"dimension": 64}), "simulate"))
+        shown = [f"pop_{m}" for m in range(30)]
+        assert [c for c in auto.columns if c.startswith("pop_")] == shown
+        assert auto.dimension == 30
+        assert auto.columns == explicit.columns
+
 
 class TestRunSweep:
     def test_resonance_minimum(self):
@@ -425,20 +454,27 @@ class TestRunSweep:
             cli.run_sweep(cli.resolve_config(doc, "sweep"))
 
     def test_level_past_smallest_auto_dimension_runs(self, natural):
-        # off resonance |alpha|^2 alone would size the basis at 32 < 40; the
-        # whole sweep shares the size of its strongest point, 161
+        # the whole sweep shares the size of its strongest point,
+        # |alpha|^2 = 18, at level 40: ceil((sqrt(18) + sqrt(40) + 4)^2)
         doc = dict(self.SWEEP_DOC, initial_state={"level": 40})
         report = cli.run_sweep(cli.resolve_config(doc, "sweep"))
-        assert report.dimension == 161
+        assert report.dimension == 213
         assert report.population_sum_max_dev <= NORM_TOL
-        p = ld.assemble(natural, ld.RotatingField(0.3, 1.0), 20.0)
+        p = ld.assemble(natural, ld.RotatingField(0.3, 1.0), 20.0, dim=report.dimension)
         assert report.columns["survival"][5] == ld.transition_probabilities(p, 40)[40]
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_high_level_auto_dimension_matches_explicit(self, command):
-        # level 20 under the README drive: |alpha|^2 alone gives dim 32, too
-        # small for level 20; the auto size starts at 2 (20 + 1) = 42, and
-        # the sweep, whose strongest points lose probability there, doubles it
+    def test_high_level_auto_dimension_matches_explicit(self, command, monkeypatch):
+        # level 20 under the README drive: the auto size is the turning
+        # point of level 20 at the run's largest |alpha|, and the column is
+        # evaluated once, at that size
+        sizes = []
+
+        def spy(alphas, n, dim):
+            sizes.append(dim)
+            return column_probabilities(alphas, n, dim)
+
+        column_probabilities = propagator._column_probabilities
         doc = {
             "waveform": {"type": "rotating", "amplitude": 0.16, "nu": 0.8},
             "time": {"t_final": 10.0, "samples": 21},
@@ -447,10 +483,11 @@ class TestRunSweep:
                       "steps": 21},
         }
         run = cli.run_simulate if command == "simulate" else cli.run_sweep
+        monkeypatch.setattr(propagator, "_column_probabilities", spy)
         auto = run(cli.resolve_config(doc, command))
+        assert sizes == [auto.dimension] == [{"simulate": 89, "sweep": 93}[command]]
         explicit = run(cli.resolve_config(dict(doc, numerics={"dimension": 64}), command))
         assert auto.population_sum_max_dev <= NORM_TOL
-        assert auto.dimension == {"simulate": 42, "sweep": 84}[command]
         assert auto.columns == explicit.columns
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,33 @@ class TestPhysicalSystem:
     def test_invalid_construction(self, kwargs):
         with pytest.raises(ValueError):
             ld.PhysicalSystem(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["charge", "magnetic_field", "mass", "hbar", "c"])
+    def test_non_finite_argument_rejected(self, name, value):
+        kwargs = {"charge": 1.0, "magnetic_field": 1.0, "mass": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            ld.PhysicalSystem(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # finite arguments whose derived scales overflow or underflow
+            ({"charge": 1e300, "magnetic_field": 1e300}, "derived omega = inf"),
+            ({"charge": -1e300, "magnetic_field": 1e300}, "derived omega = inf"),
+            ({"mass": 1e300, "c": 1e10}, "derived omega = 0.0"),
+            ({"charge": 1e-300, "magnetic_field": 1e-10}, "derived omega = 1e-310"),
+            ({"charge": 1e200, "hbar": 1e-200}, "derived l_b = 0.0"),
+            ({"charge": 1e308, "mass": 1e10}, "derived k = inf"),
+            ({"charge": 1e8, "mass": 1e-300}, "derived time scale = 1e-308"),
+            ({"charge": 1e-300, "magnetic_field": 1e300, "mass": 1e-10},
+             "derived field scale = inf"),
+            ({"mass": 1e-200, "c": 1e-200}, "divide by a product that underflows"),
+        ],
+    )
+    def test_derived_scales_must_be_normal(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ld.PhysicalSystem(**{"charge": 1.0, "magnetic_field": 1.0, "mass": 1.0, **kwargs})
 
 
 class TestEvalField:

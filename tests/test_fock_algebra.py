@@ -13,8 +13,9 @@ from landau_drive.propagator import NORM_TOL
 
 @pytest.fixture(scope="module")
 def strong_drive_matrix():
-    """D(alpha) at |alpha|^2 = 200 in its auto size, 1616 states: a resonant
-    drive of amplitude 1 at t = 20."""
+    """D(alpha) at |alpha|^2 = 200 in 1616 states, past the dim 1030 from
+    which a table of unnormalized Laguerre polynomials overflowed: a
+    resonant drive of amplitude 1 at t = 20."""
     return ld.displacement_matrix(math.sqrt(200.0), 1616).matrix
 
 
@@ -157,7 +158,7 @@ class TestDisplacementMatrix:
         assert np.max(np.abs(gram - np.eye(healthy // 2))) <= 1e-13
 
     def test_finite_where_laguerre_table_overflowed(self, strong_drive_matrix):
-        # the auto-sized dim-1616 table of Laguerre polynomials overflowed
+        # the dim-1616 table of Laguerre polynomials overflowed
         # at |alpha|^2 = 200, as it did at any |alpha| from dim 1030 on
         weak = ld.displacement_matrix(0.1, 1030).matrix
         for mat, mean_level in ((strong_drive_matrix, 200.0), (weak, 0.01)):
@@ -302,9 +303,14 @@ class TestMatrixExponential:
 
 
 def test_suggested_dimension_rule():
-    assert ld.suggested_dimension(0.0) == 32
-    assert ld.suggested_dimension(2.0) == max(32, math.ceil(8 * 4 + 16))
-    assert ld.suggested_dimension(ld.CoherentAmplitude(3.0)) == 88
+    # ceil((|alpha| + sqrt(n) + 4)^2): the turning point of level n plus a margin
+    assert ld.suggested_dimension(0.0) == 16
+    assert ld.suggested_dimension(2.0) == 36
+    assert ld.suggested_dimension(ld.CoherentAmplitude(3.0)) == 49
+    assert ld.suggested_dimension(0.0, 9) == 49
+    assert ld.suggested_dimension(3.0 + 4.0j, 16) == 169
+    with pytest.raises(IndexError, match="level -1"):
+        ld.suggested_dimension(0.3, -1)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, complex(0.0, -math.inf), math.nan, 1e200],
@@ -317,6 +323,7 @@ def test_suggested_dimension_rejects_non_finite_square(alpha):
 def test_suggested_dimension_follows_the_element_rule():
     # the size exists exactly where the displacement elements do: up to
     # e^(-|alpha|^2/2) reaching the smallest normal float, |alpha|^2 ~ 1417
-    assert ld.suggested_dimension(37.0) == 8 * 37**2 + 16
+    assert ld.suggested_dimension(37.0) == 41**2
+    assert ld.suggested_dimension(37.0, 300) == math.ceil((41.0 + math.sqrt(300.0)) ** 2)
     with pytest.raises(TruncationError, match="not representable"):
         ld.suggested_dimension(38.0)

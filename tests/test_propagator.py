@@ -62,14 +62,16 @@ class TestAssemble:
         assert_allclose(p.j_op.matrix, d_ref.matrix, atol=1e-14)
 
     def test_default_dimension_rule(self, natural):
+        # the auto size holds the leading block of 8 columns, levels 0 .. 7
         p = ld.assemble(natural, ld.RotatingField(0.1, 1.0), 2.0)
-        assert p.dim == ld.suggested_dimension(p.alpha)
+        assert p.dim == ld.suggested_dimension(p.alpha, 7) == 47
+        assert ld.healthy_dim(p) >= 8
 
     @pytest.mark.parametrize("amplitude", [1.5e152, 1.5e150])
     def test_default_dimension_of_unrepresentable_drive(self, natural, amplitude):
-        # a finite drive path whose 8|alpha|^2 + 16 overflows (1.5e152) or
-        # is merely huge (1.5e150) gets no auto size; it used to raise a
-        # bare OverflowError or numpy's allocation ValueError
+        # a finite drive path whose |alpha|^2 overflows (1.5e152) or is
+        # merely huge (1.5e150) gets no auto size; it used to raise a bare
+        # OverflowError or numpy's allocation ValueError
         with pytest.raises(TruncationError, match="not representable"):
             ld.assemble(natural, ld.RotatingField(amplitude, 1.0), 100.0)
 
@@ -145,8 +147,8 @@ class TestJMatrixElement:
     @given(x=st.floats(0.0, 40.0), n=st.integers(0, 40))
     def test_healthy_dim_rule(self, natural, x, n):
         # resonant drive with |alpha|^2 = k^2 |u|^2 = x, in the basis that
-        # level_populations starts from for level n
-        dim = max(ld.suggested_dimension(math.sqrt(x)), 2 * (n + 1))
+        # level_populations picks for level n
+        dim = ld.suggested_dimension(math.sqrt(x), n)
         p = ld.assemble(natural, ld.RotatingField(math.sqrt(2.0 * x) / 10.0, 1.0), 10.0,
                         dim=dim)
         h = ld.healthy_dim(p)
@@ -162,7 +164,7 @@ class TestJMatrixElement:
         assert abs(1.0 - pops.sum()) <= NORM_TOL
 
     def test_healthy_dim_measured_once(self, natural):
-        # the resonant benchmark point: dim 161 with an unhealthy tail
+        # the resonant benchmark point: dim 119 with an unhealthy tail
         p = ld.assemble(natural, ld.RotatingField(0.3, 1.0), 20.0)
         loss = np.abs(1.0 - np.sum(np.abs(p.j_op.matrix) ** 2, axis=0))
         expected = int(np.argmax(loss > NORM_TOL))
@@ -222,10 +224,10 @@ class TestTransitionProbabilities:
 
     def test_lossy_level_of_auto_dimension_rejected(self, natural):
         # the resonant point of the benchmark sweep: |alpha|^2 = 18, auto
-        # dim 161; column 79 keeps only 83% of its probability there
+        # dim 119; column 79 keeps only 59% of its probability there
         p = ld.assemble(natural, ld.RotatingField(0.3, 1.0), 20.0)
-        assert p.dim == 161
-        assert np.sum(np.abs(p.j_op.matrix[:, 79]) ** 2) < 0.83
+        assert p.dim == 119
+        assert np.sum(np.abs(p.j_op.matrix[:, 79]) ** 2) < 0.6
         with pytest.raises(TruncationError):
             ld.transition_probabilities(p, 79)
         with pytest.raises(TruncationError):
@@ -246,16 +248,20 @@ class TestLevelPopulations:
     def test_matches_transition_probabilities(self, natural, n, dim):
         props = [ld.assemble(natural, w, t, dim=dim) for w, t in self.CASES]
         pops = ld.level_populations(natural, [p.u for p in props], n, dim)
-        assert pops.shape == (len(props), max(p.dim for p in props))
+        largest = max(abs(p.alpha.alpha) for p in props)
+        assert pops.shape == (len(props), dim or ld.suggested_dimension(largest, n))
         for row, p in zip(pops, props):
             ref = ld.transition_probabilities(p, n)
-            assert np.max(np.abs(row[: p.dim] - ref)) <= 1e-15
+            m = min(row.size, p.dim)
+            assert np.max(np.abs(row[:m] - ref[:m])) <= 1e-15
 
     def test_mirrored_system(self):
         electron = ld.PhysicalSystem(charge=-1.0, magnetic_field=1.0, mass=1.0)
         p = ld.assemble(electron, ld.RotatingField(0.2, 0.9), 8.0)
         pops = ld.level_populations(electron, [p.u], 1)
-        assert np.max(np.abs(pops[0] - ld.transition_probabilities(p, 1))) <= 1e-15
+        assert pops.shape == (1, ld.suggested_dimension(p.alpha, 1)) == (1, 27)
+        ref = ld.transition_probabilities(p, 1)[: pops.shape[1]]
+        assert np.max(np.abs(pops[0] - ref)) <= 1e-15
 
     def test_unhealthy_level_rejected(self, rotating, natural):
         p, *_ = rotating
@@ -267,9 +273,9 @@ class TestLevelPopulations:
     def test_level_outside_truncation(self, natural):
         with pytest.raises(TruncationError):
             ld.level_populations(natural, [0.1], 40, 40)
-        # |alpha| alone sizes the basis at 32; the auto size covers level 40
+        # the auto size is the turning point of level 40 plus the margin
         pops = ld.level_populations(natural, [0.1], 40)
-        assert pops.shape == (1, 82)
+        assert pops.shape == (1, 110)
         assert abs(1.0 - pops.sum()) <= NORM_TOL
 
     @pytest.mark.parametrize(
@@ -285,16 +291,29 @@ class TestLevelPopulations:
 
     @pytest.mark.parametrize("x, dim, n", [(0.5, 32, 21), (4.5, 52, 25), (10.1, 97, 47)])
     def test_lossy_level_rejected(self, natural, x, dim, n):
-        # dim is the auto size for |alpha|^2 = x; column n loses 1.7e-4,
-        # 2.2e-2 and 1.4e-1 of its probability
+        # at dim, column n loses 1.7e-4, 2.2e-2 and 1.4e-1 of its
+        # probability; the auto size holds it
         u = math.sqrt(x / 2.0)   # k^2 = 2
         with pytest.raises(TruncationError, match=f"at dimension {dim}"):
             ld.level_populations(natural, [u], n, dim)
         assert abs(1.0 - ld.level_populations(natural, [u], n).sum()) <= NORM_TOL
 
-    def test_auto_dimension_doubles_at_most_max_times(self, natural, monkeypatch):
-        monkeypatch.setattr(propagator, "_MAX_DOUBLINGS", 0)
-        with pytest.raises(TruncationError, match="at dimension 97"):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(x=st.floats(0.0, 1416.0), n=st.integers(0, 300))
+    def test_auto_dimension_holds_every_column(self, natural, x, n):
+        # over the representable range, the turning-point rule is healthy
+        # at once: no column needs a larger basis than it gives
+        u = math.sqrt(x / 2.0)   # k^2 = 2
+        pops = ld.level_populations(natural, [u], n)
+        size = ld.suggested_dimension(ld.displacement_argument(natural, u), n)
+        assert pops.shape == (1, size)
+        assert propagator._norm_deficit(pops)[0] <= NORM_TOL
+
+    def test_too_small_auto_dimension_raises(self, natural, monkeypatch):
+        # a rule that fell short would raise, naming its size, rather than
+        # return a lossy column
+        monkeypatch.setattr(propagator, "suggested_dimension", lambda alpha, n: n + 2)
+        with pytest.raises(TruncationError, match="at dimension 49"):
             ld.level_populations(natural, [math.sqrt(10.1 / 2.0)], 47)
 
     @pytest.mark.parametrize("charge", [1.0, -1.0, -3.7])
@@ -317,8 +336,8 @@ class TestLevelPopulations:
         assert np.array(one).tobytes() == expected.tobytes()
 
     def test_no_samples(self, natural):
-        assert ld.level_populations(natural, [], 3).shape == (0, 32)
-        assert ld.level_populations(natural, [], 20).shape == (0, 42)
+        assert ld.level_populations(natural, [], 3).shape == (0, 33)
+        assert ld.level_populations(natural, [], 20).shape == (0, 72)
         assert ld.level_populations(natural, [], 3, 10).shape == (0, 10)
 
     @pytest.mark.parametrize("dim", [None, 160])
@@ -332,8 +351,8 @@ class TestLevelPopulations:
         rng = np.random.default_rng(23)
         u = np.sqrt(rng.uniform(0.0, 9.0, count)) * np.exp(2j * math.pi * rng.random(count))
         pops = ld.level_populations(sys, u, n, dim)
-        assert pops.shape == (count, 160)
-        cols = ld.displacement_columns(ld.displacement_argument(sys, u), n, 160)
+        assert pops.shape == (count, dim or {0: 68, 3: 100, 20: 162}[n])
+        cols = ld.displacement_columns(ld.displacement_argument(sys, u), n, pops.shape[1])
         squared = np.abs(cols) ** 2
         assert np.max(np.abs(pops - squared)) <= 1e-15
         assert np.array_equal(pops[:, n], squared[:, n])
