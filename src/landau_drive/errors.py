@@ -1,5 +1,13 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "AccuracyError",
+    "ConfigError",
+    "DomainError",
+    "TruncationError",
+    "TruncationWarning",
+]
+
 
 class DomainError(ValueError):
     """Evaluation requested outside a waveform's time domain."""

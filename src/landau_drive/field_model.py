@@ -37,9 +37,7 @@ __all__ = [
     "LinearSinusoidField",
     "SampledField",
     "SumField",
-    "eval_field",
     "internalize",
-    "sample_waveform",
 ]
 
 
@@ -438,13 +436,6 @@ class SumField(FieldWaveform):
         return SumField(tuple(w.rescaled(scales, mirror) for w in self.terms))
 
 
-def eval_field(w: FieldWaveform, t) -> complex:
-    """E(t) for waveform w; raises DomainError outside the domain."""
-    w._check_domain(t)
-    value = w.field(t)
-    return complex(value) if np.ndim(value) == 0 else value
-
-
 def internalize(sys: PhysicalSystem, w: FieldWaveform):
     """Map (system, waveform) to dimensionless internal units.
 
@@ -456,10 +447,3 @@ def internalize(sys: PhysicalSystem, w: FieldWaveform):
     """
     scales = sys.internal_scales()
     return w.rescaled(scales, sys.mirrored), scales, sys.mirrored
-
-
-def sample_waveform(w: FieldWaveform, times) -> SampledField:
-    """Tabulate any waveform onto a grid as a SampledField."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(w.field(times), dtype=complex)
-    return SampledField(times, values.real, values.imag)

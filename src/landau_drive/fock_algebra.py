@@ -1,14 +1,13 @@
 """Truncated Fock-space operator algebra.
 
-Ladder operators, closed-form displacement matrix elements, and a matrix
-exponential used as the independent cross-check for the closed form.
-The moduli of the elements are evaluated in one place, as normalized
+Ladder operators and closed-form displacement matrix elements.  The
+moduli of the elements are evaluated in one place, as normalized
 associated Laguerre functions of modulus at most 1, finite in any
-dimension up to |alpha|^2 of about 1417, and the elements are those
-moduli times a phase e^{i d arg alpha}.  ``displacement_matrix`` takes
-every column of one amplitude and ``displacement_columns`` one column of
-many; the level populations square the moduli of a column and never form
-the phases, on which they do not depend.
+dimension up to |alpha|^2 of about 1417.  ``displacement_matrix`` takes
+every column of one amplitude, those moduli times a phase
+e^{i d arg alpha}; the level populations square the moduli of one column
+for many amplitudes and never form the phases, on which they do not
+depend.
 """
 
 from __future__ import annotations
@@ -18,20 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, TruncationError
+from .errors import TruncationError
 
 __all__ = [
     "TruncatedOperator",
     "column_unitarity_defect",
-    "CoherentAmplitude",
     "ladder_ops",
     "displacement_matrix",
-    "displacement_columns",
-    "matrix_exponential",
     "suggested_dimension",
 ]
 
-#: Elements evaluated per block of amplitudes in ``_displacement_elements``.
+#: Elements evaluated per block of amplitudes in ``_displacement_moduli``.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -72,23 +68,6 @@ def column_unitarity_defect(columns: np.ndarray) -> float:
     """
     c = np.asarray(columns)
     return float(np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1]))))
-
-
-@dataclass(frozen=True)
-class CoherentAmplitude:
-    """Dimensionless displacement argument; |alpha|^2 is the mean level."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("amplitude must be finite")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def mean_level(self) -> float:
-        return abs(self.alpha) ** 2
 
 
 def ladder_ops(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
@@ -178,32 +157,38 @@ def _displacement_moduli(alphas: np.ndarray, cols: np.ndarray, dim: int):
         yield blk, _laguerre_functions(x[blk], degrees, dim)[:, p, d]
 
 
-def _displacement_elements(alphas, cols, dim: int) -> np.ndarray:
-    """E[s, m, j] = <m|D(alphas[s])|cols[j]> for m < ``dim``: the one
-    evaluation of the displacement matrix elements.
+def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
+    """D(alpha) = exp(alpha a^dag - alpha* a) on ``dim`` Fock states.
 
     For m >= n,
         <m|D|n> = e^{-|a|^2/2} sqrt(n!/m!) alpha^{m-n} L_n^{(m-n)}(|a|^2)
                 = phi_n^{(m-n)}(|a|^2) e^{i (m-n) arg alpha},
-    and the m < n elements follow with alpha -> -alpha*: the phases of
-    this function times the moduli of ``_displacement_moduli``, block by
-    block, with its cost and its TruncationError.
+    and the m < n elements follow with alpha -> -alpha*: the moduli of
+    ``_displacement_moduli`` times these phases.  Raises TruncationError
+    above |alpha|^2 of about 1417, where e^{-|alpha|^2/2} leaves the
+    floating-point range; below it every element is finite, of modulus at
+    most 1, for any ``dim``.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    cols = np.asarray(cols)
-    offset = np.arange(dim)[:, None] - cols[None, :]
-    d, lower = np.abs(offset), offset >= 0
-    out = np.empty((alphas.size, dim, cols.size), dtype=complex)
-    for blk, phi in _displacement_moduli(alphas, cols, dim):
-        a = alphas[blk, None, None]
-        ang = np.where(lower, np.angle(a), np.angle(-np.conj(a)))
-        out[blk] = np.exp(1j * d * ang) * phi
-    return out
+    alpha = complex(alpha)
+    if dim < 2:
+        raise ValueError("need at least two Fock states")
+    cols = np.arange(dim)
+    offset = cols[:, None] - cols[None, :]
+    (_, phi), = _displacement_moduli(np.array([alpha]), cols, dim)
+    ang = np.where(offset >= 0, np.angle(alpha), np.angle(-np.conj(alpha)))
+    return TruncatedOperator(np.exp(1j * np.abs(offset) * ang) * phi[0])
 
 
-def _column_amplitudes(alphas, n: int, dim: int) -> np.ndarray:
-    """``alphas`` as a 1-D complex array, once it, ``n`` and ``dim`` are
-    checked for column n of a ``dim``-state displacement."""
+def _column_probabilities(alphas, n: int, dim: int) -> np.ndarray:
+    """|<m|D(alphas[s])|n>|^2 as an (S, dim) array, formed as phi * phi
+    from the moduli alone, so no phase is built: within a few ulp of
+    ``np.abs(displacement_matrix(alphas[s], dim).matrix[:, n]) ** 2``, and
+    bit for bit at m = n, where d = 0 and the phase is exactly 1.  The
+    elements do not depend on ``dim``, and only the Laguerre rows p <= n
+    are built, at O(S (n+1) dim) cost.  ``alphas`` must be one-dimensional
+    (ValueError), and 0 <= n < dim (IndexError); TruncationError as
+    ``displacement_matrix``, when any amplitude is past the limit.
+    """
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.ndim != 1:
         raise ValueError("amplitudes must be a one-dimensional sequence")
@@ -211,65 +196,10 @@ def _column_amplitudes(alphas, n: int, dim: int) -> np.ndarray:
         raise ValueError("need at least two Fock states")
     if not 0 <= n < dim:
         raise IndexError(f"level {n} outside dimension {dim}")
-    return alphas
-
-
-def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on ``dim`` Fock states.
-
-    All columns of the closed-form elements (see ``displacement_columns``).
-    Raises TruncationError above |alpha|^2 of about 1417, where
-    e^{-|alpha|^2/2} leaves the floating-point range; below it every
-    element is finite, of modulus at most 1, for any ``dim``.
-    """
-    if isinstance(alpha, CoherentAmplitude):
-        alpha = alpha.alpha
-    alpha = complex(alpha)
-    if dim < 2:
-        raise ValueError("need at least two Fock states")
-    mat = _displacement_elements([alpha], np.arange(dim), dim)[0]
-    return TruncatedOperator(mat)
-
-
-def displacement_columns(alphas, n: int, dim: int) -> np.ndarray:
-    """Column n of D(alpha) for every amplitude: an (S, dim) array whose
-    row s is <m|D(alphas[s])|n> for m = 0 .. dim-1.
-
-    Bit-identical to ``displacement_matrix(alphas[s], dim).matrix[:, n]``
-    but built from the Laguerre rows p <= n only, at O(S (n+1) dim) cost.
-    The elements do not depend on ``dim``: a larger ``dim`` extends each
-    column without changing its leading entries.  Same TruncationError as
-    ``displacement_matrix``, raised when any amplitude is past the limit.
-    """
-    alphas = _column_amplitudes(alphas, n, dim)
-    return _displacement_elements(alphas, np.array([n]), dim)[:, :, 0]
-
-
-def _column_probabilities(alphas, n: int, dim: int) -> np.ndarray:
-    """|<m|D(alphas[s])|n>|^2 as an (S, dim) array: ``displacement_columns``
-    squared, with its checks and errors, but formed as phi * phi from the
-    moduli alone, so no phase is built.  Within a few ulp of
-    ``np.abs(displacement_columns(...)) ** 2``, and bit for bit at m = n,
-    where d = 0 and the phase is exactly 1.
-    """
-    alphas = _column_amplitudes(alphas, n, dim)
     out = np.empty((alphas.size, dim))
     for blk, phi in _displacement_moduli(alphas, np.array([n]), dim):
         np.multiply(phi[:, :, 0], phi[:, :, 0], out=out[blk])
     return out
-
-
-def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
-    """exp(A) by scaling-and-squaring with a Pade core (scipy, imported
-    here so that no other path loads it)."""
-    from scipy.linalg import expm
-    norm = float(np.linalg.norm(op.matrix, 1))
-    if norm > 1e3:
-        raise AccuracyError(
-            f"matrix 1-norm {norm:.3g} too large for a reliable exponential",
-            achieved=norm,
-        )
-    return TruncatedOperator(expm(op.matrix))
 
 
 def suggested_dimension(alpha, n: int = 0) -> int:
@@ -285,8 +215,6 @@ def suggested_dimension(alpha, n: int = 0) -> int:
     elements obey: when e^{-|alpha|^2/2} is not a normal float (NaN and
     inf included).
     """
-    if isinstance(alpha, CoherentAmplitude):
-        alpha = alpha.alpha
     if n < 0:
         raise IndexError(f"level {n} is negative")
     _require_representable(abs(alpha))

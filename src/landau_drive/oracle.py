@@ -61,7 +61,7 @@ from .field_model import (
     ZeroField,
     internalize,
 )
-from .fock_algebra import TruncatedOperator, column_unitarity_defect, ladder_ops
+from .fock_algebra import column_unitarity_defect, ladder_ops
 from .path_integrals import build_drive_path
 from .propagator import (
     assemble,
@@ -71,7 +71,6 @@ from .propagator import (
 
 __all__ = [
     "IntegratorConfig",
-    "pi_sector_hamiltonian",
     "integrate_schrodinger",
     "heisenberg_residual",
     "guiding_center_residual",
@@ -154,16 +153,6 @@ def _step_nodes(lo: float, h: float, n: int) -> np.ndarray:
     increments[0] = lo
     starts = np.cumsum(increments)
     return np.concatenate([starts, starts + h / 2.0, starts + h])
-
-
-def pi_sector_hamiltonian(
-    sys: PhysicalSystem, w: FieldWaveform, t: float, dim: int
-) -> TruncatedOperator:
-    """Ladder-sector Hamiltonian at time t, in internal units of hbar omega."""
-    w_i, scales, _ = internalize(sys, w)
-    t_i = t / scales.time
-    w_i._check_domain(t_i)
-    return TruncatedOperator(_hamiltonian(complex(-1j * w_i.field(t_i)), dim))
 
 
 def _banded_rk4(u: np.ndarray, spans) -> None:

@@ -15,7 +15,10 @@ The ingredients assembled here:
 * one sampler, ``_drive_samples``, that checks the grid (finite, strictly
   increasing, from 0) and sends many waveforms down those routes at
   once: ``build_drive_path`` reads its one row for one waveform and
-  ``drive_endpoints`` its last column for many.
+  ``drive_endpoints`` its last column for many,
+* ``magnetic_phase``, beta of a polyline of R points the caller gives,
+  by the same closed-chord area as a shoelace sum; every drive path's
+  beta comes from the routes above.
 
 Everything runs in dimensionless internal units (omega = l_b = 1,
 k = sqrt(2)) and converts at the boundary, so the default absolute
@@ -35,9 +38,7 @@ from .errors import AccuracyError, DomainError
 from .field_model import FieldWaveform, PhysicalSystem, _ExpSumField, internalize
 
 __all__ = [
-    "signed_area",
     "magnetic_phase",
-    "coherent_phase",
     "displacement_amplitude",
     "DrivePath",
     "build_drive_path",
@@ -80,41 +81,23 @@ _WG10 = np.array([
 _STEP_BLOCK_ELEMENTS = 1 << 15
 
 
-def signed_area(points) -> float:
-    """Shoelace area of the polyline through ``points`` plus the chord
-    closing it back to the first point; sign follows the right-hand rule
-    about e3 (counterclockwise positive)."""
-    z = np.asarray(points, dtype=complex).ravel()
-    if z.size < 2:
-        return 0.0
-    return 0.5 * float(np.sum(np.imag(np.conj(z) * np.roll(z, -1))))
-
-
-def _require_origin_start(path) -> np.ndarray:
-    z = np.asarray(path, dtype=complex).ravel()
-    if z.size == 0:
-        return z
-    scale = float(np.max(np.abs(z)))
-    if abs(z[0]) > 1e-9 * max(scale, 1e-300):
-        raise ValueError("path must start at the origin")
-    return z
-
-
 def magnetic_phase(sys: PhysicalSystem, r_path) -> float:
     """Geometric phase of a magnetic translation along the given R path.
 
-    beta = -(qB/hbar c) * S, with S the signed area enclosed by the path
-    and the closing chord; for a closed loop this is -q*flux/(hbar c).
+    beta = -(qB/hbar c) * S, with S the shoelace area of the polyline
+    through the points plus the chord closing it back to the first point
+    (counterclockwise positive); for a closed loop this is -q*flux/(hbar c).
+    The points must be finite and start at the origin (ValueError naming
+    the first point that is not finite, else the start).
     """
-    z = _require_origin_start(r_path)
-    return -sys.area_phase * signed_area(z)
-
-
-def coherent_phase(sys: PhysicalSystem, u_path) -> float:
-    """Numerical phase of the level-mixing factor along the given u path:
-    gamma = -(qB/hbar c) * 4 * S(u-path)."""
-    z = _require_origin_start(u_path)
-    return -4.0 * sys.area_phase * signed_area(z)
+    z = np.asarray(r_path, dtype=complex).ravel()
+    finite = np.isfinite(z)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"path point {i} = {complex(z[i])!r} is not finite")
+    if z.size and abs(z[0]) > 1e-9 * max(float(np.max(np.abs(z))), 1e-300):
+        raise ValueError("path must start at the origin")
+    return -sys.area_phase * (0.5 * float(np.sum(np.imag(np.conj(z) * np.roll(z, -1)))))
 
 
 def displacement_amplitude(

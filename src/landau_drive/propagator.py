@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DomainError, TruncationError, TruncationWarning
 from .field_model import FieldWaveform, PhysicalSystem
 from .fock_algebra import (
-    CoherentAmplitude,
     TruncatedOperator,
     _column_probabilities,
     displacement_matrix,
@@ -59,7 +58,8 @@ class FactorizedPropagator:
     Fields: the geometric pair (displacement R, phase beta); the drive
     amplitude u with its phase gamma; the level-mixing operator j_op
     (phase included); and the coherent argument alpha = -u* k it was
-    built from.  Dynamical phases are reconstructed from the system.
+    built from, a complex whose |alpha|^2 is the mean level of
+    D(alpha)|0>.  Dynamical phases are reconstructed from the system.
     """
 
     system: PhysicalSystem
@@ -68,7 +68,7 @@ class FactorizedPropagator:
     beta: float
     u: complex
     gamma: float
-    alpha: CoherentAmplitude
+    alpha: complex
     j_op: TruncatedOperator
     provenance: str
 
@@ -128,7 +128,7 @@ def assemble(
     ends = drive_endpoints(sys, [w], t, method=method, abs_tol=abs_tol)
     r, u = complex(ends.r[0]), complex(ends.u[0])
     beta, gamma = float(ends.beta[0]), float(ends.gamma[0])
-    alpha = CoherentAmplitude(displacement_argument(sys, u))
+    alpha = displacement_argument(sys, u)
     n = suggested_dimension(alpha, 7) if dim is None else dim
     d_op = displacement_matrix(alpha, n)
     j = TruncatedOperator(np.exp(1j * gamma) * d_op.matrix)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -17,6 +18,11 @@ import landau_drive as ld
 from landau_drive import cli, propagator
 from landau_drive.errors import ConfigError, TruncationError
 from landau_drive.propagator import NORM_TOL
+
+if sys.version_info >= (3, 11):
+    import tomllib
+else:
+    import tomli as tomllib
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -1004,3 +1010,27 @@ def test_data_path_never_imports_scipy(tmp_path):
     assert result["after_import"] == [] and result["after_runs"] == []
     assert result["codes"] == {"simulate": 0, "sweep": 0, "phases": 0, "validate": 0}
     assert result["after_validate"] == []
+
+
+def _requirement_names(requirements):
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+
+
+def test_scipy_is_a_test_only_dependency():
+    # pip installs no scipy with the package itself, only with its test
+    # extra, and no module of the package imports it
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert "scipy" not in _requirement_names(project["dependencies"])
+    assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
+    sources = sorted((root / "src" / "landau_drive").glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            assert all(m.split(".")[0] != "scipy" for m in modules), (path.name, node.lineno)

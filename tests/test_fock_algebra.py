@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
-from landau_drive.errors import AccuracyError, TruncationError
+from landau_drive.errors import TruncationError
+from landau_drive.fock_algebra import _column_probabilities
 from landau_drive.propagator import NORM_TOL
+
+from _reference import expm
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +94,9 @@ class TestDisplacementMatrix:
         # headroom; matrix elements are truncation-independent, so the
         # leading 32x32 blocks must coincide
         a, ad = ld.ladder_ops(96)
-        gen = ld.TruncatedOperator(alpha * ad.matrix - np.conj(alpha) * a.matrix)
-        by_series = ld.matrix_exponential(gen)
+        by_series = expm(alpha * ad.matrix - np.conj(alpha) * a.matrix)
         closed = ld.displacement_matrix(alpha, 64)
-        diff = np.max(np.abs(closed.matrix[:32, :32] - by_series.matrix[:32, :32]))
+        diff = np.max(np.abs(closed.matrix[:32, :32] - by_series[:32, :32]))
         assert diff < 1e-10
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5j, -2.0 + 2.0j, 3.0])
@@ -136,8 +138,7 @@ class TestDisplacementMatrix:
         # prefactors reached (2.6e-15 and 1.4e-14)
         alpha = math.sqrt(mean_level) * complex(math.cos(0.3), math.sin(0.3))
         a, ad = ld.ladder_ops(dim + dim // 8)
-        gen = ld.TruncatedOperator(alpha * ad.matrix - np.conj(alpha) * a.matrix)
-        by_series = ld.matrix_exponential(gen).matrix
+        by_series = expm(alpha * ad.matrix - np.conj(alpha) * a.matrix)
         closed = ld.displacement_matrix(alpha, dim).matrix
         half = dim // 2
         assert np.max(np.abs(closed[:half, :half] - by_series[:half, :half])) < atol
@@ -173,10 +174,13 @@ class TestDisplacementMatrix:
         with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 1.5e\+03, dim = 64"):
             ld.displacement_matrix(math.sqrt(1500.0), 64)
 
-    def test_accepts_coherent_amplitude(self):
-        a1 = ld.displacement_matrix(ld.CoherentAmplitude(0.4j), 24)
-        a2 = ld.displacement_matrix(0.4j, 24)
-        assert_allclose(a1.matrix, a2.matrix)
+    @pytest.mark.parametrize("alpha", [complex("nan"), math.inf, complex(0.0, -math.inf)],
+                             ids=["nan", "inf", "-inf_j"])
+    def test_rejects_nonfinite(self, alpha):
+        # alpha is a plain complex: a non-finite one has no finite
+        # |alpha|^2, which no truncation holds
+        with pytest.raises(TruncationError, match=r"no finite square, \|alpha\|\^2 = (nan|inf)"):
+            ld.displacement_matrix(alpha, 8)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -195,6 +199,10 @@ class TestDisplacementMatrix:
 
 
 class TestDisplacementColumns:
+    """One column of D(alpha): a column of ``displacement_matrix``, and the
+    squared moduli of one column for many amplitudes that the level
+    populations read (``_column_probabilities``)."""
+
     # alpha = 0, a tiny amplitude, |alpha|^2 = 40 in three directions,
     # generic ones, and strong drives (|alpha|^2 = 700 and 200)
     AMPLITUDES = [
@@ -208,105 +216,86 @@ class TestDisplacementColumns:
         "n, dim", [(n, dim) for dim in (2, 32, 161) for n in (0, 1, 3, 10) if n < dim]
     )
     def test_bit_identical_to_matrix_column(self, n, dim):
-        cols = ld.displacement_columns(self.AMPLITUDES, n, dim)
-        assert cols.shape == (len(self.AMPLITUDES), dim)
+        # the squared moduli are within a few ulp of the squared matrix
+        # column, and bit for bit at m = n, where the phase is exactly 1
+        probs = _column_probabilities(self.AMPLITUDES, n, dim)
+        assert probs.shape == (len(self.AMPLITUDES), dim)
         for s, alpha in enumerate(self.AMPLITUDES):
-            ref = ld.displacement_matrix(alpha, dim).matrix[:, n]
-            assert np.array_equal(cols[s], ref), (alpha, n, dim)
+            ref = np.abs(ld.displacement_matrix(alpha, dim).matrix[:, n]) ** 2
+            assert np.max(np.abs(probs[s] - ref)) <= 1e-15, (alpha, n, dim)
+            assert probs[s, n] == ref[n], (alpha, n, dim)
 
     def test_many_amplitudes_bit_identical(self):
         # enough amplitudes that they are evaluated in several blocks
         rng = np.random.default_rng(7)
         alphas = 1.5 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
-        cols = ld.displacement_columns(alphas, 3, 161)
+        probs = _column_probabilities(alphas, 3, 161)
         for s in (0, 101, 102, 250, 399):
-            ref = ld.displacement_matrix(alphas[s], 161).matrix[:, 3]
-            assert np.array_equal(cols[s], ref)
+            assert np.array_equal(probs[s], _column_probabilities(alphas[s:s + 1], 3, 161)[0])
 
     def test_longer_basis_extends_column(self):
-        short = ld.displacement_columns([1.1 - 0.6j], 4, 40)
-        long = ld.displacement_columns([1.1 - 0.6j], 4, 90)
-        assert np.array_equal(long[:, :40], short)
+        short = ld.displacement_matrix(1.1 - 0.6j, 40).matrix[:, 4]
+        long = ld.displacement_matrix(1.1 - 0.6j, 90).matrix[:, 4]
+        assert np.array_equal(long[:40], short)
 
     def test_low_column_matches_matrix_at_strong_drive(self, strong_drive_matrix):
         # where the full matrix overflowed while the low columns stayed
-        # finite: now both are, bit for bit
+        # finite: now both are, and agree bit for bit on all 1616 entries
         for n in (0, 7, 300):
-            col = ld.displacement_columns([math.sqrt(200.0)], n, 1616)[0]
-            assert np.array_equal(col, strong_drive_matrix[:, n]), n
+            col = strong_drive_matrix[:, n]
+            probs = _column_probabilities([math.sqrt(200.0)], n, 1616)[0]
+            assert np.array_equal(probs, np.abs(col) ** 2), n
             assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
         assert abs(strong_drive_matrix[0, 0]) ** 2 == pytest.approx(math.exp(-200.0), rel=1e-12)
 
     def test_high_level_column_in_large_basis(self):
         # level 300 of a dim-1700 basis at |alpha|^2 = 100: the Laguerre
         # polynomial rows up to p = 300 overflowed; the normalized functions
         # stay below 1 and the column keeps its probability
-        cols = ld.displacement_columns([0.5, 10.0], 300, 1700)
-        assert np.max(np.abs(cols)) <= 1.0
-        assert_allclose(np.sum(np.abs(cols) ** 2, axis=1), 1.0, rtol=0, atol=NORM_TOL)
+        probs = _column_probabilities([0.5, 10.0], 300, 1700)
+        assert np.max(probs) <= 1.0
+        assert_allclose(np.sum(probs, axis=1), 1.0, rtol=0, atol=NORM_TOL)
 
     def test_column_overflow_is_truncation_error(self):
         # one amplitude past the representable range fails the whole call
         with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 1.5e\+03, dim = 1700"):
-            ld.displacement_columns([0.5, math.sqrt(1500.0)], 300, 1700)
-        col = ld.displacement_columns([math.sqrt(1400.0)], 0, 2000)[0]
-        assert np.sum(np.abs(col) ** 2) == pytest.approx(1.0, abs=1e-12)
+            _column_probabilities([0.5, math.sqrt(1500.0)], 300, 1700)
+        probs = _column_probabilities([math.sqrt(1400.0)], 0, 2000)[0]
+        assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_nan_amplitude_is_truncation_error(self):
         with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = nan"):
-            ld.displacement_columns([0.5, complex("nan")], 0, 8)
+            _column_probabilities([0.5, complex("nan")], 0, 8)
 
     def test_overflowing_square_is_truncation_error(self):
         # |alpha|^2 overflows float64; Python's |alpha| ** 2 raised OverflowError
         with pytest.raises(TruncationError, match=r"no finite square, \|alpha\|\^2 = inf"):
-            ld.displacement_columns([0.5, 1e200], 0, 8)
+            _column_probabilities([0.5, 1e200], 0, 8)
         with pytest.raises(TruncationError, match="no finite"):
             ld.displacement_matrix(1e200, 8)
 
     def test_argument_checks(self):
         with pytest.raises(IndexError):
-            ld.displacement_columns([0.5], 8, 8)
+            _column_probabilities([0.5], 8, 8)
         with pytest.raises(IndexError):
-            ld.displacement_columns([0.5], -1, 8)
+            _column_probabilities([0.5], -1, 8)
         with pytest.raises(ValueError):
-            ld.displacement_columns([0.5], 0, 1)
+            _column_probabilities([0.5], 0, 1)
         with pytest.raises(ValueError):
-            ld.displacement_columns([[0.5]], 0, 8)
+            _column_probabilities([[0.5]], 0, 8)
 
     def test_no_amplitudes(self):
-        assert ld.displacement_columns([], 2, 8).shape == (0, 8)
+        assert _column_probabilities([], 2, 8).shape == (0, 8)
 
 
-class TestCoherentAmplitude:
-    def test_mean_level(self):
-        assert ld.CoherentAmplitude(2.0j).mean_level == pytest.approx(4.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ld.CoherentAmplitude(complex("nan"))
-
-
-class TestMatrixExponential:
-    def test_exp_zero(self):
-        op = ld.TruncatedOperator(np.zeros((5, 5)))
-        assert_allclose(ld.matrix_exponential(op).matrix, np.eye(5))
-
-    def test_exp_diagonal(self):
-        d = np.array([0.3, -1.2, 2.0 + 0.5j, 0.0])
-        op = ld.TruncatedOperator(np.diag(d))
-        assert_allclose(ld.matrix_exponential(op).matrix, np.diag(np.exp(d)), rtol=1e-13)
-
-    def test_extreme_norm_rejected(self):
-        op = ld.TruncatedOperator(np.diag([5e3, 0.0]))
-        with pytest.raises(AccuracyError):
-            ld.matrix_exponential(op)
 
 
 def test_suggested_dimension_rule():
     # ceil((|alpha| + sqrt(n) + 4)^2): the turning point of level n plus a margin
     assert ld.suggested_dimension(0.0) == 16
     assert ld.suggested_dimension(2.0) == 36
-    assert ld.suggested_dimension(ld.CoherentAmplitude(3.0)) == 49
+    assert ld.suggested_dimension(3.0) == 49
     assert ld.suggested_dimension(0.0, 9) == 49
     assert ld.suggested_dimension(3.0 + 4.0j, 16) == 169
     with pytest.raises(IndexError, match="level -1"):

@@ -15,6 +15,8 @@ from landau_drive.errors import AccuracyError
 from landau_drive.field_model import _ExpSumField
 from landau_drive.path_integrals import DEFAULT_ABS_TOL, _refined_grid
 
+from _reference import sample_waveform
+
 
 def rotating_u(r0, nu, t, omega=1.0):
     """Closed-form drive amplitude for E = r0*nu*e^{-i nu t} (r0 real)."""
@@ -33,26 +35,41 @@ def rotating_gamma(r0, nu, t, omega=1.0, apf=1.0):
     return apf * (r0**2 / 2.0) * (nu / d) ** 2 * (d * t - np.sin(d * t))
 
 
-class TestSignedArea:
-    def test_unit_square_ccw(self):
-        assert ld.signed_area([0, 1, 1 + 1j, 1j]) == pytest.approx(1.0)
-
-    def test_unit_square_cw(self):
-        assert ld.signed_area([0, 1j, 1 + 1j, 1]) == pytest.approx(-1.0)
-
-    def test_collinear(self):
-        pts = np.linspace(0, 3 + 1.5j, 17)
-        assert ld.signed_area(pts) == pytest.approx(0.0, abs=1e-15)
-
-    def test_single_point(self):
-        assert ld.signed_area([0.3 + 0.1j]) == 0.0
-
-    def test_discretized_circle(self):
-        th = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
-        assert ld.signed_area(np.exp(1j * th)) == pytest.approx(math.pi, abs=1e-6)
+NON_FINITE = [complex(v, 0.0) for v in (math.nan, math.inf, -math.inf)] + [
+    complex(0.0, v) for v in (math.nan, math.inf, -math.inf)]
 
 
 class TestMagneticPhase:
+    # beta = -S in the natural system (qB/hbar c = 1), S the signed area
+    # of the polyline closed by its chord, counterclockwise positive
+    def test_unit_square_ccw(self, natural):
+        assert ld.magnetic_phase(natural, [0, 1, 1 + 1j, 1j]) == pytest.approx(-1.0)
+
+    def test_unit_square_cw(self, natural):
+        assert ld.magnetic_phase(natural, [0, 1j, 1 + 1j, 1]) == pytest.approx(1.0)
+
+    def test_collinear(self, natural):
+        pts = np.linspace(0, 3 + 1.5j, 17)
+        assert ld.magnetic_phase(natural, pts) == pytest.approx(0.0, abs=1e-15)
+
+    def test_single_point(self, natural):
+        assert ld.magnetic_phase(natural, [0j]) == 0.0
+
+    def test_discretized_circle(self, natural):
+        th = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
+        pts = np.exp(1j * th) - 1.0
+        assert ld.magnetic_phase(natural, pts) == pytest.approx(-math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("where", [0, 1])
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_non_finite_point_rejected(self, natural, bad, where):
+        # rejected before the origin check, which a NaN start would pass,
+        # and with no numpy warning (conftest turns those into errors)
+        pts = [0j, 1.0 + 0j, 1j]
+        pts[where] = bad
+        with pytest.raises(ValueError, match=rf"^path point {where} = .* is not finite$"):
+            ld.magnetic_phase(natural, pts)
+
     def test_straight_line(self, natural):
         pts = np.linspace(0, 2.0 - 1.0j, 64)
         assert ld.magnetic_phase(natural, pts) == pytest.approx(0.0, abs=1e-15)
@@ -84,24 +101,6 @@ class TestMagneticPhase:
         pts = 0.5 * (np.exp(1j * th) - 1.0)
         assert ld.magnetic_phase(minus, pts) == pytest.approx(
             -ld.magnetic_phase(natural, pts), rel=1e-12
-        )
-
-
-class TestCoherentPhase:
-    def test_straight_line(self, natural):
-        pts = np.linspace(0, -1.3 + 0j, 50)
-        assert ld.coherent_phase(natural, pts) == pytest.approx(0.0, abs=1e-15)
-
-    def test_degenerate(self, natural):
-        assert ld.coherent_phase(natural, [0j]) == 0.0
-
-    def test_rotating_u_path(self, natural):
-        e0, nu, t = 0.3, 0.6, 11.0
-        r0 = e0 / nu
-        s = np.linspace(0.0, t, 400_000)
-        pts = rotating_u(r0, nu, s)
-        assert ld.coherent_phase(natural, pts) == pytest.approx(
-            rotating_gamma(r0, nu, t), rel=1e-7
         )
 
 
@@ -160,7 +159,7 @@ class TestDisplacementAmplitude:
     def test_closed_form_for_sampled_is_piecewise_exact(self, natural):
         # one exact route serves sampled, analytic and mixed fields, so there
         # is no "closed_form" method left to ask for
-        w = ld.sample_waveform(ld.ConstantField(0.1, 0.0), np.linspace(-1, 10, 200))
+        w = sample_waveform(ld.ConstantField(0.1, 0.0), np.linspace(-1, 10, 200))
         u = ld.displacement_amplitude(natural, w, 5.0)
         u_ref = ld.displacement_amplitude(natural, ld.ConstantField(0.1, 0.0), 5.0)
         assert abs(u - u_ref) < 1e-15
@@ -223,7 +222,7 @@ class TestBuildDrivePath:
             with pytest.raises(ld.DomainError, match="not finite"):
                 ld.build_drive_path(sys_, w, [0.0, t / 2.0, t], method=method)
         # stacked exponential sums and the per-waveform route alike
-        sampled = ld.sample_waveform(w, np.linspace(0.0, 1e10, 3))
+        sampled = sample_waveform(w, np.linspace(0.0, 1e10, 3))
         for strong in (w, sampled):
             with pytest.raises(ld.DomainError, match="not finite"):
                 ld.drive_endpoints(sys_, [ld.RotatingField(0.1, 0.5), strong], 1e10)
@@ -236,7 +235,7 @@ class TestBuildDrivePath:
         # time of inf would leave the step table halving an infinite step
         w = ld.RotatingField(0.1, 0.9)
         for wave in (ld.ZeroField(), w, ld.SumField((w, ld.ConstantField(0.1))),
-                     ld.sample_waveform(w, np.linspace(0.0, 3.0, 7))):
+                     sample_waveform(w, np.linspace(0.0, 3.0, 7))):
             with pytest.raises(ValueError, match="t_grid must be finite"):
                 ld.build_drive_path(natural, wave, grid, method=method)
 
@@ -303,7 +302,7 @@ class TestBuildDrivePath:
         spacing = 0.01
         times = np.arange(-2, int(t_max / spacing) + 3) * spacing
         w_exact = ld.RotatingField(e0, nu)
-        w_samp = ld.sample_waveform(w_exact, times)
+        w_samp = sample_waveform(w_exact, times)
         grid = np.linspace(0.0, t_max, 9)
         dp_e = ld.build_drive_path(natural, w_exact, grid)
         dp_s = ld.build_drive_path(natural, w_samp, grid)
@@ -406,16 +405,18 @@ def test_slow_rotation_falls_back_to_grid_route(natural):
     ),
     split=st.floats(0.2, 0.8),
 )
-def test_area_concatenation_identity(coeffs, split):
-    """S(A then B) = S(A) + S(B) + triangle(origin, end A, end B)."""
+def test_area_concatenation_identity(natural, coeffs, split):
+    """S(A then B) = S(A) + S(B) + triangle(origin, end A, end B), with
+    S = -beta in the natural system; B is shifted to start at the origin,
+    which leaves the area of a closed polygon unchanged."""
     s = np.linspace(0.0, 6.0, 601)
     z = np.zeros_like(s, dtype=complex)
     for re, im, freq in coeffs:
         z += (re + 1j * im) * (np.exp(1j * freq * s) - 1.0)
     cut = int(split * len(s))
-    s_ab = ld.signed_area(z)
-    s_a = ld.signed_area(z[: cut + 1])
-    s_b = ld.signed_area(z[cut:])
+    s_ab = -ld.magnetic_phase(natural, z)
+    s_a = -ld.magnetic_phase(natural, z[: cut + 1])
+    s_b = -ld.magnetic_phase(natural, z[cut:] - z[cut])
     tri = 0.5 * np.imag(np.conj(z[cut]) * z[-1])
     assert s_ab == pytest.approx(s_a + s_b + tri, abs=1e-10)
 
@@ -483,7 +484,7 @@ class TestDriveEndpoints:
                          ld.RotatingField(0.07, 0.0, 1.0))),
             ld.ZeroField(),
             ld.ConstantField(0.1, 0.2),
-            ld.sample_waveform(ld.RotatingField(0.1, 0.9), np.linspace(0.0, 6.0, 61)),
+            sample_waveform(ld.RotatingField(0.1, 0.9), np.linspace(0.0, 6.0, 61)),
         ]
         ends = assert_endpoints_match(natural, waves, 6.0, "auto")
         assert ends.provenance == ("exact",) * len(waves)
@@ -551,7 +552,7 @@ class TestDriveEndpoints:
             ld.drive_endpoints(natural, [w], -1.0)
         with pytest.raises(ValueError, match="unknown method"):
             ld.drive_endpoints(natural, [w], 1.0, method="simpson")
-        sampled = ld.sample_waveform(w, np.linspace(0.0, 2.0, 5))
+        sampled = sample_waveform(w, np.linspace(0.0, 2.0, 5))
         with pytest.raises(ValueError, match="unknown method 'closed_form'"):
             ld.drive_endpoints(natural, [w, ld.SumField((sampled, w))], 1.0,
                                method="closed_form")
@@ -563,7 +564,7 @@ class TestDriveEndpoints:
         # every entry point that reads the path at t: a NaN t must not be
         # read as t = 0, nor an infinite t stepped
         w = ld.RotatingField(0.1, 0.9)
-        sampled = ld.sample_waveform(w, np.linspace(0.0, 3.0, 7))
+        sampled = sample_waveform(w, np.linspace(0.0, 3.0, 7))
         calls = (lambda: ld.drive_endpoints(natural, [w, sampled], t),
                  lambda: ld.drive_endpoints(natural, [sampled], t, method="quadrature"),
                  lambda: ld.assemble(natural, w, t),
