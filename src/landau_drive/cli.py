@@ -35,7 +35,7 @@ from .field_model import (
     SumField,
     ZeroField,
 )
-from .path_integrals import build_drive_path, drive_endpoints
+from .path_integrals import _endpoint_grid, _exp_sum_samples, build_drive_path
 from .propagator import (
     _amplitudes,
     _auto_dimension,
@@ -431,28 +431,33 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
     """One row per swept parameter value, evaluated at t_final."""
     start = time.perf_counter()
     num, sweep = cfg.resolved["numerics"], cfg.resolved["sweep"]
-    base = cfg.waveform
-    values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
-    if sweep["parameter"] == "nu_over_omega":
-        omega = cfg.system.omega
-        waves = [RotatingField(base.amplitude, v * omega, base.phase) for v in values.tolist()]
-    else:
-        waves = [RotatingField(v, base.nu, base.phase) for v in values.tolist()]
-    ends = drive_endpoints(cfg.system, waves, cfg.resolved["time"]["t_final"],
-                           method=num["method"], abs_tol=num["quadrature_tol"])
-    pops, health = _populations(cfg, ends.u)
+    base, parameter = cfg.waveform, sweep["parameter"]
+    with np.errstate(over="ignore", invalid="ignore"):  # past float64: the rule below
+        values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
+        grid = ({"amplitude": base.amplitude, "nu": values * cfg.system.omega}
+                if parameter == "nu_over_omega" else {"amplitude": values, "nu": base.nu})
+    try:
+        pairs = RotatingField._grid_pairs(phase=base.phase, **grid)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {parameter} from {sweep['start']!r} to {sweep['stop']!r} "
+                          f"in {sweep['steps']} steps: {exc}") from None
+    *rows, routes = _exp_sum_samples(
+        cfg.system, pairs, _endpoint_grid(cfg.resolved["time"]["t_final"]), num["method"],
+        num["quadrature_tol"])
+    _, u, beta, gamma, _, _ = (row[:, -1] for row in rows)
+    pops, health = _populations(cfg, u)
     columns = {
-        sweep["parameter"]: values.tolist(),
+        parameter: values.tolist(),
         "survival": pops[:, cfg.resolved["initial_state"]["level"]].tolist(),
-        "abs_u": np.hypot(ends.u.real, ends.u.imag).tolist(),
-        "beta": ends.beta.tolist(),
-        "gamma": ends.gamma.tolist(),
+        "abs_u": np.hypot(u.real, u.imag).tolist(),
+        "beta": beta.tolist(),
+        "gamma": gamma.tolist(),
     }
     return SimulationReport(
         config=cfg.resolved,
         columns=columns,
         **health,
-        routes=dict(Counter(ends.provenance)),
+        routes=dict(Counter(routes)),
         timing_seconds=time.perf_counter() - start,
     )
 

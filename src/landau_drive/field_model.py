@@ -261,11 +261,15 @@ class _ParametrizedField(_ExpSumField):
     def __post_init__(self):
         # getattr, not vars(self): a __dict__ asked for is built, and slows
         # every later attribute read
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+        self._check_parameters({name: getattr(self, name) for name in self.__dataclass_fields__})
+
+    @classmethod
+    def _check_parameters(cls, values: dict) -> None:
+        """The parameter rule on ``values``, name -> float."""
+        for name, value in values.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < 0 and name in self._nonnegative:
+            if value < 0 and name in cls._nonnegative:
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -289,7 +293,37 @@ class RotatingField(_ParametrizedField):
     _nonnegative = ("amplitude",)
 
     def exp_terms(self):
-        return ((cmath.rect(self.amplitude, self.phase), -self.nu),)
+        re, im, lam = self._pair(self.amplitude, self.nu, self.phase)
+        return ((complex(re, im), lam),)
+
+    @staticmethod
+    def _pair(amplitude, nu, phase: float):
+        """Real and imaginary part of c and lambda of the one pair
+        (rect(amplitude, phase), -nu); amplitude and nu may be arrays.
+
+        rect(1, phase) scaled part by part is rect(amplitude, phase) bit
+        for bit, its phase-0 case (amplitude, amplitude * phase) included.
+        """
+        unit = cmath.rect(1.0, phase)
+        return amplitude * unit.real, amplitude * unit.imag, -nu
+
+    @classmethod
+    def _grid_pairs(cls, amplitude, nu, phase: float = 0.0) -> np.ndarray:
+        """``exp_terms`` of RotatingField(a, n, phase) at each point of a
+        grid, as one (S, 1, 2) array: ``amplitude`` and ``nu`` are arrays of
+        S values, or a float for either.  ValueError when some point breaks
+        the parameter rule, which a grid passes when its smallest and its
+        largest value do (a NaN makes both NaN).
+        """
+        grid = {"amplitude": amplitude, "nu": nu, "phase": phase}
+        for extreme in (np.min, np.max):
+            cls._check_parameters({name: float(extreme(v)) for name, v in grid.items()})
+        re, im, lam = cls._pair(amplitude, nu, phase)
+        pairs = np.empty(np.broadcast(amplitude, nu).shape + (1, 2), complex)
+        pairs[:, 0, 0].real = re
+        pairs[:, 0, 0].imag = im
+        pairs[:, 0, 1] = lam
+        return pairs
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ The ingredients assembled here:
 * one sampler, ``_drive_samples``, that checks the grid (finite, strictly
   increasing, from 0) and sends many waveforms down those routes at
   once: ``build_drive_path`` reads its one row for one waveform and
-  ``drive_endpoints`` its last column for many,
+  ``drive_endpoints`` its last column for many.  It stacks the pairs of
+  the exponential sums among them for ``_exp_sum_samples``, which the
+  ``sweep`` command calls directly with the pairs of its whole grid,
 * ``magnetic_phase``, beta of a polyline of R points the caller gives,
   by the same closed-chord area as a shoelace sum; every drive path's
   beta comes from the routes above.
@@ -35,7 +37,7 @@ import numpy as np
 
 from ._expsum import eps0, eps1
 from .errors import AccuracyError, DomainError
-from .field_model import FieldWaveform, PhysicalSystem, _ExpSumField, internalize
+from .field_model import FieldWaveform, PhysicalSystem, _ExpSum, _ExpSumField, internalize
 
 __all__ = [
     "magnetic_phase",
@@ -88,16 +90,23 @@ def magnetic_phase(sys: PhysicalSystem, r_path) -> float:
     through the points plus the chord closing it back to the first point
     (counterclockwise positive); for a closed loop this is -q*flux/(hbar c).
     The points must be finite and start at the origin (ValueError naming
-    the first point that is not finite, else the start).
+    the first point that is not finite, else the start).  DomainError
+    when the area or the phase overflows float64, as on the drive-path
+    routes.
     """
     z = np.asarray(r_path, dtype=complex).ravel()
     finite = np.isfinite(z)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"path point {i} = {complex(z[i])!r} is not finite")
-    if z.size and abs(z[0]) > 1e-9 * max(float(np.max(np.abs(z))), 1e-300):
-        raise ValueError("path must start at the origin")
-    return -sys.area_phase * (0.5 * float(np.sum(np.imag(np.conj(z) * np.roll(z, -1)))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite beta raises below
+        if z.size and abs(z[0]) > 1e-9 * max(float(np.max(np.abs(z))), 1e-300):
+            raise ValueError("path must start at the origin")
+        beta = -sys.area_phase * (0.5 * float(np.sum(np.imag(np.conj(z) * np.roll(z, -1)))))
+    if not math.isfinite(beta):
+        raise DomainError("magnetic phase overflows float64: the enclosed area or its "
+                          "phase is not finite")
+    return beta
 
 
 def displacement_amplitude(
@@ -413,6 +422,39 @@ def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
     return out
 
 
+def _exp_sum_samples(sys: PhysicalSystem, pairs: np.ndarray, t_grid: np.ndarray, method: str,
+                     abs_tol: float):
+    """User-unit (r, u, beta, gamma, area_r, area_u), one row per
+    exponential sum and one column per time of ``t_grid``, and the route of
+    each row, for sums held as their user-unit ``exp_terms`` pairs, an
+    array (S, M, 2).
+
+    The pairs are rescaled at once (``_ExpSumField.rescaled_pairs``, the
+    formula of ``rescaled``).  Under method "auto" all rows take the exact
+    route in one call, their step monomials on a leading axis; under
+    "quadrature" each row is held as the ``_ExpSum`` that ``internalize``
+    builds and takes the quadrature route on its own.  The grid and the
+    method must pass ``_drive_samples``' checks, as ``_endpoint_grid``'s
+    grids do.
+    """
+    scales, mirrored = sys.internal_scales(), sys.mirrored
+    t_i = t_grid / scales.time
+    pairs = _ExpSumField.rescaled_pairs(pairs, scales, mirrored)
+    with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
+        if method != "quadrature":
+            samples = _exact_samples(partial(_ExpSumField.stacked_step_terms, pairs), t_i,
+                                     np.arange(t_i.size))
+            return (*_user_frame(*samples, scales, mirrored), ("exact",) * len(pairs))
+        out = [np.empty((len(pairs), t_grid.size), dtype=kind)
+               for kind in (complex, complex, float, float, float, float)]
+        for s, row in enumerate(pairs.tolist()):
+            w_i = _ExpSum(tuple((c, lam.real) for c, lam in row))
+            for arr, values in zip(out, _user_frame(*_quadrature_path_samples(w_i, t_i, abs_tol),
+                                                    scales, mirrored)):
+                arr[s] = values
+        return (*out, ("quadrature",) * len(pairs))
+
+
 def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: str,
                    abs_tol: float):
     """User-unit (r, u, beta, gamma, area_r, area_u), each a read-only array
@@ -422,13 +464,11 @@ def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: s
     The grid must be one-dimensional, nonempty, finite, strictly increasing
     and start at 0 (ValueError otherwise), and inside every waveform's
     domain (DomainError).  The exponential sums (every analytic waveform but
-    a ``SumField``) take the exact route in one call per term count: their
-    user-unit ``exp_terms`` stacked into one array, rescaled at once
-    (``_ExpSumField.rescaled_pairs``, the formula of ``rescaled``), and
-    their step monomials on a leading axis.  Every other waveform, and
-    every waveform under method "quadrature", is internalized on its own
-    and takes the exact route when it reports ``step_terms`` on the knots
-    (the grid and its breakpoints), the quadrature route otherwise.
+    a ``SumField``) go to ``_exp_sum_samples`` in one call per term count,
+    their user-unit ``exp_terms`` stacked into one array.  Every other
+    waveform is internalized on its own and takes the exact route when it
+    reports ``step_terms`` on the knots (the grid and its breakpoints) and
+    the method is "auto", the quadrature route otherwise.
     """
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a one-dimensional, nonempty array")
@@ -438,30 +478,31 @@ def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: s
         raise ValueError("t_grid must be finite and strictly increasing")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    scales, mirrored = sys.internal_scales(), sys.mirrored
-    t_i = t_grid / scales.time
     groups, rest = {}, []
     for p, w in enumerate(waveforms):
-        if method == "quadrature" or not isinstance(w, _ExpSumField):
-            w._check_domain(t_grid)
-            rest.append(p)
-        else:  # defined at every time; stacked in groups of equal term counts
+        if isinstance(w, _ExpSumField):  # defined at every time
             pairs = w.exp_terms()
             groups.setdefault(len(pairs), []).append((p, pairs))
+        else:
+            w._check_domain(t_grid)
+            rest.append(p)
     n = len(waveforms)
     out = [np.empty((n, t_grid.size), dtype=kind)
            for kind in (complex, complex, float, float, float, float)]
     provenance = ["exact"] * n
+    for size, members in groups.items():
+        index, pairs = zip(*members)
+        *rows, routes = _exp_sum_samples(
+            sys, np.array(pairs, dtype=complex).reshape(len(index), size, 2), t_grid, method,
+            abs_tol)
+        index = np.array(index)  # one conversion for the six assignments
+        for arr, values in zip(out, rows):
+            arr[index] = values
+        for p, route in zip(index.tolist(), routes):
+            provenance[p] = route
+    scales, mirrored = sys.internal_scales(), sys.mirrored
+    t_i = t_grid / scales.time
     with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
-        for size, members in groups.items():
-            index, pairs = zip(*members)
-            rows = np.array(index)  # one conversion for the six assignments
-            pairs = _ExpSumField.rescaled_pairs(
-                np.array(pairs, dtype=complex).reshape(len(index), size, 2), scales, mirrored)
-            samples = _exact_samples(partial(_ExpSumField.stacked_step_terms, pairs), t_i,
-                                     np.arange(t_i.size))
-            for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):
-                arr[rows] = values
         for p in rest:
             w_i = internalize(sys, waveforms[p])[0]
             cuts = np.asarray(w_i.breakpoints(), dtype=float)
@@ -502,6 +543,14 @@ def build_drive_path(
     return DrivePath(t_grid.copy(), *(row[0] for row in rows), provenance=provenance[0])
 
 
+def _endpoint_grid(t: float) -> np.ndarray:
+    """The grid [0, t] whose last column ``drive_endpoints`` reads, [0] at
+    t = 0; DomainError unless t is finite and t >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"drive endpoints require a finite t >= 0, got {t!r}")
+    return np.array([0.0, t]) if t > 0 else np.array([0.0])
+
+
 @dataclass(frozen=True)
 class DriveEndpoints:
     """R, u, beta, gamma and signed areas at one time for many waveforms,
@@ -527,13 +576,11 @@ def drive_endpoints(
     """``build_drive_path`` on [0, t] for each waveform, read at t.
 
     DomainError unless t is finite and t >= 0.  All waveforms go through
-    one ``_drive_samples`` call on [0, t], whose last column this returns,
-    so every value equals the per-waveform one bit for bit; the
-    exponential sums are stacked there into one exact-route call per term
-    count.
+    one ``_drive_samples`` call on ``_endpoint_grid(t)``, whose last column
+    this returns, so every value equals the per-waveform one bit for bit;
+    the exponential sums are stacked there into one ``_exp_sum_samples``
+    call per term count.
     """
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"drive endpoints require a finite t >= 0, got {t!r}")
-    grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
-    *columns, provenance = _drive_samples(sys, list(waveforms), grid, method, abs_tol)
+    *columns, provenance = _drive_samples(sys, list(waveforms), _endpoint_grid(t), method,
+                                          abs_tol)
     return DriveEndpoints(*(column[:, -1] for column in columns), provenance=provenance)

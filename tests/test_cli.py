@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +608,34 @@ class TestMainAndOutputs:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and "finite" in err
         assert "Traceback" not in err and not list(tmp_path.glob("o/*.csv"))
+
+    @pytest.mark.parametrize("system, sweep, code, message", [
+        # nu = nu_over_omega * omega overflows float64 at B = 2
+        ({"magnetic_field": 2.0},
+         {"parameter": "nu_over_omega", "start": 1e308, "stop": 1.5e308, "steps": 3}, 1,
+         "config error: sweep: nu_over_omega from 1e+308 to 1.5e+308 in 3 steps: "
+         "nu must be finite, got inf"),
+        # stop - start overflows inside np.linspace, whose grid holds NaNs
+        ({}, {"parameter": "nu_over_omega", "start": -1.7e308, "stop": 1.7e308, "steps": 5}, 1,
+         "config error: sweep: nu_over_omega from -1.7e+308 to 1.7e+308 in 5 steps: "
+         "nu must be finite, got nan"),
+        # a finite amplitude grid whose drive path overflows
+        ({}, {"parameter": "amplitude", "start": 1e308, "stop": 1.7e308, "steps": 5}, 2,
+         "numeric error: drive path overflows float64"),
+    ], ids=["nu-overflows", "linspace-overflows", "path-overflows"])
+    def test_sweep_grid_past_float64(self, tmp_path, capsys, system, sweep, code, message):
+        # schema-valid grids: a typed error and exit code, no traceback and
+        # no numpy warning
+        doc = {"task": "sweep", "system": system,
+               "waveform": {"type": "rotating", "amplitude": 0.1, "nu": 1.0},
+               "time": {"t_final": 1.0}, "sweep": sweep,
+               "output": {"directory": str(tmp_path / "o")}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sweep", "--config", str(write_config(tmp_path, doc))]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not list(tmp_path.glob("o/*"))
 
     def test_nodes_collapsing_in_internal_units_is_numeric_error(self, tmp_path, capsys):
         # valid in user units; dividing by the time scale (mass 0.75) rounds

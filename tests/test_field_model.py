@@ -187,6 +187,37 @@ class TestField:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make(bad)
 
+    @pytest.mark.parametrize("phase", [0.0, -0.0, 0.4, -2.5, math.pi / 2, math.pi])
+    def test_grid_pairs_match_exp_terms(self, phase):
+        # one (S, 1, 2) array for a sweep grid, each row bit for bit the
+        # exp_terms of its RotatingField: cmath.rect's phase-0 case and
+        # signed zeros (nu = 0, a zero amplitude at a negative cosine)
+        # included
+        amplitudes = [0.0, -0.0, 0.3, 2.0e4, 1e-300]
+        nus = [0.0, -0.0, 0.7, -1.3, 1e300]
+        for amplitude, nu in ((np.array(amplitudes), 0.7), (0.3, np.array(nus))):
+            pairs = ld.RotatingField._grid_pairs(amplitude, nu, phase)
+            points = np.broadcast(amplitude, nu)
+            assert pairs.shape == (points.size, 1, 2)
+            for row, (a, n) in zip(pairs, points):
+                w = ld.RotatingField(float(a), float(n), phase)
+                assert _bits(w.exp_terms()[0][0]) == _bits(cmath.rect(w.amplitude, phase)), a
+                assert row.tobytes() == np.array(w.exp_terms(), complex).tobytes(), (a, n)
+
+    @pytest.mark.parametrize("amplitude, nu, message", [
+        (np.array([0.1, math.nan, 0.3]), 0.7, "^amplitude must be finite, got nan$"),
+        (np.array([0.1, -1e-300, 0.3]), 0.7, "^amplitude must be nonnegative$"),
+        (0.1, np.array([0.5, math.inf]), "^nu must be finite, got inf$"),
+        (0.1, np.array([-math.inf, 0.5]), "^nu must be finite, got -inf$"),
+        (math.nan, np.array([0.5, 1.0]), "^amplitude must be finite, got nan$"),
+    ])
+    def test_grid_pairs_apply_parameter_rule(self, amplitude, nu, message):
+        # the constructor's rule, on any point of the grid
+        with pytest.raises(ValueError, match=message):
+            ld.RotatingField._grid_pairs(amplitude, nu, 0.2)
+        with pytest.raises(ValueError, match="^phase must be finite"):
+            ld.RotatingField._grid_pairs(np.array([0.1, 0.2]), 0.7, math.inf)
+
 
 class TestGuidingCenterPath:
     """R(t) = -i (c/B) * integral of E over [0, t], as ``build_drive_path``

@@ -13,7 +13,12 @@ from landau_drive import path_integrals
 from landau_drive.cli import UNIT_CONSTANTS
 from landau_drive.errors import AccuracyError
 from landau_drive.field_model import _ExpSumField
-from landau_drive.path_integrals import DEFAULT_ABS_TOL, _refined_grid
+from landau_drive.path_integrals import (
+    DEFAULT_ABS_TOL,
+    _endpoint_grid,
+    _exp_sum_samples,
+    _refined_grid,
+)
 
 from _reference import sample_waveform
 
@@ -102,6 +107,17 @@ class TestMagneticPhase:
         assert ld.magnetic_phase(minus, pts) == pytest.approx(
             -ld.magnetic_phase(natural, pts), rel=1e-12
         )
+
+    def test_overflowing_area_is_domain_error(self, natural):
+        # finite points whose area overflows float64, and a finite area
+        # whose phase does (qB/hbar c = 1e20): no numpy warning, no inf
+        with pytest.raises(ld.DomainError, match="magnetic phase overflows float64"):
+            ld.magnetic_phase(natural, [0, 1e200, 1e200j])
+        strong = ld.PhysicalSystem(1e10, 1e10, 1e20)
+        assert strong.area_phase == 1e20
+        with pytest.raises(ld.DomainError, match="magnetic phase overflows float64"):
+            ld.magnetic_phase(strong, [0, 1e150, 1e150j])
+        assert ld.magnetic_phase(strong, [0, 1e-10, 1e-10j]) == pytest.approx(-0.5)
 
 
 class TestDisplacementAmplitude:
@@ -572,6 +588,38 @@ class TestDriveEndpoints:
         for call in calls:
             with pytest.raises(ld.DomainError, match="finite t >= 0"):
                 call()
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    @pytest.mark.parametrize("parameter", ["nu_over_omega", "amplitude"])
+    def test_stacked_grid_matches_per_point(self, parameter, charge, method):
+        # the sweep's stacked grid against one drive_endpoints call per
+        # RotatingField: all six fields bit for bit and the route; the nu
+        # grid holds nu = 0 and nu = omega, the amplitude grid sits at
+        # nu = 0 and holds a zero amplitude
+        sys_ = ld.PhysicalSystem(charge, 2.0, 0.7)
+        phase, t = 0.4, 20.0 / sys_.omega
+        if parameter == "nu_over_omega":
+            ratios = np.linspace(-0.5, 2.0, 11)
+            amplitude, nu = 0.3, ratios * sys_.omega
+            assert 0.0 in nu and sys_.omega in nu
+        else:
+            amplitude, nu = np.linspace(0.0, 0.3, 7), 0.0
+        pairs = ld.RotatingField._grid_pairs(amplitude, nu, phase)
+        *rows, routes = _exp_sum_samples(sys_, pairs, _endpoint_grid(t), method,
+                                         DEFAULT_ABS_TOL)
+        waves = [ld.RotatingField(a, n, phase) for a, n in
+                 np.broadcast(amplitude, nu)]
+        assert len(waves) == len(pairs) == len(routes)
+        names = ("r", "u", "beta", "gamma", "area_r", "area_u")
+        route = "quadrature" if method == "quadrature" else "exact"
+        for s, w in enumerate(waves):
+            ends = ld.drive_endpoints(sys_, [w], t, method=method)
+            for name, row in zip(names, rows):
+                assert row[s, -1].tobytes() == getattr(ends, name).tobytes(), (w, name)
+            assert (routes[s],) == ends.provenance == (route,)
+        if parameter == "amplitude":
+            assert not np.any(rows[1][0]) and not np.any(rows[3][0])
 
     def test_resonance_gamma_against_exact_area(self, natural):
         # gamma = (1/2) |A|^2 (r T - sin r T), A = E0 / r, r = omega - nu, on the
