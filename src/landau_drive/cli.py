@@ -16,7 +16,6 @@ import json
 import math
 import sys as _sys
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -441,7 +440,7 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
     except ValueError as exc:
         raise ConfigError(f"sweep: {parameter} from {sweep['start']!r} to {sweep['stop']!r} "
                           f"in {sweep['steps']} steps: {exc}") from None
-    *rows, routes = _exp_sum_samples(
+    *rows, route = _exp_sum_samples(
         cfg.system, pairs, _endpoint_grid(cfg.resolved["time"]["t_final"]), num["method"],
         num["quadrature_tol"])
     _, u, beta, gamma, _, _ = (row[:, -1] for row in rows)
@@ -457,7 +456,7 @@ def run_sweep(cfg: RunConfig) -> SimulationReport:
         config=cfg.resolved,
         columns=columns,
         **health,
-        routes=dict(Counter(routes)),
+        routes={route: values.size},
         timing_seconds=time.perf_counter() - start,
     )
 

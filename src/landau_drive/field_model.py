@@ -150,12 +150,13 @@ class FieldWaveform:
 
             E(a_s + tau) = sum_m coef[m, s] tau^{powers[m]} e^{i rates[m] tau}
 
-        for 0 <= tau <= h_s on step s, or None when E(t) has no such form.
-        Powers are 0 or 1, and a power-1 monomial comes directly after the
-        power-0 monomial of the same rate.  The knots must include every
-        breakpoint between the first and the last.
+        for 0 <= tau <= h_s on step s.  Powers are 0 or 1, and a power-1
+        monomial comes directly after the power-0 monomial of the same rate.
+        The knots must include every breakpoint between the first and the
+        last.  The exact drive-path route (method "auto") needs it; a
+        waveform without it takes method "quadrature".
         """
-        return None
+        raise NotImplementedError
 
     def rescaled(self, scales: InternalScales, mirror: bool) -> "FieldWaveform":
         """The same waveform in internal units, reflected when mirror is set.
@@ -359,16 +360,18 @@ class SampledField(FieldWaveform):
     e2: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
+        t, e1, e2 = arrays = [np.array(v, dtype=float) for v in (self.times, self.e1, self.e2)]
+        for name, array in zip(("times", "e1", "e2"), arrays):
+            if array.ndim != 1:
+                raise ValueError(f"sample {name} must be one-dimensional, got ndim {array.ndim}")
         if t.size < 2:
             raise ValueError("need at least two samples")
-        if len(self.e1) != t.size or len(self.e2) != t.size:
+        if e1.size != t.size or e2.size != t.size:
             raise ValueError("sample arrays must have equal length")
         if not np.all(np.isfinite(t)):
             raise ValueError("sample timestamps must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample timestamps must be strictly increasing")
-        e1, e2 = np.array(self.e1, dtype=float), np.array(self.e2, dtype=float)
         if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
             raise ValueError("sample field values must be finite")
         self._hold(t, e1, e2)
@@ -460,10 +463,8 @@ class SumField(FieldWaveform):
         return np.unique(np.concatenate([(), *(w.breakpoints() for w in self.terms)]))
 
     def step_terms(self, knots):
-        """The terms' monomials in order, or None when some term has none."""
+        """The terms' monomials in order."""
         parts = [w.step_terms(knots) for w in self.terms or (ZeroField(),)]
-        if any(p is None for p in parts):
-            return None
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     def rescaled(self, scales, mirror):

@@ -138,9 +138,12 @@ def _displacement_moduli(alphas: np.ndarray, cols: np.ndarray, dim: int):
     moduli.  Raises TruncationError when e^{-|a|^2/2} is not a normal
     float (``_require_representable``).
     """
-    # |alpha| by Python's complex abs, one amplitude at a time: numpy's
-    # vectorized version rounds differently in the last bit
-    sizes = np.array([abs(a) for a in alphas.tolist()], dtype=float)
+    # abs(complex) is libm hypot; np.hypot calls it too, np.abs may round
+    # otherwise.  The squares and (in _laguerre_functions) the seeds'
+    # exponentials stay one float at a time: sizes * sizes differs from
+    # Python's v ** 2, and np.exp from math.exp, in the last bit of some
+    with np.errstate(over="ignore"):  # an infinite |alpha| fails below
+        sizes = np.hypot(alphas.real, alphas.imag)
     if sizes.size:
         _require_representable(float(sizes.max()), dim)
     x = np.array([v ** 2 for v in sizes.tolist()], dtype=float)

@@ -519,7 +519,6 @@ def run_validation(
     *,
     dim: int = 64,
     dt: float = 0.01,
-    include_convergence: bool = True,
 ) -> list[CheckResult]:
     """Full residual suite over the validation corpus.
 
@@ -529,11 +528,11 @@ def run_validation(
     times closed-form mixing operator, leading half block), the
     ladder-operator Heisenberg residual, the unitarity defect and the
     orbit-center drift residual.  Then come the resonance-survival exponent
-    adjudication and, with ``include_convergence``, an RK4 order
-    measurement and a cross-integrator check.  The comparison block stays
-    in the leading half so the oracle retains truncation headroom over
-    everything it certifies.  The layer functions are looked up when they
-    run, so a wrapper set on this module sees every call.
+    adjudication, an RK4 order measurement and a cross-integrator check.
+    The comparison block stays in the leading half so the oracle retains
+    truncation headroom over everything it certifies.  The layer functions
+    are looked up when they run, so a wrapper set on this module sees every
+    call.
     """
     checks: list[CheckResult] = []
     corpus = {entry.name: entry for entry in validation_corpus(sys)}
@@ -577,27 +576,26 @@ def run_validation(
         )
     )
 
-    if include_convergence:
-        scales = sys.internal_scales()
-        sign = -1.0 if sys.mirrored else 1.0
-        probe = RotatingField(0.18 * scales.field, sign * 0.95 / scales.time)
-        probe_dim = max(dim, 48)  # the probe drive reaches k|u| ~ 1.3
-        resids = {
-            dti: _factorization(
-                sys, probe, 10.0 * scales.time, IntegratorConfig(dt=dti, dim=probe_dim)
-            )[1]
-            for dti in (0.01, 0.02, 0.04)
-        }
-        ratios = (resids[0.02] / resids[0.01], resids[0.04] / resids[0.02])
-        ok = all(9.0 < r < 28.0 for r in ratios)
-        checks.append(
-            CheckResult("rk4_convergence_order", min(ratios), 16.0, ok,
-                        {"residuals": resids, "ratios": ratios})
-        )
+    scales = sys.internal_scales()
+    sign = -1.0 if sys.mirrored else 1.0
+    probe = RotatingField(0.18 * scales.field, sign * 0.95 / scales.time)
+    probe_dim = max(dim, 48)  # the probe drive reaches k|u| ~ 1.3
+    resids = {
+        dti: _factorization(
+            sys, probe, 10.0 * scales.time, IntegratorConfig(dt=dti, dim=probe_dim)
+        )[1]
+        for dti in (0.01, 0.02, 0.04)
+    }
+    ratios = (resids[0.02] / resids[0.01], resids[0.04] / resids[0.02])
+    ok = all(9.0 < r < 28.0 for r in ratios)
+    checks.append(
+        CheckResult("rk4_convergence_order", min(ratios), 16.0, ok,
+                    {"residuals": resids, "ratios": ratios})
+    )
 
-        off = corpus["rotating_off"]
-        cfg = IntegratorConfig(dt=0.02, dim=48, scheme="expmid")
-        resid = _factorization(sys, off.waveform, off.t_final, cfg)[1]
-        checks.append(_bounded("scheme_crosscheck[expmid]", resid, 1e-3, {"dt": 0.02}))
+    off = corpus["rotating_off"]
+    cfg = IntegratorConfig(dt=0.02, dim=48, scheme="expmid")
+    resid = _factorization(sys, off.waveform, off.t_final, cfg)[1]
+    checks.append(_bounded("scheme_crosscheck[expmid]", resid, 1e-3, {"dt": 0.02}))
 
     return checks

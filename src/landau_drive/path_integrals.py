@@ -7,14 +7,15 @@ The ingredients assembled here:
 * beta = -(qB/hbar c) * S(R-path),  gamma = -(qB/hbar c) * 4 * S(u-path),
   where S is the signed area enclosed by a path and the straight chord from
   its end point back to its start,
-* two routes to them, which ``build_drive_path`` names in its
-  provenance: "exact" for every waveform whose field is, on each step
-  between knots, a sum of monomials c tau^k e^{i lambda tau} with k = 0
-  or 1 (``FieldWaveform.step_terms``: every built-in waveform), and
+* two routes to them, chosen by the method alone and named in
+  ``build_drive_path``'s provenance: "exact" (method "auto") integrates
+  the field's step monomials c tau^k e^{i lambda tau}, k = 0 or 1
+  (``FieldWaveform.step_terms``: every built-in waveform), and
   "quadrature", a refined-grid numeric route kept as its cross-check,
-* one sampler, ``_drive_samples``, that checks the grid (finite, strictly
-  increasing, from 0) and sends many waveforms down those routes at
-  once: ``build_drive_path`` reads its one row for one waveform and
+* one route switch, ``_route_samples``, and one sampler,
+  ``_drive_samples``, that checks the grid (finite, strictly increasing,
+  from 0) and sends many waveforms down the route at once:
+  ``build_drive_path`` reads its one row for one waveform and
   ``drive_endpoints`` its last column for many.  It stacks the pairs of
   the exponential sums among them for ``_exp_sum_samples``, which the
   ``sweep`` command calls directly with the pairs of its whole grid,
@@ -359,7 +360,7 @@ def _exact_samples(terms, knots, idx):
     """R, u, S_R, S_u at ``knots[idx]`` (``idx`` increasing) for an
     internal-unit field whose step monomials on the steps between a run of
     knots are ``terms(run)`` (``FieldWaveform.step_terms``), exact up to
-    rounding; None when ``terms`` gives None.
+    rounding.
 
     With omega = 1, R' = -i E keeps each monomial's rate, and
     u' = -(1/2) e^{-is} conj(E) turns c tau^k e^{i lambda tau} on the step
@@ -373,10 +374,7 @@ def _exact_samples(terms, knots, idx):
     additions as over all steps at once, and the samples are gathered run
     by run.
     """
-    probe = terms(knots[:2])
-    if probe is None:
-        return None
-    _, powers, rates = probe
+    _, powers, rates = terms(knots[:2])
     steps, inverse = np.unique(np.diff(knots), return_inverse=True)
     e, k = _step_table(steps, powers, np.stack([rates, -(1.0 + rates)]))
     out = [np.empty(rates.shape[:-1] + (len(idx),), kind)
@@ -422,53 +420,68 @@ def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
     return out
 
 
-def _exp_sum_samples(sys: PhysicalSystem, pairs: np.ndarray, t_grid: np.ndarray, method: str,
-                     abs_tol: float):
-    """User-unit (r, u, beta, gamma, area_r, area_u), one row per
-    exponential sum and one column per time of ``t_grid``, and the route of
-    each row, for sums held as their user-unit ``exp_terms`` pairs, an
-    array (S, M, 2).
+def _route_samples(sys: PhysicalSystem, t_grid: np.ndarray, method: str, abs_tol: float,
+                   waveforms, terms, cuts=()):
+    """User-unit (r, u, beta, gamma, area_r, area_u) at the times of
+    ``t_grid`` and the route that gave them, chosen from ``method`` alone:
+    "quadrature" runs ``_quadrature_path_samples`` on each internal-unit
+    waveform of the iterable ``waveforms`` (a row each), any other method
+    "exact", ``_exact_samples`` of the step monomials ``terms`` on the
+    grid's knots plus the internal-unit breakpoints ``cuts`` inside it.
 
-    The pairs are rescaled at once (``_ExpSumField.rescaled_pairs``, the
-    formula of ``rescaled``).  Under method "auto" all rows take the exact
-    route in one call, their step monomials on a leading axis; under
-    "quadrature" each row is held as the ``_ExpSum`` that ``internalize``
-    builds and takes the quadrature route on its own.  The grid and the
-    method must pass ``_drive_samples``' checks, as ``_endpoint_grid``'s
-    grids do.
+    The iterable is read only on the quadrature route, so a generator
+    builds no waveform on the exact one; breakpoints are merged into the
+    knots only when some lie inside the grid (``np.union1d`` imports
+    ``numpy.ma`` on its first call).
     """
     scales, mirrored = sys.internal_scales(), sys.mirrored
     t_i = t_grid / scales.time
-    pairs = _ExpSumField.rescaled_pairs(pairs, scales, mirrored)
+    route = "quadrature" if method == "quadrature" else "exact"
     with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
-        if method != "quadrature":
-            samples = _exact_samples(partial(_ExpSumField.stacked_step_terms, pairs), t_i,
-                                     np.arange(t_i.size))
-            return (*_user_frame(*samples, scales, mirrored), ("exact",) * len(pairs))
-        out = [np.empty((len(pairs), t_grid.size), dtype=kind)
-               for kind in (complex, complex, float, float, float, float)]
-        for s, row in enumerate(pairs.tolist()):
-            w_i = _ExpSum(tuple((c, lam.real) for c, lam in row))
-            for arr, values in zip(out, _user_frame(*_quadrature_path_samples(w_i, t_i, abs_tol),
-                                                    scales, mirrored)):
-                arr[s] = values
-        return (*out, ("quadrature",) * len(pairs))
+        if route == "quadrature":
+            samples = [np.stack(column) for column in
+                       zip(*(_quadrature_path_samples(w_i, t_i, abs_tol) for w_i in waveforms))]
+        else:
+            cuts = np.asarray(cuts, dtype=float)
+            cuts = cuts[(cuts > 0.0) & (cuts < t_i[-1])]
+            knots = np.union1d(t_i, cuts) if cuts.size else t_i
+            samples = _exact_samples(terms, knots, np.searchsorted(knots, t_i))
+        return (*_user_frame(*samples, scales, mirrored), route)
+
+
+def _exp_sum_samples(sys: PhysicalSystem, pairs: np.ndarray, t_grid: np.ndarray, method: str,
+                     abs_tol: float):
+    """User-unit (r, u, beta, gamma, area_r, area_u), one row per
+    exponential sum and one column per time of ``t_grid``, and the route
+    they took, for sums held as their user-unit ``exp_terms`` pairs, an
+    array (S, M, 2).
+
+    The pairs are rescaled at once (``_ExpSumField.rescaled_pairs``, the
+    formula of ``rescaled``) for ``_route_samples``: on the exact route
+    their step monomials go on a leading axis, one call for all rows; on
+    the quadrature route each row is the ``_ExpSum`` that ``internalize``
+    builds.  The grid and the method must pass ``_drive_samples``' checks,
+    as ``_endpoint_grid``'s grids do.
+    """
+    pairs = _ExpSumField.rescaled_pairs(pairs, sys.internal_scales(), sys.mirrored)
+    rows = (_ExpSum(tuple((c, lam.real) for c, lam in row)) for row in pairs.tolist())
+    return _route_samples(sys, t_grid, method, abs_tol, rows,
+                          partial(_ExpSumField.stacked_step_terms, pairs))
 
 
 def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: str,
                    abs_tol: float):
     """User-unit (r, u, beta, gamma, area_r, area_u), each a read-only array
     with one row per waveform and one column per time of ``t_grid``, and
-    the route ("exact" or "quadrature") of each waveform.
+    the route of each waveform, the one ``method`` names for all of them.
 
     The grid must be one-dimensional, nonempty, finite, strictly increasing
     and start at 0 (ValueError otherwise), and inside every waveform's
     domain (DomainError).  The exponential sums (every analytic waveform but
     a ``SumField``) go to ``_exp_sum_samples`` in one call per term count,
     their user-unit ``exp_terms`` stacked into one array.  Every other
-    waveform is internalized on its own and takes the exact route when it
-    reports ``step_terms`` on the knots (the grid and its breakpoints) and
-    the method is "auto", the quadrature route otherwise.
+    waveform is internalized on its own for ``_route_samples``, with its
+    ``step_terms`` and breakpoints.
     """
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a one-dimensional, nonempty array")
@@ -486,37 +499,25 @@ def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: s
         else:
             w._check_domain(t_grid)
             rest.append(p)
-    n = len(waveforms)
-    out = [np.empty((n, t_grid.size), dtype=kind)
-           for kind in (complex, complex, float, float, float, float)]
-    provenance = ["exact"] * n
+    parts = []  # (rows of the result, samples and their route)
     for size, members in groups.items():
         index, pairs = zip(*members)
-        *rows, routes = _exp_sum_samples(
+        parts.append((np.array(index), _exp_sum_samples(
             sys, np.array(pairs, dtype=complex).reshape(len(index), size, 2), t_grid, method,
-            abs_tol)
-        index = np.array(index)  # one conversion for the six assignments
+            abs_tol)))
+    for p in rest:
+        w_i = internalize(sys, waveforms[p])[0]
+        parts.append((p, _route_samples(sys, t_grid, method, abs_tol, (w_i,), w_i.step_terms,
+                                        w_i.breakpoints())))
+    out = [np.empty((len(waveforms), t_grid.size), dtype=kind)
+           for kind in (complex, complex, float, float, float, float)]
+    route = None  # no waveform, no route
+    for index, (*rows, route) in parts:
         for arr, values in zip(out, rows):
             arr[index] = values
-        for p, route in zip(index.tolist(), routes):
-            provenance[p] = route
-    scales, mirrored = sys.internal_scales(), sys.mirrored
-    t_i = t_grid / scales.time
-    with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
-        for p in rest:
-            w_i = internalize(sys, waveforms[p])[0]
-            cuts = np.asarray(w_i.breakpoints(), dtype=float)
-            knots = np.union1d(t_i, cuts[(cuts > 0.0) & (cuts < t_i[-1])])
-            samples = (_exact_samples(w_i.step_terms, knots, np.searchsorted(knots, t_i))
-                       if method != "quadrature" else None)
-            if samples is None:
-                samples = _quadrature_path_samples(w_i, t_i, abs_tol)
-                provenance[p] = "quadrature"
-            for arr, values in zip(out, _user_frame(*samples, scales, mirrored)):
-                arr[p] = values
     for arr in out:
         arr.setflags(write=False)
-    return (*out, tuple(provenance))
+    return (*out, (route,) * len(waveforms))
 
 
 def build_drive_path(
@@ -530,13 +531,14 @@ def build_drive_path(
     """Evaluate R, u, beta, gamma, and signed areas on a time grid.
 
     The grid must be finite, strictly increasing and start at 0
-    (ValueError otherwise).  Method "auto" takes the "exact" route whenever
-    the waveform reports its field as step monomials (``step_terms``:
-    every built-in waveform, sums included) and the refined-grid
-    "quadrature" route otherwise; method "quadrature" forces the numeric
-    route for cross-validation.  The route taken is the path's
-    ``provenance``.  The values are row 0 of ``_drive_samples`` for this
-    one waveform, so they equal ``drive_endpoints``' bit for bit.
+    (ValueError otherwise).  Method "auto" takes the "exact" route, which
+    integrates the waveform's step monomials (``step_terms``: every
+    built-in waveform, sums included; NotImplementedError for a waveform
+    without them); method "quadrature" takes the refined-grid numeric
+    route, kept for cross-validation, which needs only ``field``.  The
+    route taken is the path's ``provenance``.  The values are row 0 of
+    ``_drive_samples`` for this one waveform, so they equal
+    ``drive_endpoints``' bit for bit.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     *rows, provenance = _drive_samples(sys, [w], t_grid, method, abs_tol)

@@ -30,7 +30,7 @@ def _line(num: int, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def corpus_checks(natural):
     """One full validation run at the criterion-4 settings, reused below."""
-    return ld.run_validation(natural, dim=64, dt=0.01, include_convergence=True)
+    return ld.run_validation(natural, dim=64, dt=0.01)
 
 
 def test_criterion_1_closed_form_agreement(natural):

@@ -176,6 +176,23 @@ class TestResolveConfig:
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
         assert "waveform: sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["waveform", "waveform.terms[1]"])
+    @pytest.mark.parametrize("name", ["times", "e1"])
+    def test_nested_samples_exit_1(self, tmp_path, capsys, where, name):
+        # nested lists once passed the length check and failed in the
+        # report echo or the run with a bare traceback
+        block = {"type": "sampled", "times": [0.0, 1.0, 2.0, 3.0], "e1": [0.0] * 4,
+                 "e2": [0.0] * 4}
+        block[name] = [block[name][:2], block[name][2:]]
+        if where != "waveform":
+            block = {"type": "sum", "terms": [{"type": "constant", "e1": 0.1}, block]}
+        doc = {"waveform": block, "time": {"t_final": 2.0},
+               "output": {"directory": str(tmp_path / "o")}}
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {where}: sample {name} must be one-dimensional, got ndim 2\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "waveform,message",
         [

@@ -150,6 +150,16 @@ class TestField:
         with pytest.raises(ValueError, match="finite"):
             ld.SampledField(times, e1, e2)
 
+    @pytest.mark.parametrize("name", ["times", "e1", "e2"])
+    def test_sampled_requires_one_dimensional_samples(self, name):
+        # a nested list keeps its element count, so no length check sees it
+        samples = {"times": [[0.0, 1.0], [2.0, 3.0]], "e1": [0.0] * 4, "e2": [0.0] * 4}
+        if name != "times":
+            samples = {"times": [0.0, 1.0], "e1": [0.0, 0.0], "e2": [0.0, 0.0],
+                       name: [[0.0], [0.0]]}
+        with pytest.raises(ValueError, match=f"sample {name} must be one-dimensional, got ndim 2"):
+            ld.SampledField(**samples)
+
     def test_sum_termwise_and_empty(self):
         w = ld.SumField((ld.ConstantField(1.0, 0.0), ld.ConstantField(0.0, 2.0)))
         assert w.field(0.3) == 1.0 + 2.0j

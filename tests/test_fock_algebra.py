@@ -269,9 +269,11 @@ class TestDisplacementColumns:
             _column_probabilities([0.5, complex("nan")], 0, 8)
 
     def test_overflowing_square_is_truncation_error(self):
-        # |alpha|^2 overflows float64; Python's |alpha| ** 2 raised OverflowError
-        with pytest.raises(TruncationError, match=r"no finite square, \|alpha\|\^2 = inf"):
-            _column_probabilities([0.5, 1e200], 0, 8)
+        # |alpha|^2 overflows float64, or |alpha| itself; Python's
+        # |alpha| ** 2 and abs(alpha) raised OverflowError
+        for big in (1e200, complex(1.7e308, -1.7e308)):
+            with pytest.raises(TruncationError, match=r"no finite square, \|alpha\|\^2 = inf"):
+                _column_probabilities([0.5, big], 0, 8)
         with pytest.raises(TruncationError, match="no finite"):
             ld.displacement_matrix(1e200, 8)
 
@@ -287,6 +289,21 @@ class TestDisplacementColumns:
 
     def test_no_amplitudes(self):
         assert _column_probabilities([], 2, 8).shape == (0, 8)
+
+    def test_hypot_is_python_abs(self):
+        # the moduli take |alpha| as np.hypot(re, im), the libm hypot that
+        # Python's abs(complex) calls: the same bits on random amplitudes
+        # over many scales and on signed zeros, subnormals, moduli near the
+        # largest float, infinities and NaN
+        rng = np.random.default_rng(64)
+        alphas = ((rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000))
+                  * 10.0 ** rng.uniform(-12.0, 3.0, 20_000))
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, math.inf, -math.inf,
+                   math.nan, 1.0, -3.0]
+        alphas = np.concatenate([alphas, [complex(a, b) for a in special for b in special]])
+        got = np.hypot(alphas.real, alphas.imag)
+        want = np.array([abs(a) for a in alphas.tolist()])
+        assert got.tobytes() == want.tobytes()
 
 
 

@@ -670,7 +670,7 @@ class TestValidationCorpus:
     def test_full_corpus_for_mirrored_system(self, electron_si):
         # the reflected-frame machinery must meet the same tolerances the
         # acceptance gate pins for the positive-charge system
-        checks = ld.run_validation(electron_si, dim=64, include_convergence=False)
+        checks = ld.run_validation(electron_si, dim=64)
         bad = [c.name for c in checks if not c.passed]
         assert not bad, bad
 
@@ -702,32 +702,28 @@ ENTRY_ROWS = (
 )
 
 
-def report_schema(include_convergence):
-    """The ordered (name, tolerance, details keys) of every validate check."""
-    schema = [(f"{kind}[{name}]", tol, keys)
-              for name in CORPUS_NAMES for kind, tol, keys in ENTRY_ROWS]
-    schema.append(("resonance_survival_prefactor", 1e-6, [
+#: The ordered (name, tolerance, details keys) of every validate check.
+REPORT_SCHEMA = [
+    *((f"{kind}[{name}]", tol, keys) for name in CORPUS_NAMES for kind, tol, keys in ENTRY_ROWS),
+    ("resonance_survival_prefactor", 1e-6, [
         "integrator_survival", "half_prefactor_survival", "two_prefactor_survival",
         "half_prefactor_deviation", "two_prefactor_deviation", "adjudication",
-    ]))
-    if include_convergence:
-        schema.append(("rk4_convergence_order", 16.0, ["residuals", "ratios"]))
-        schema.append(("scheme_crosscheck[expmid]", 1e-3, ["dt"]))
-    return schema
+    ]),
+    ("rk4_convergence_order", 16.0, ["residuals", "ratios"]),
+    ("scheme_crosscheck[expmid]", 1e-3, ["dt"]),
+]
 
 
 class TestRunValidation:
-    @pytest.mark.parametrize("include_convergence", [True, False])
     @pytest.mark.parametrize("system", [(1.0, 1.0, 1.0), (-1.0, 2.0, 0.7)],
                              ids=["positive", "mirrored"])
-    def test_report_schema(self, system, include_convergence):
+    def test_report_schema(self, system):
         # names, order, tolerances and details keys depend on neither dim
         # nor dt, so a coarse run pins them
-        checks = ld.run_validation(ld.PhysicalSystem(*system), dim=16, dt=0.05,
-                                   include_convergence=include_convergence)
+        checks = ld.run_validation(ld.PhysicalSystem(*system), dim=16, dt=0.05)
         got = [(c.name, c.tolerance, list(c.details)) for c in checks]
-        assert got == report_schema(include_convergence)
-        assert len(got) == (31 if include_convergence else 29)
+        assert got == REPORT_SCHEMA
+        assert len(got) == 31
         compound = ("resonance_survival_prefactor", "rk4_convergence_order")
         bounded = [c for c in checks if c.name not in compound]
         assert all(c.passed == (c.value < c.tolerance) for c in bounded)
@@ -748,5 +744,5 @@ class TestRunValidation:
         checks = ld.run_validation(natural)
         assert calls == {"integrate_schrodinger": 11, "heisenberg_residual": 7,
                          "guiding_center_residual": 7, "assemble": 11}
-        assert [c.name for c in checks] == [name for name, _, _ in report_schema(True)]
+        assert [c.name for c in checks] == [name for name, _, _ in REPORT_SCHEMA]
         assert all(c.passed for c in checks)

@@ -23,6 +23,23 @@ from landau_drive.path_integrals import (
 from _reference import sample_waveform
 
 
+class FieldOnly(ld.FieldWaveform):
+    """A user waveform with ``field`` and ``rescaled`` but no
+    ``step_terms``: another waveform's field, read through it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def field(self, t):
+        return self.inner.field(t)
+
+    def rate(self):
+        return self.inner.rate()
+
+    def rescaled(self, scales, mirror):
+        return FieldOnly(self.inner.rescaled(scales, mirror))
+
+
 def rotating_u(r0, nu, t, omega=1.0):
     """Closed-form drive amplitude for E = r0*nu*e^{-i nu t} (r0 real)."""
     d = nu - omega
@@ -227,6 +244,29 @@ class TestBuildDrivePath:
             ld.build_drive_path(natural, w, [0.0, 2.0, 2.0])
         with pytest.raises(ValueError):
             ld.build_drive_path(natural, w, [0.0, 2.0], method="bogus")
+
+    @pytest.mark.parametrize("charge", [1.0, -1.0])
+    @pytest.mark.parametrize("in_sum", [False, True], ids=["alone", "in_sum"])
+    def test_waveform_without_step_terms_needs_quadrature(self, charge, in_sum):
+        # no exact route without step monomials, and no silent fallback:
+        # "auto" raises; "quadrature" gives the inner waveform's path bit
+        # for bit, as it evaluates the same field values
+        sys_ = ld.PhysicalSystem(charge, 1.3, 0.8)
+        inner = ld.RotatingField(0.2, 0.7, 0.3)
+        user, same = FieldOnly(inner), inner
+        if in_sum:
+            bias = ld.ConstantField(0.05, -0.02)
+            user, same = ld.SumField((user, bias)), ld.SumField((same, bias))
+        grid = np.linspace(0.0, 6.0, 7)
+        with pytest.raises(NotImplementedError):
+            ld.build_drive_path(sys_, user, grid)
+        with pytest.raises(NotImplementedError):
+            ld.drive_endpoints(sys_, [inner, user], 6.0)
+        got = ld.build_drive_path(sys_, user, grid, method="quadrature")
+        want = ld.build_drive_path(sys_, same, grid, method="quadrature")
+        assert got.provenance == want.provenance == "quadrature"
+        for name in ("r", "u", "beta", "gamma", "area_r", "area_u"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("charge", [1.0, -1.0])
     def test_overflowing_path_raises_domain_error(self, charge):
@@ -606,18 +646,18 @@ class TestDriveEndpoints:
         else:
             amplitude, nu = np.linspace(0.0, 0.3, 7), 0.0
         pairs = ld.RotatingField._grid_pairs(amplitude, nu, phase)
-        *rows, routes = _exp_sum_samples(sys_, pairs, _endpoint_grid(t), method,
-                                         DEFAULT_ABS_TOL)
+        *rows, route = _exp_sum_samples(sys_, pairs, _endpoint_grid(t), method,
+                                        DEFAULT_ABS_TOL)
         waves = [ld.RotatingField(a, n, phase) for a, n in
                  np.broadcast(amplitude, nu)]
-        assert len(waves) == len(pairs) == len(routes)
+        assert len(waves) == len(pairs) == len(rows[0])
         names = ("r", "u", "beta", "gamma", "area_r", "area_u")
-        route = "quadrature" if method == "quadrature" else "exact"
+        assert route == ("quadrature" if method == "quadrature" else "exact")
         for s, w in enumerate(waves):
             ends = ld.drive_endpoints(sys_, [w], t, method=method)
             for name, row in zip(names, rows):
                 assert row[s, -1].tobytes() == getattr(ends, name).tobytes(), (w, name)
-            assert (routes[s],) == ends.provenance == (route,)
+            assert ends.provenance == (route,)
         if parameter == "amplitude":
             assert not np.any(rows[1][0]) and not np.any(rows[3][0])
 
