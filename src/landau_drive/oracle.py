@@ -256,6 +256,15 @@ def _expmid_step(u: np.ndarray, h: float, r: complex, lam: np.ndarray, v: np.nda
     return y
 
 
+def _internal_time(t: float, scales) -> float:
+    """t in internal units; DomainError when that is past float64."""
+    with np.errstate(over="ignore"):  # raised below
+        t_i = t / scales.time
+    if not math.isfinite(t_i):
+        raise DomainError("t_final is past float64 in internal time units")
+    return t_i
+
+
 def integrate_schrodinger(
     sys: PhysicalSystem, w: FieldWaveform, t_final: float, cfg: IntegratorConfig
 ) -> np.ndarray:
@@ -281,15 +290,16 @@ def integrate_schrodinger(
     eigh would recompute.  expmid skips a zero-length span (t_final = 0),
     so, like rk4, it then returns the identity's columns exactly.
 
-    Raises DomainError unless t_final is finite and t_final >= 0, and
-    AccuracyError when the columns put more than 1e-4 of
-    probability on the truncation edge (or are not finite): past that
-    point the basis is too small for the drive and the result is junk.
+    Raises DomainError unless t_final is finite and t_final >= 0, in user
+    and in internal time units, and AccuracyError when the columns put
+    more than 1e-4 of probability on the truncation edge (or are not
+    finite): past that point the basis is too small for the drive and the
+    result is junk.
     """
     if not 0 <= t_final < math.inf:
         raise DomainError(f"integration requires a finite t_final >= 0, got {t_final!r}")
     w_i, scales, _ = internalize(sys, w)
-    t_i = t_final / scales.time
+    t_i = _internal_time(t_final, scales)
     dim = cfg.dim
     u_mat = np.eye(dim, dim // 2, dtype=complex)
 
@@ -379,7 +389,8 @@ def heisenberg_residual(
     e^{-i omega t} * integral of e^{i omega s} Rdot(s) ds is the driven
     part of the ladder operator's Heisenberg solution, evaluated here by
     independent quadrature.  The maximum entry deviation over that b x b
-    block is returned; DomainError unless t is finite and t >= 0.
+    block is returned; DomainError unless t is finite and t >= 0, in user
+    and in internal time units.
     """
     u = np.asarray(u_cols)
     if u.ndim != 2 or not 0 < u.shape[1] <= u.shape[0]:
@@ -387,7 +398,7 @@ def heisenberg_residual(
     if not 0 <= t < math.inf:
         raise DomainError(f"Heisenberg residual requires a finite t >= 0, got {t!r}")
     w_i, scales, _ = internalize(sys, w)
-    t_i = t / scales.time
+    t_i = _internal_time(t, scales)
     b = u.shape[1]
     a = ladder_ops(u.shape[0])[0].matrix
     sigma = 1j * np.exp(-1j * t_i) * _drive_integral(w_i, t_i) / _SQRT2

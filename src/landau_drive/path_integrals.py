@@ -12,13 +12,13 @@ The ingredients assembled here:
   the field's step monomials c tau^k e^{i lambda tau}, k = 0 or 1
   (``FieldWaveform.step_terms``: every built-in waveform), and
   "quadrature", a refined-grid numeric route kept as its cross-check,
-* one route switch, ``_route_samples``, and one sampler,
-  ``_drive_samples``, that checks the grid (finite, strictly increasing,
-  from 0) and sends many waveforms down the route at once:
-  ``build_drive_path`` reads its one row for one waveform and
-  ``drive_endpoints`` its last column for many.  It stacks the pairs of
-  the exponential sums among them for ``_exp_sum_samples``, which the
-  ``sweep`` command calls directly with the pairs of its whole grid,
+* one route switch, ``_route_samples``, and two samplers that call it:
+  ``_drive_samples`` checks the grid (finite, strictly increasing, from
+  0) and sends one waveform down the route, for ``build_drive_path``
+  and, on ``_endpoint_grid(t)``, for ``assemble`` and
+  ``displacement_amplitude``; ``_exp_sum_samples``, the one batch, takes
+  the stacked pairs of many exponential sums, as the ``sweep`` command
+  holds its whole grid,
 * ``magnetic_phase``, beta of a polyline of R points the caller gives,
   by the same closed-chord area as a shoelace sum; every drive path's
   beta comes from the routes above.
@@ -45,8 +45,6 @@ __all__ = [
     "displacement_amplitude",
     "DrivePath",
     "build_drive_path",
-    "DriveEndpoints",
-    "drive_endpoints",
 ]
 
 DEFAULT_ABS_TOL = 1e-10
@@ -120,12 +118,12 @@ def displacement_amplitude(
 ) -> complex:
     """Oscillatory drive amplitude u(t) = -(c/2B) int_0^t e^{-i omega s} E*(s) ds.
 
-    The end value of ``build_drive_path`` on the grid [0, t], read by
-    ``drive_endpoints`` (DomainError unless t is finite and t >= 0), with
-    the same ``method`` and so the same route: exact, or quadrature on
-    request.
+    The last sample of ``build_drive_path`` on ``_endpoint_grid(t)``
+    (DomainError unless t is finite and t >= 0), with the same ``method``
+    and so the same route: exact, or quadrature on request.
     """
-    return complex(drive_endpoints(sys, [w], t, method=method, abs_tol=abs_tol).u[0])
+    return complex(build_drive_path(sys, w, _endpoint_grid(t), method=method,
+                                    abs_tol=abs_tol).u[-1])
 
 
 @dataclass(frozen=True)
@@ -297,15 +295,29 @@ def _step_table(h: np.ndarray, powers: np.ndarray, kappa: np.ndarray):
     return e, k
 
 
+def _doublings(fastest, h):
+    """The least count p with 2 fastest h / 2^p <= 4, and h / 2^p.
+
+    With fastest h = m 2^e (``np.frexp``, m in [0.5, 1)), p is e - 2 when
+    m = 0.5, else e - 1, and 0 when that is negative: the count and the
+    bits of a loop that halves h while the bound fails, as halving is
+    exact while h / 2^p stays normal.  A finite fastest h keeps p <= 1023,
+    so every doubling 2^level h / 2^p is finite; DomainError when it is
+    not finite.
+    """
+    x = fastest * h
+    if not np.isfinite(x).all():
+        raise DomainError("drive path overflows float64: a field rate times a time step "
+                          "is not finite; the field is too fast or the time too long")
+    m, e = np.frexp(x)
+    p = np.maximum(0, np.where(m == 0.5, e - 2, e - 1))
+    return p, np.ldexp(h, -p)
+
+
 def _step_block(h, powers, kappa):
     """``_step_table`` for one block of step lengths, in one pass."""
     linear = powers == 1
-    fastest = np.max(np.abs(kappa), axis=-1, initial=0.0)[..., None]
-    base = np.broadcast_to(h, fastest.shape[:-1] + h.shape)
-    doublings = np.zeros(base.shape, dtype=int)
-    while np.any(too_long := 2.0 * fastest * base > 4.0):
-        base = np.where(too_long, base / 2.0, base)
-        doublings += too_long
+    doublings, base = _doublings(np.max(np.abs(kappa), axis=-1, initial=0.0)[..., None], h)
     nodes = base[..., None] * ((_XG10 + 1.0) / 2.0)
     value, integral = (x.reshape(x.shape[:-1] + nodes.shape[-2:]) for x in
                        _monomials(powers, kappa, nodes.reshape(base.shape[:-1] + (-1,))))
@@ -428,6 +440,7 @@ def _route_samples(sys: PhysicalSystem, t_grid: np.ndarray, method: str, abs_tol
     waveform of the iterable ``waveforms`` (a row each), any other method
     "exact", ``_exact_samples`` of the step monomials ``terms`` on the
     grid's knots plus the internal-unit breakpoints ``cuts`` inside it.
+    DomainError when the grid's last time is not finite in internal units.
 
     The iterable is read only on the quadrature route, so a generator
     builds no waveform on the exact one; breakpoints are merged into the
@@ -435,9 +448,11 @@ def _route_samples(sys: PhysicalSystem, t_grid: np.ndarray, method: str, abs_tol
     ``numpy.ma`` on its first call).
     """
     scales, mirrored = sys.internal_scales(), sys.mirrored
-    t_i = t_grid / scales.time
     route = "quadrature" if method == "quadrature" else "exact"
     with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
+        t_i = t_grid / scales.time
+        if not math.isfinite(t_i[-1]):
+            raise DomainError("t_final is past float64 in internal time units")
         if route == "quadrature":
             samples = [np.stack(column) for column in
                        zip(*(_quadrature_path_samples(w_i, t_i, abs_tol) for w_i in waveforms))]
@@ -469,19 +484,15 @@ def _exp_sum_samples(sys: PhysicalSystem, pairs: np.ndarray, t_grid: np.ndarray,
                           partial(_ExpSumField.stacked_step_terms, pairs))
 
 
-def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: str,
+def _drive_samples(sys: PhysicalSystem, w: FieldWaveform, t_grid: np.ndarray, method: str,
                    abs_tol: float):
-    """User-unit (r, u, beta, gamma, area_r, area_u), each a read-only array
-    with one row per waveform and one column per time of ``t_grid``, and
-    the route of each waveform, the one ``method`` names for all of them.
+    """User-unit (r, u, beta, gamma, area_r, area_u) of the one waveform
+    ``w`` at the times of ``t_grid``, and the route ``method`` names.
 
     The grid must be one-dimensional, nonempty, finite, strictly increasing
-    and start at 0 (ValueError otherwise), and inside every waveform's
-    domain (DomainError).  The exponential sums (every analytic waveform but
-    a ``SumField``) go to ``_exp_sum_samples`` in one call per term count,
-    their user-unit ``exp_terms`` stacked into one array.  Every other
-    waveform is internalized on its own for ``_route_samples``, with its
-    ``step_terms`` and breakpoints.
+    and start at 0 (ValueError otherwise), and inside the waveform's domain
+    (DomainError).  The waveform is internalized for ``_route_samples``,
+    with its ``step_terms`` and breakpoints.
     """
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a one-dimensional, nonempty array")
@@ -491,33 +502,10 @@ def _drive_samples(sys: PhysicalSystem, waveforms, t_grid: np.ndarray, method: s
         raise ValueError("t_grid must be finite and strictly increasing")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    groups, rest = {}, []
-    for p, w in enumerate(waveforms):
-        if isinstance(w, _ExpSumField):  # defined at every time
-            pairs = w.exp_terms()
-            groups.setdefault(len(pairs), []).append((p, pairs))
-        else:
-            w._check_domain(t_grid)
-            rest.append(p)
-    parts = []  # (rows of the result, samples and their route)
-    for size, members in groups.items():
-        index, pairs = zip(*members)
-        parts.append((np.array(index), _exp_sum_samples(
-            sys, np.array(pairs, dtype=complex).reshape(len(index), size, 2), t_grid, method,
-            abs_tol)))
-    for p in rest:
-        w_i = internalize(sys, waveforms[p])[0]
-        parts.append((p, _route_samples(sys, t_grid, method, abs_tol, (w_i,), w_i.step_terms,
-                                        w_i.breakpoints())))
-    out = [np.empty((len(waveforms), t_grid.size), dtype=kind)
-           for kind in (complex, complex, float, float, float, float)]
-    route = None  # no waveform, no route
-    for index, (*rows, route) in parts:
-        for arr, values in zip(out, rows):
-            arr[index] = values
-    for arr in out:
-        arr.setflags(write=False)
-    return (*out, (route,) * len(waveforms))
+    w._check_domain(t_grid)
+    w_i = internalize(sys, w)[0]
+    return _route_samples(sys, t_grid, method, abs_tol, (w_i,), w_i.step_terms,
+                          w_i.breakpoints())
 
 
 def build_drive_path(
@@ -536,53 +524,17 @@ def build_drive_path(
     built-in waveform, sums included; NotImplementedError for a waveform
     without them); method "quadrature" takes the refined-grid numeric
     route, kept for cross-validation, which needs only ``field``.  The
-    route taken is the path's ``provenance``.  The values are row 0 of
-    ``_drive_samples`` for this one waveform, so they equal
-    ``drive_endpoints``' bit for bit.
+    route taken is the path's ``provenance``.  Many exponential sums on
+    one grid go through ``_exp_sum_samples`` instead, as ``sweep`` does.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    *rows, provenance = _drive_samples(sys, [w], t_grid, method, abs_tol)
-    return DrivePath(t_grid.copy(), *(row[0] for row in rows), provenance=provenance[0])
+    *rows, provenance = _drive_samples(sys, w, t_grid, method, abs_tol)
+    return DrivePath(t_grid.copy(), *(row.reshape(t_grid.size) for row in rows), provenance)
 
 
 def _endpoint_grid(t: float) -> np.ndarray:
-    """The grid [0, t] whose last column ``drive_endpoints`` reads, [0] at
+    """The grid [0, t] whose last sample is the drive path at t, [0] at
     t = 0; DomainError unless t is finite and t >= 0."""
     if not 0.0 <= t < math.inf:
         raise DomainError(f"drive endpoints require a finite t >= 0, got {t!r}")
     return np.array([0.0, t]) if t > 0 else np.array([0.0])
-
-
-@dataclass(frozen=True)
-class DriveEndpoints:
-    """R, u, beta, gamma and signed areas at one time for many waveforms,
-    one entry per waveform, with the route that produced each."""
-
-    r: np.ndarray
-    u: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    area_r: np.ndarray
-    area_u: np.ndarray
-    provenance: tuple[str, ...]
-
-
-def drive_endpoints(
-    sys: PhysicalSystem,
-    waveforms,
-    t: float,
-    *,
-    method: str = "auto",
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> DriveEndpoints:
-    """``build_drive_path`` on [0, t] for each waveform, read at t.
-
-    DomainError unless t is finite and t >= 0.  All waveforms go through
-    one ``_drive_samples`` call on ``_endpoint_grid(t)``, whose last column
-    this returns, so every value equals the per-waveform one bit for bit;
-    the exponential sums are stacked there into one ``_exp_sum_samples``
-    call per term count.
-    """
-    *columns, provenance = _drive_samples(sys, list(waveforms), _endpoint_grid(t), method,
-                                          abs_tol)
-    return DriveEndpoints(*(column[:, -1] for column in columns), provenance=provenance)

@@ -25,7 +25,7 @@ from .fock_algebra import (
     displacement_matrix,
     suggested_dimension,
 )
-from .path_integrals import DEFAULT_ABS_TOL, drive_endpoints
+from .path_integrals import DEFAULT_ABS_TOL, _endpoint_grid, build_drive_path
 
 __all__ = [
     "FactorizedPropagator",
@@ -119,15 +119,16 @@ def assemble(
     """Build the factorized propagator record for time t.
 
     R and beta come from the guiding-center path, u and gamma from the
-    drive-amplitude path, all read at t by ``drive_endpoints`` (DomainError
-    unless t is finite and t >= 0), and j_op = e^{i gamma} D(-u* k).  With dim
-    omitted, the truncation is ``suggested_dimension(alpha, 7)``, which
-    holds the leading block of 8 columns, levels 0 .. 7; ``healthy_dim``
-    measures how many columns it keeps healthy, often more.
+    drive-amplitude path, all the last sample of ``build_drive_path`` on
+    ``_endpoint_grid(t)`` (DomainError unless t is finite and t >= 0), and
+    j_op = e^{i gamma} D(-u* k).  With dim omitted, the truncation is
+    ``suggested_dimension(alpha, 7)``, which holds the leading block of 8
+    columns, levels 0 .. 7; ``healthy_dim`` measures how many columns it
+    keeps healthy, often more.
     """
-    ends = drive_endpoints(sys, [w], t, method=method, abs_tol=abs_tol)
-    r, u = complex(ends.r[0]), complex(ends.u[0])
-    beta, gamma = float(ends.beta[0]), float(ends.gamma[0])
+    path = build_drive_path(sys, w, _endpoint_grid(t), method=method, abs_tol=abs_tol)
+    r, u = complex(path.r[-1]), complex(path.u[-1])
+    beta, gamma = float(path.beta[-1]), float(path.gamma[-1])
     alpha = displacement_argument(sys, u)
     n = suggested_dimension(alpha, 7) if dim is None else dim
     d_op = displacement_matrix(alpha, n)
@@ -141,7 +142,7 @@ def assemble(
         gamma=gamma,
         alpha=alpha,
         j_op=j,
-        provenance=ends.provenance[0],
+        provenance=path.provenance,
     )
 
 

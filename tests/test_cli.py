@@ -5,9 +5,11 @@ import json
 import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -625,6 +627,44 @@ class TestMainAndOutputs:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and "finite" in err
         assert "Traceback" not in err and not list(tmp_path.glob("o/*.csv"))
+
+    @pytest.mark.parametrize("system, waveform, t_final, message", [
+        # t_final / tau (tau ~ 3.8e-13 s) is inf: the step table halved an
+        # infinite step forever
+        ({"units": "si", "magnetic_field": 15}, {"type": "rotating", "amplitude": 1e-8, "nu": 0},
+         1e300, "numeric error: t_final is past float64 in internal time units"),
+        # the doubling count passed 1023: a bare OverflowError from
+        # 2.0**level, here with the phase of the field at a knot past float64
+        ({}, {"type": "rotating", "amplitude": 1e-8, "nu": 1.7e308}, 10.0,
+         "numeric error: drive path overflows float64: R is not finite"),
+        # the same, with the rate times a step past float64
+        ({}, {"type": "linear_sinusoid", "amplitude": 0.1, "angular_frequency": 1e300}, 1e300,
+         "numeric error: drive path overflows float64: a field rate times a time step"),
+    ], ids=["hang", "overflow", "overflowing_step"])
+    def test_past_float64_in_internal_units_is_numeric_error(self, tmp_path, capsys, system,
+                                                             waveform, t_final, message):
+        doc = {"task": "phases", "system": system, "waveform": waveform,
+               "time": {"t_final": t_final}, "output": {"directory": str(tmp_path / "o")}}
+        cfg_path = write_config(tmp_path, doc)
+
+        def hung(signum, frame):
+            raise TimeoutError("phases did not finish within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                start = time.perf_counter()
+                code = cli.main(["phases", "--config", str(cfg_path)])
+                elapsed = time.perf_counter() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2 and elapsed < 1.0
+        assert capsys.readouterr().err.startswith(message)
+        assert not caught, [str(w.message) for w in caught]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("system, sweep, code, message", [
         # nu = nu_over_omega * omega overflows float64 at B = 2

@@ -520,6 +520,18 @@ def test_oracle_time_must_be_finite_and_nonnegative(natural, t):
         ld.heisenberg_residual(np.eye(8, 4), natural, w, t)
 
 
+def test_oracle_time_past_float64_in_internal_units(electron_si):
+    # t = 1e300 s is finite, but t / (1/omega) is not (1/omega ~ 3.8e-13 s):
+    # the step count raised a bare OverflowError, and the Heisenberg scalar
+    # a numpy warning
+    assert electron_si.internal_scales().time < 1e-8
+    w = ld.RotatingField(1e-8, 0.0)
+    with pytest.raises(ld.DomainError, match="past float64 in internal time units"):
+        ld.integrate_schrodinger(electron_si, w, 1e300, ld.IntegratorConfig(dim=8))
+    with pytest.raises(ld.DomainError, match="past float64 in internal time units"):
+        ld.heisenberg_residual(np.eye(8, 4), electron_si, w, 1e300)
+
+
 class TestHeisenbergResidual:
     def test_zero_field_pure_rotation(self, natural):
         dim = 24

@@ -261,7 +261,7 @@ class TestBuildDrivePath:
         with pytest.raises(NotImplementedError):
             ld.build_drive_path(sys_, user, grid)
         with pytest.raises(NotImplementedError):
-            ld.drive_endpoints(sys_, [inner, user], 6.0)
+            ld.assemble(sys_, user, 6.0)
         got = ld.build_drive_path(sys_, user, grid, method="quadrature")
         want = ld.build_drive_path(sys_, same, grid, method="quadrature")
         assert got.provenance == want.provenance == "quadrature"
@@ -277,11 +277,13 @@ class TestBuildDrivePath:
         for method, t in (("auto", 1e10), ("auto", 10.0), ("quadrature", 10.0)):
             with pytest.raises(ld.DomainError, match="not finite"):
                 ld.build_drive_path(sys_, w, [0.0, t / 2.0, t], method=method)
-        # stacked exponential sums and the per-waveform route alike
-        sampled = sample_waveform(w, np.linspace(0.0, 1e10, 3))
-        for strong in (w, sampled):
+        # stacked exponential sums and the read at t alike
+        with pytest.raises(ld.DomainError, match="not finite"):
+            _exp_sum_samples(sys_, stacked_pairs([ld.RotatingField(0.1, 0.5), w]),
+                             _endpoint_grid(1e10), "auto", DEFAULT_ABS_TOL)
+        for strong in (w, sample_waveform(w, np.linspace(0.0, 1e10, 3))):
             with pytest.raises(ld.DomainError, match="not finite"):
-                ld.drive_endpoints(sys_, [ld.RotatingField(0.1, 0.5), strong], 1e10)
+                ld.assemble(sys_, strong, 1e10)
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, math.inf], [0.0, 1.0, math.inf],
@@ -487,26 +489,56 @@ def rotating_gamma_error(gamma, e0, nu, t):
         return abs(float(gamma - exact))
 
 
-def per_point_endpoints(sys_, waves, t, method):
-    """build_drive_path on [0, t] for each waveform, read at t."""
-    grid = [0.0, t] if t > 0 else [0.0]
-    return [ld.build_drive_path(sys_, w, grid, method=method) for w in waves]
+NAMES = ("r", "u", "beta", "gamma", "area_r", "area_u")
 
 
-def assert_endpoints_match(sys_, waves, t, method):
-    """drive_endpoints against per-point build_drive_path: all six fields
-    bit for bit, routes identical; returns the batch."""
-    ends = ld.drive_endpoints(sys_, waves, t, method=method)
-    ref = per_point_endpoints(sys_, waves, t, method)
-    for name in ("r", "u", "beta", "gamma", "area_r", "area_u"):
-        expected = np.array([getattr(dp, name)[-1] for dp in ref])
-        assert getattr(ends, name).tobytes() == expected.tobytes(), name
-    assert ends.provenance == tuple(dp.provenance for dp in ref)
-    return ends
+def stacked_pairs(waves):
+    """The user-unit ``exp_terms`` of exponential sums with one term count,
+    stacked into the (S, M, 2) array ``_exp_sum_samples`` takes."""
+    return np.array([w.exp_terms() for w in waves], complex).reshape(len(waves), -1, 2)
 
 
-class TestDriveEndpoints:
-    """The batched exact route of a sweep against one build_drive_path per point."""
+def stacked_endpoints(sys_, waves, t, method):
+    """``_exp_sum_samples`` at t, one call per term count with the pairs
+    stacked, against ``build_drive_path`` on [0, t] for each waveform: all
+    six fields bit for bit and the route.  Returns the fields at t by
+    name, one entry per waveform in order, and the one route."""
+    grid = _endpoint_grid(t)
+    groups, ends, routes = {}, {name: [None] * len(waves) for name in NAMES}, set()
+    for s, w in enumerate(waves):
+        groups.setdefault(len(w.exp_terms()), []).append(s)
+    for members in groups.values():
+        *rows, route = _exp_sum_samples(sys_, stacked_pairs([waves[s] for s in members]), grid,
+                                        method, DEFAULT_ABS_TOL)
+        routes.add(route)
+        for j, s in enumerate(members):
+            dp = ld.build_drive_path(sys_, waves[s], grid, method=method)
+            assert dp.provenance == route, waves[s]
+            for name, row in zip(NAMES, rows):
+                assert row[j, -1].tobytes() == getattr(dp, name)[-1].tobytes(), (waves[s], name)
+                ends[name][s] = row[j, -1]
+    (route,) = routes
+    return {name: np.array(values) for name, values in ends.items()}, route
+
+
+def assert_endpoint_readers_match(sys_, w, t, method):
+    """``assemble`` and ``displacement_amplitude`` at t against the last
+    sample of ``build_drive_path`` on [0, t]: bit for bit, same route."""
+    dp = ld.build_drive_path(sys_, w, _endpoint_grid(t), method=method)
+    p = ld.assemble(sys_, w, t, dim=8, method=method)
+    got = (p.displacement, p.u, p.beta, p.gamma)
+    for name, value in zip(("r", "u", "beta", "gamma"), got):
+        assert np.array(value).tobytes() == getattr(dp, name)[-1].tobytes(), (w, name)
+    assert p.provenance == dp.provenance
+    u = ld.displacement_amplitude(sys_, w, t, method=method)
+    assert np.array(u).tobytes() == dp.u[-1].tobytes(), w
+    return dp
+
+
+class TestEndpoints:
+    """The drive path at one time: the sweep's stacked route against one
+    build_drive_path per waveform, and assemble and displacement_amplitude,
+    which read the last sample of build_drive_path."""
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("charge", [1.0, -1.0])
@@ -518,21 +550,20 @@ class TestDriveEndpoints:
         assert 0.0 in ratios and 1.0 in ratios
         t = 20.0 / sys_.omega
         waves = [ld.RotatingField(0.3, charge * r * sys_.omega, 0.4) for r in ratios]
-        ends = assert_endpoints_match(sys_, waves, t, method)
-        route = "quadrature" if method == "quadrature" else "exact"
-        assert ends.provenance == (route,) * len(waves)
+        _, route = stacked_endpoints(sys_, waves, t, method)
+        assert route == ("quadrature" if method == "quadrature" else "exact")
 
     @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("charge", [1.0, -1.0])
     def test_amplitude_sweep_with_zero(self, natural, method, charge):
         sys_ = ld.PhysicalSystem(charge, 1.0, 1.0)
         waves = [ld.RotatingField(a, 0.7, 0.3) for a in np.linspace(0.0, 0.3, 7)]
-        ends = assert_endpoints_match(sys_, waves, 9.0, method)
-        assert ends.u[0] == 0 and ends.gamma[0] == 0
+        ends, _ = stacked_endpoints(sys_, waves, 9.0, method)
+        assert ends["u"][0] == 0 and ends["gamma"][0] == 0
 
     def test_mixed_term_structures(self, natural):
-        # one stacked call per monomial structure; the sampled field has
-        # breakpoints inside (0, t) and goes through build_drive_path
+        # one waveform per call, whatever its monomials; the sampled field
+        # has breakpoints inside (0, t)
         waves = [
             ld.RotatingField(0.2, 0.8, 0.1),
             ld.LinearSinusoidField(0.15, 0.3, 1.3, 0.2),
@@ -542,8 +573,8 @@ class TestDriveEndpoints:
             ld.ConstantField(0.1, 0.2),
             sample_waveform(ld.RotatingField(0.1, 0.9), np.linspace(0.0, 6.0, 61)),
         ]
-        ends = assert_endpoints_match(natural, waves, 6.0, "auto")
-        assert ends.provenance == ("exact",) * len(waves)
+        for w in waves:
+            assert assert_endpoint_readers_match(natural, w, 6.0, "auto").provenance == "exact"
 
     #: Exponential sums whose rescaled pairs carry signed zeros (a zero
     #: component beside a nonzero one, a zero amplitude at a phase whose
@@ -560,7 +591,7 @@ class TestDriveEndpoints:
     @pytest.mark.parametrize("units", ["natural", "si"])
     @pytest.mark.parametrize("charge", [1.0, -1.0])
     def test_array_rescale_matches_python_division(self, units, charge):
-        # the stacked rescale of drive_endpoints and rescaled() against
+        # the stacked rescale of _exp_sum_samples and rescaled() against
         # Python's own complex-by-float division, (-conj(c) if mirrored
         # else c) / field, sign bit included: one division per component
         # turns -0.0 + 0.5j into -0.0 where Python gives 0.0, and numpy's
@@ -569,7 +600,7 @@ class TestDriveEndpoints:
         sys_ = ld.PhysicalSystem(charge * consts["elementary_charge"], 2.0,
                                  0.7 * consts["electron_mass"], consts["hbar"], consts["c"])
         scales, mirror = sys_.internal_scales(), sys_.mirrored
-        assert_endpoints_match(sys_, self.RESCALE_CASES, 7.0 / sys_.omega, "auto")
+        stacked_endpoints(sys_, self.RESCALE_CASES, 7.0 / sys_.omega, "auto")
         hexed = lambda pairs: [(c.real.hex(), c.imag.hex(), float(lam).hex())
                                for c, lam in pairs]
         for w in self.RESCALE_CASES:
@@ -599,21 +630,23 @@ class TestDriveEndpoints:
 
     def test_time_zero(self, natural):
         waves = [ld.RotatingField(0.2, nu) for nu in (0.0, 0.5, 1.0)]
-        ends = assert_endpoints_match(natural, waves, 0.0, "auto")
-        assert not np.any(ends.u) and not np.any(ends.gamma)
+        ends, _ = stacked_endpoints(natural, waves, 0.0, "auto")
+        assert not np.any(ends["u"]) and not np.any(ends["gamma"])
 
     def test_errors_match_build_drive_path(self, natural):
         w = ld.RotatingField(0.2, 0.5)
-        with pytest.raises(ld.DomainError):
-            ld.drive_endpoints(natural, [w], -1.0)
-        with pytest.raises(ValueError, match="unknown method"):
-            ld.drive_endpoints(natural, [w], 1.0, method="simpson")
         sampled = sample_waveform(w, np.linspace(0.0, 2.0, 5))
-        with pytest.raises(ValueError, match="unknown method 'closed_form'"):
-            ld.drive_endpoints(natural, [w, ld.SumField((sampled, w))], 1.0,
-                               method="closed_form")
+        for read in (ld.assemble, ld.displacement_amplitude):
+            with pytest.raises(ld.DomainError):
+                read(natural, w, -1.0)
+            with pytest.raises(ValueError, match="unknown method"):
+                read(natural, w, 1.0, method="simpson")
+            with pytest.raises(ValueError, match="unknown method 'closed_form'"):
+                read(natural, ld.SumField((sampled, w)), 1.0, method="closed_form")
+            with pytest.raises(ld.DomainError):
+                read(natural, sampled, 3.0)
         with pytest.raises(ld.DomainError):
-            ld.drive_endpoints(natural, [sampled], 3.0)
+            ld.build_drive_path(natural, sampled, [0.0, 3.0])
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, natural, t):
@@ -621,8 +654,8 @@ class TestDriveEndpoints:
         # read as t = 0, nor an infinite t stepped
         w = ld.RotatingField(0.1, 0.9)
         sampled = sample_waveform(w, np.linspace(0.0, 3.0, 7))
-        calls = (lambda: ld.drive_endpoints(natural, [w, sampled], t),
-                 lambda: ld.drive_endpoints(natural, [sampled], t, method="quadrature"),
+        calls = (lambda: ld.assemble(natural, sampled, t),
+                 lambda: ld.displacement_amplitude(natural, sampled, t, method="quadrature"),
                  lambda: ld.assemble(natural, w, t),
                  lambda: ld.displacement_amplitude(natural, w, t))
         for call in calls:
@@ -633,10 +666,10 @@ class TestDriveEndpoints:
     @pytest.mark.parametrize("charge", [1.0, -1.0])
     @pytest.mark.parametrize("parameter", ["nu_over_omega", "amplitude"])
     def test_stacked_grid_matches_per_point(self, parameter, charge, method):
-        # the sweep's stacked grid against one drive_endpoints call per
-        # RotatingField: all six fields bit for bit and the route; the nu
-        # grid holds nu = 0 and nu = omega, the amplitude grid sits at
-        # nu = 0 and holds a zero amplitude
+        # the sweep's stacked grid against one build_drive_path call per
+        # RotatingField, read at t: all six fields bit for bit and the
+        # route; the nu grid holds nu = 0 and nu = omega, the amplitude
+        # grid sits at nu = 0 and holds a zero amplitude
         sys_ = ld.PhysicalSystem(charge, 2.0, 0.7)
         phase, t = 0.4, 20.0 / sys_.omega
         if parameter == "nu_over_omega":
@@ -651,13 +684,12 @@ class TestDriveEndpoints:
         waves = [ld.RotatingField(a, n, phase) for a, n in
                  np.broadcast(amplitude, nu)]
         assert len(waves) == len(pairs) == len(rows[0])
-        names = ("r", "u", "beta", "gamma", "area_r", "area_u")
         assert route == ("quadrature" if method == "quadrature" else "exact")
         for s, w in enumerate(waves):
-            ends = ld.drive_endpoints(sys_, [w], t, method=method)
-            for name, row in zip(names, rows):
-                assert row[s, -1].tobytes() == getattr(ends, name).tobytes(), (w, name)
-            assert ends.provenance == (route,)
+            dp = ld.build_drive_path(sys_, w, _endpoint_grid(t), method=method)
+            for name, row in zip(NAMES, rows):
+                assert row[s, -1].tobytes() == getattr(dp, name)[-1].tobytes(), (w, name)
+            assert dp.provenance == route
         if parameter == "amplitude":
             assert not np.any(rows[1][0]) and not np.any(rows[3][0])
 
@@ -666,19 +698,19 @@ class TestDriveEndpoints:
         # 401-point grid of the resonance benchmark, against 50-digit mpmath
         e0, t = 0.3, 20.0
         nus = np.linspace(0.5, 1.5, 401)
-        ends = ld.drive_endpoints(natural, [ld.RotatingField(e0, nu, 1.1) for nu in nus], t)
-        assert ends.provenance == ("exact",) * nus.size
+        pairs = stacked_pairs([ld.RotatingField(e0, nu, 1.1) for nu in nus])
+        *rows, route = _exp_sum_samples(natural, pairs, _endpoint_grid(t), "auto",
+                                        DEFAULT_ABS_TOL)
+        assert route == "exact"
         worst = max(rotating_gamma_error(gamma, e0, nu, t)
-                    for nu, gamma in zip(nus.tolist(), ends.gamma.tolist()))
+                    for nu, gamma in zip(nus.tolist(), rows[3][:, -1].tolist()))
         assert worst <= 1e-14
 
     def test_gamma_just_off_resonance(self, natural):
         # nu = 1.0002 omega, t = 60/omega: |mu| t = 0.012, where a guessed
         # well-conditioned closed form was 2.3e-12 off
         e0, nu, t = 0.3, 1.0002, 60.0
-        ends = ld.drive_endpoints(natural, [ld.RotatingField(e0, nu, 1.1)], t)
-        dp = ld.build_drive_path(natural, ld.RotatingField(e0, nu, 1.1), [0.0, t])
-        assert dp.gamma[-1] == ends.gamma[0]
+        dp = assert_endpoint_readers_match(natural, ld.RotatingField(e0, nu, 1.1), t, "auto")
         assert rotating_gamma_error(float(dp.gamma[-1]), e0, nu, t) <= 1e-14
 
 
@@ -957,7 +989,7 @@ class TestStepTable:
     @staticmethod
     def cases(natural):
         """name -> (steps, powers, R-path rates): leading axes of the rates
-        are separate waveforms, as drive_endpoints stacks them."""
+        are separate waveforms, as _exp_sum_samples stacks them."""
         trace = jittered_trace(1201, 41)
         return {
             # test_long_segments_with_carrier's field: power-1 monomials on
@@ -994,6 +1026,48 @@ class TestStepTable:
             fastest = np.abs(np.stack(kappas)).max(axis=-1)
             counts = np.ceil(np.log2(np.maximum(fastest * steps.max() / 2.0, 1.0)))
             assert sorted(counts.ravel().tolist()) == [0, 1, 1, 2, 4, 4]
+
+    @staticmethod
+    def halving_loop(fastest, h):
+        """The step table's doublings as a loop that halves h while
+        2 fastest h > 4, counting the halvings."""
+        base, doublings = h.copy(), np.zeros(h.shape, dtype=int)
+        while np.any(too_long := 2.0 * fastest * base > 4.0):
+            base = np.where(too_long, base / 2.0, base)
+            doublings += too_long
+        return doublings, base
+
+    def test_doublings_closed_form_equals_halving_loop(self):
+        # random pairs with fastest h over 620 decades, then the edges:
+        # fastest h exactly 2 and 4 and next to them, every power of two
+        # (m = 0.5 in frexp), fastest = 0, subnormal steps.  A step that
+        # stays normal, as h / 2^p does here, makes halving exact.
+        rng = np.random.default_rng(23)
+        fastest = 10.0 ** rng.uniform(-10.0, 10.0, 20_000)
+        h = 10.0 ** rng.uniform(-300.0, 290.0, 20_000) * rng.uniform(0.5, 1.0, 20_000)
+        powers = np.ldexp(1.0, np.arange(-1074, 1000))
+        edges = [(1.0, 2.0), (2.0, 2.0), (0.5, 8.0), (1.0, 4.0), (3.0, 1.0 / 3.0),
+                 (1.0, np.nextafter(2.0, 3.0)), (1.0, np.nextafter(2.0, 1.0)),
+                 (1.0, np.nextafter(4.0, 5.0)), (1.0, np.nextafter(4.0, 3.0)),
+                 (0.0, 1.0), (0.0, 1e300), (0.0, 5e-324), (1.0, 5e-324),
+                 (1e10, 5e-324), (1e300, 1e-310), (1e300, 2.5e-308)]
+        fastest = np.concatenate([fastest, np.ones(powers.size), [f for f, _ in edges]])
+        h = np.concatenate([h, powers, [s for _, s in edges]])
+        p, base = path_integrals._doublings(fastest, h)
+        p_ref, base_ref = self.halving_loop(fastest, h)
+        assert np.array_equal(p, p_ref)
+        assert base.tobytes() == base_ref.tobytes()
+        assert p.max() > 990 and p.min() == 0
+
+    @pytest.mark.parametrize("fastest, h", [(1.7e308, 10.0), (1e300, 1e10), (math.inf, 1.0),
+                                            (1.0, math.inf), (math.nan, 1.0)])
+    def test_doublings_past_float64_raise(self, fastest, h):
+        # frexp gives an exponent of 0 for inf and NaN, so the closed form
+        # alone would read them as p = 0; overflow is ignored, as in the
+        # route switch that calls it
+        with np.errstate(over="ignore"), pytest.raises(
+                ld.DomainError, match="rate times a time step is not finite"):
+            path_integrals._doublings(np.array([fastest]), np.array([h]))
 
     def test_irregular_trace_memory_bounded(self, natural):
         # a jittered 40 001-node trace with a 1001-sample grid has 40 999
