@@ -34,7 +34,7 @@ from .field_model import (
     SumField,
     ZeroField,
 )
-from .path_integrals import _endpoint_grid, _exp_sum_samples, build_drive_path
+from .path_integrals import _ROUTES, _endpoint_grid, _exp_sum_samples, build_drive_path
 from .propagator import (
     _amplitudes,
     _auto_dimension,
@@ -174,8 +174,7 @@ _SCHEMA = {
                               lambda v: oracle.DT_RANGE[0] <= v <= oracle.DT_RANGE[1],
                               "must lie in [{:g}, {:g}] (units of 1/omega)".format(
                                   *oracle.DT_RANGE)),
-        "method": _Key("string", "auto", ("auto", "quadrature").__contains__,
-                       "unknown method {!r}"),
+        "method": _Key("string", "auto", _ROUTES.__contains__, "unknown method {!r}"),
     },
     "initial_state": {
         "level": _Key("integer", 0, lambda v: v >= 0, "must be nonnegative"),
@@ -204,11 +203,6 @@ _ROOT = {
     "waveform": _Key("table", lambda task, system: {"type": "zero"}),  # new per call: echoed
     **{section: _Key("table", {}) for section in _SCHEMA},
 }
-
-#: The keys that size each task's arrays, named when memory runs out.
-_SIZE_KEYS = {"simulate": "time.samples or numerics.dimension", "phases": "time.samples",
-              "sweep": "sweep.steps or numerics.dimension",
-              "validate": "numerics.oracle_dimension"}
 
 #: Waveform type -> (class, key -> _Key).  The keys are the class's
 #: constructor arguments; the class checks their values (ValueError).
@@ -565,6 +559,21 @@ def _emit(cfg: RunConfig, report: SimulationReport, suffix: str) -> list[Path]:
     return [data_path, report_path]
 
 
+#: The commands, in the order the help lists them: command -> (help text,
+#: name of its runner in this module, suffix of its data file, the config
+#: keys that size its arrays, named when memory runs out).  The runner is
+#: looked up by name when it runs, so a wrapper put on that name sees the call.
+_COMMANDS = {
+    "simulate": ("per-sample drive history and level populations", "run_simulate", "samples",
+                 "time.samples or numerics.dimension"),
+    "sweep": ("final-time observables over a parameter grid", "run_sweep", "sweep",
+              "sweep.steps or numerics.dimension"),
+    "validate": ("run the brute-force residual suite", "run_validate", "validation",
+                 "numerics.oracle_dimension"),
+    "phases": ("drive history and phases only", "run_phases", "phases", "time.samples"),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and kept for the process."""
@@ -573,12 +582,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Driven Landau-level simulations via a factorized propagator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("simulate", "per-sample drive history and level populations"),
-        ("sweep", "final-time observables over a parameter grid"),
-        ("validate", "run the brute-force residual suite"),
-        ("phases", "drive history and phases only"),
-    ):
+    for name, (doc, *_) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="JSON or TOML run config")
         p.add_argument("--out", default=None, help="output directory override")
@@ -589,6 +593,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    _, runner, suffix, size_keys = _COMMANDS[args.command]
 
     if args.seed is not None:
         print("warning: --seed is ignored; runs are deterministic", file=_sys.stderr)
@@ -600,9 +605,10 @@ def main(argv=None) -> int:
             load_config(args.config), args.command, out_override=args.out,
             format_override=args.format,
         )
+        result = globals()[runner](cfg)
         if args.command == "validate":
-            report, code = run_validate(cfg)
-            path = _output_path(cfg, "validation.json")
+            report, code = result
+            path = _output_path(cfg, f"{suffix}.json")
             _write_json(path, report)
             failed = [c["name"] for c in report["checks"] if not c["passed"]]
             for c in report["checks"]:
@@ -612,16 +618,7 @@ def main(argv=None) -> int:
             if failed:
                 print(f"FAILED checks: {', '.join(failed)}", file=_sys.stderr)
             return code
-        if args.command == "simulate":
-            report = run_simulate(cfg)
-            paths = _emit(cfg, report, "samples")
-        elif args.command == "sweep":
-            report = run_sweep(cfg)
-            paths = _emit(cfg, report, "sweep")
-        else:
-            report = run_phases(cfg)
-            paths = _emit(cfg, report, "phases")
-        for p in paths:
+        for p in _emit(cfg, result, suffix):
             print(f"wrote {p}")
         return 0
     except ConfigError as exc:
@@ -631,8 +628,7 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=_sys.stderr)
         return 2
     except MemoryError:
-        print(f"numeric error: out of memory; reduce {_SIZE_KEYS[args.command]}",
-              file=_sys.stderr)
+        print(f"numeric error: out of memory; reduce {size_keys}", file=_sys.stderr)
         return 2
 
 

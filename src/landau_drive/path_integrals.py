@@ -12,13 +12,15 @@ The ingredients assembled here:
   the field's step monomials c tau^k e^{i lambda tau}, k = 0 or 1
   (``FieldWaveform.step_terms``: every built-in waveform), and
   "quadrature", a refined-grid numeric route kept as its cross-check,
-* one route switch, ``_route_samples``, and two samplers that call it:
-  ``_drive_samples`` checks the grid (finite, strictly increasing, from
-  0) and sends one waveform down the route, for ``build_drive_path``
-  and, on ``_endpoint_grid(t)``, for ``assemble`` and
-  ``displacement_amplitude``; ``_exp_sum_samples``, the one batch, takes
-  the stacked pairs of many exponential sums, as the ``sweep`` command
-  holds its whole grid,
+* one route switch, ``_route_samples``: it builds the knots (the output
+  times plus the breakpoints inside them) once for both routes, and each
+  route refuses a fastest rate whose product with the last knot is past
+  float64 (``_require_finite_phase``).  Its two callers:
+  ``build_drive_path`` checks the grid (finite, strictly increasing, from
+  0) and sends one waveform down the route, also for ``assemble`` and
+  ``displacement_amplitude`` on ``_endpoint_grid(t)``;
+  ``_exp_sum_samples``, the one batch, takes the stacked pairs of many
+  exponential sums, as the ``sweep`` command holds its whole grid,
 * ``magnetic_phase``, beta of a polyline of R points the caller gives,
   by the same closed-chord area as a shoelace sum; every drive path's
   beta comes from the routes above.
@@ -49,8 +51,8 @@ __all__ = [
 
 DEFAULT_ABS_TOL = 1e-10
 
-#: Drive-path routes a caller may ask for.
-_METHODS = ("auto", "quadrature")
+#: Method a caller may ask for -> the drive-path route it takes.
+_ROUTES = {"auto": "exact", "quadrature": "quadrature"}
 
 # 5-point Gauss-Legendre rule, used for cumulative integrals on fine grids.
 _XG5 = np.array([
@@ -150,10 +152,11 @@ class DrivePath:
             arr.setflags(write=False)
 
 
-def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float, level: int = 0):
-    """Fine grid through every user node and waveform breakpoint.
+def _refined_grid(knots: np.ndarray, idx: np.ndarray, step: float, level: int = 0):
+    """Fine grid through every knot, and the fine index of each knot index
+    in ``idx``.
 
-    Each smooth span [a, b] gets n = 4^level n0 equal substeps, n0 the
+    Each span [a, b] between knots gets n = 4^level n0 equal substeps, n0 the
     least multiple of four (at least four) that keeps them no wider than
     ``step``; so each level splits every span, however short, four times
     finer than the last, and the half- and quarter-resolution subsets
@@ -161,10 +164,7 @@ def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float, level: int 
     a + k (b - a)/n for k = 1 .. n with the last set to b, which is
     ``np.linspace``'s own arithmetic, built for all spans at once.
     """
-    lo, hi = t_grid[0], t_grid[-1]
-    cuts = np.asarray(w.breakpoints(), dtype=float)
-    edges = np.unique(np.concatenate([t_grid, cuts[(lo < cuts) & (cuts < hi)]]))
-    a, b = edges[:-1], edges[1:]
+    a, b = knots[:-1], knots[1:]
     counts = np.maximum(4.0, 4.0 * np.ceil((b - a) / (4.0 * step))) * 4.0**level
     total = counts.sum()
     if total > 4_000_000:
@@ -174,11 +174,10 @@ def _refined_grid(t_grid: np.ndarray, w: FieldWaveform, step: float, level: int 
     # k = 1 .. n within each span
     k = np.arange(1, int(total) + 1) - np.repeat(ends - counts, counts)
     nodes = np.empty(k.size + 1)
-    nodes[0] = edges[0]
+    nodes[0] = knots[0]
     nodes[1:] = k * np.repeat((b - a) / counts, counts) + np.repeat(a, counts)
     nodes[ends] = b
-    idx = np.concatenate([[0], ends])[np.searchsorted(edges, t_grid)]
-    return nodes, idx
+    return nodes, np.concatenate([[0], ends])[idx]
 
 
 def _running(increments: np.ndarray, start=None) -> np.ndarray:
@@ -222,27 +221,40 @@ def _extrapolated_area(z: np.ndarray, idx: np.ndarray):
     return best, float(np.max(np.abs(best - coarse)))
 
 
+def _require_finite_phase(fastest: float, last: float) -> None:
+    """DomainError unless the fastest rate of a route times its last knot
+    is finite, so that every rate times a step of the route is; the grid
+    [0], whose last knot is 0, takes no step and passes."""
+    if last and not math.isfinite(float(fastest) * float(last)):
+        raise DomainError("drive path overflows float64: a field rate times a time step "
+                          "is not finite; the field is too fast or the time too long")
+
+
 def _quadrature_path_samples(
-    w_i: FieldWaveform, t_i: np.ndarray, abs_tol: float
+    w_i: FieldWaveform, knots: np.ndarray, idx: np.ndarray, abs_tol: float
 ):
-    """R, u, S_R, S_u at the requested internal times, by grid numerics.
+    """R, u, S_R, S_u at ``knots[idx]`` (internal times, every breakpoint
+    of ``w_i`` among the knots), by grid numerics.
 
     R and u accumulate per-substep Gauss panels; areas come from the
     polyline shoelace on the fine grid with Richardson extrapolation.
+    The fastest rate is the field's plus the u path's carrier, 1.
     """
-    step = 0.02 / (1.0 + w_i.rate())
+    fastest = 1.0 + w_i.rate()
+    _require_finite_phase(fastest, knots[-1])
+    step = 0.02 / fastest
     err = math.inf
     for level in range(4):
-        nodes, idx = _refined_grid(t_i, w_i, step, level)
+        nodes, fine = _refined_grid(knots, idx, step, level)
         r_fine = _cumulative_gl5(lambda s: -1j * w_i.field(s), nodes)
         u_fine = _cumulative_gl5(
             lambda s: -0.5 * np.exp(-1j * s) * np.conj(w_i.field(s)), nodes
         )
-        sr, err_r = _extrapolated_area(r_fine, idx)
-        su, err_u = _extrapolated_area(u_fine, idx)
+        sr, err_r = _extrapolated_area(r_fine, fine)
+        su, err_u = _extrapolated_area(u_fine, fine)
         err = max(err_r, err_u)
         if err <= abs_tol:
-            return r_fine[idx], u_fine[idx], sr, su
+            return r_fine[fine], u_fine[fine], sr, su
     raise AccuracyError(
         f"enclosed-area refinement stalled above abs_tol={abs_tol:g}",
         achieved=err,
@@ -301,15 +313,11 @@ def _doublings(fastest, h):
     With fastest h = m 2^e (``np.frexp``, m in [0.5, 1)), p is e - 2 when
     m = 0.5, else e - 1, and 0 when that is negative: the count and the
     bits of a loop that halves h while the bound fails, as halving is
-    exact while h / 2^p stays normal.  A finite fastest h keeps p <= 1023,
-    so every doubling 2^level h / 2^p is finite; DomainError when it is
-    not finite.
+    exact while h / 2^p stays normal.  The route's rate rule
+    (``_require_finite_phase``) keeps fastest h finite, so p <= 1023 and
+    every doubling 2^level h / 2^p is finite.
     """
-    x = fastest * h
-    if not np.isfinite(x).all():
-        raise DomainError("drive path overflows float64: a field rate times a time step "
-                          "is not finite; the field is too fast or the time too long")
-    m, e = np.frexp(x)
+    m, e = np.frexp(fastest * h)
     p = np.maximum(0, np.where(m == 0.5, e - 2, e - 1))
     return p, np.ldexp(h, -p)
 
@@ -379,7 +387,8 @@ def _exact_samples(terms, knots, idx):
     from a into -(1/2) e^{-ia} conj(c) tau^k e^{-i (1 + lambda) tau}.
     Leading axes of the coefficients and rates are separate waveforms.
     One step table for every distinct step length serves both paths: their
-    rates are stacked on a new leading axis, R's first.  The knots are
+    rates are stacked on a new leading axis, R's first, and the fastest of
+    them passes ``_require_finite_phase`` with the last knot.  The knots are
     walked in runs of steps whose monomials hold about
     ``_STEP_BLOCK_ELEMENTS`` elements; z and the running area of both paths
     carry over from one run to the next, so each is the same sequence of
@@ -387,8 +396,10 @@ def _exact_samples(terms, knots, idx):
     by run.
     """
     _, powers, rates = terms(knots[:2])
+    kappa = np.stack([rates, -(1.0 + rates)])
+    _require_finite_phase(np.abs(kappa).max(initial=0.0), knots[-1])
     steps, inverse = np.unique(np.diff(knots), return_inverse=True)
-    e, k = _step_table(steps, powers, np.stack([rates, -(1.0 + rates)]))
+    e, k = _step_table(steps, powers, kappa)
     out = [np.empty(rates.shape[:-1] + (len(idx),), kind)
            for kind in (complex, complex, float, float)]
     carry = [None] * 4  # R, S_R, u, S_u at the first knot of the run
@@ -435,12 +446,14 @@ def _user_frame(r_i, u_i, s_r, s_u, scales, mirrored: bool):
 def _route_samples(sys: PhysicalSystem, t_grid: np.ndarray, method: str, abs_tol: float,
                    waveforms, terms, cuts=()):
     """User-unit (r, u, beta, gamma, area_r, area_u) at the times of
-    ``t_grid`` and the route that gave them, chosen from ``method`` alone:
-    "quadrature" runs ``_quadrature_path_samples`` on each internal-unit
-    waveform of the iterable ``waveforms`` (a row each), any other method
-    "exact", ``_exact_samples`` of the step monomials ``terms`` on the
-    grid's knots plus the internal-unit breakpoints ``cuts`` inside it.
-    DomainError when the grid's last time is not finite in internal units.
+    ``t_grid`` and the route ``_ROUTES[method]`` that gave them.  Both
+    routes walk the same knots, the grid's internal times plus the
+    internal-unit breakpoints ``cuts`` inside it: "quadrature" runs
+    ``_quadrature_path_samples`` on each internal-unit waveform of the
+    iterable ``waveforms`` (a row each), "exact" ``_exact_samples`` of the
+    step monomials ``terms``.  DomainError when the grid's last time is
+    not finite in internal units, or when a route's fastest rate times it
+    is not (``_require_finite_phase``).
 
     The iterable is read only on the quadrature route, so a generator
     builds no waveform on the exact one; breakpoints are merged into the
@@ -448,19 +461,20 @@ def _route_samples(sys: PhysicalSystem, t_grid: np.ndarray, method: str, abs_tol
     ``numpy.ma`` on its first call).
     """
     scales, mirrored = sys.internal_scales(), sys.mirrored
-    route = "quadrature" if method == "quadrature" else "exact"
+    route = _ROUTES[method]
     with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
         t_i = t_grid / scales.time
         if not math.isfinite(t_i[-1]):
             raise DomainError("t_final is past float64 in internal time units")
+        cuts = np.asarray(cuts, dtype=float)
+        cuts = cuts[(cuts > 0.0) & (cuts < t_i[-1])]
+        knots = np.union1d(t_i, cuts) if cuts.size else t_i
+        idx = np.searchsorted(knots, t_i)
         if route == "quadrature":
-            samples = [np.stack(column) for column in
-                       zip(*(_quadrature_path_samples(w_i, t_i, abs_tol) for w_i in waveforms))]
+            samples = [np.stack(column) for column in zip(
+                *(_quadrature_path_samples(w_i, knots, idx, abs_tol) for w_i in waveforms))]
         else:
-            cuts = np.asarray(cuts, dtype=float)
-            cuts = cuts[(cuts > 0.0) & (cuts < t_i[-1])]
-            knots = np.union1d(t_i, cuts) if cuts.size else t_i
-            samples = _exact_samples(terms, knots, np.searchsorted(knots, t_i))
+            samples = _exact_samples(terms, knots, idx)
         return (*_user_frame(*samples, scales, mirrored), route)
 
 
@@ -475,37 +489,13 @@ def _exp_sum_samples(sys: PhysicalSystem, pairs: np.ndarray, t_grid: np.ndarray,
     formula of ``rescaled``) for ``_route_samples``: on the exact route
     their step monomials go on a leading axis, one call for all rows; on
     the quadrature route each row is the ``_ExpSum`` that ``internalize``
-    builds.  The grid and the method must pass ``_drive_samples``' checks,
-    as ``_endpoint_grid``'s grids do.
+    builds.  The grid and the method must pass ``build_drive_path``'s
+    checks, as ``_endpoint_grid``'s grids do.
     """
     pairs = _ExpSumField.rescaled_pairs(pairs, sys.internal_scales(), sys.mirrored)
     rows = (_ExpSum(tuple((c, lam.real) for c, lam in row)) for row in pairs.tolist())
     return _route_samples(sys, t_grid, method, abs_tol, rows,
                           partial(_ExpSumField.stacked_step_terms, pairs))
-
-
-def _drive_samples(sys: PhysicalSystem, w: FieldWaveform, t_grid: np.ndarray, method: str,
-                   abs_tol: float):
-    """User-unit (r, u, beta, gamma, area_r, area_u) of the one waveform
-    ``w`` at the times of ``t_grid``, and the route ``method`` names.
-
-    The grid must be one-dimensional, nonempty, finite, strictly increasing
-    and start at 0 (ValueError otherwise), and inside the waveform's domain
-    (DomainError).  The waveform is internalized for ``_route_samples``,
-    with its ``step_terms`` and breakpoints.
-    """
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a one-dimensional, nonempty array")
-    if t_grid[0] != 0.0:
-        raise ValueError("t_grid must start at 0")
-    if not (np.isfinite(t_grid).all() and np.all(np.diff(t_grid) > 0)):
-        raise ValueError("t_grid must be finite and strictly increasing")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    w._check_domain(t_grid)
-    w_i = internalize(sys, w)[0]
-    return _route_samples(sys, t_grid, method, abs_tol, (w_i,), w_i.step_terms,
-                          w_i.breakpoints())
 
 
 def build_drive_path(
@@ -518,17 +508,31 @@ def build_drive_path(
 ) -> DrivePath:
     """Evaluate R, u, beta, gamma, and signed areas on a time grid.
 
-    The grid must be finite, strictly increasing and start at 0
-    (ValueError otherwise).  Method "auto" takes the "exact" route, which
-    integrates the waveform's step monomials (``step_terms``: every
-    built-in waveform, sums included; NotImplementedError for a waveform
-    without them); method "quadrature" takes the refined-grid numeric
-    route, kept for cross-validation, which needs only ``field``.  The
-    route taken is the path's ``provenance``.  Many exponential sums on
-    one grid go through ``_exp_sum_samples`` instead, as ``sweep`` does.
+    The grid must be one-dimensional, nonempty, finite, strictly
+    increasing and start at 0 (ValueError otherwise), and inside the
+    waveform's domain (DomainError).  Method "auto" takes the "exact"
+    route, which integrates the waveform's step monomials (``step_terms``:
+    every built-in waveform, sums included; NotImplementedError for a
+    waveform without them); method "quadrature" takes the refined-grid
+    numeric route, kept for cross-validation, which needs only ``field``.
+    The route taken is the path's ``provenance``.  The waveform goes to
+    ``_route_samples`` in internal units, with its ``step_terms`` and
+    breakpoints.  Many exponential sums on one grid go through
+    ``_exp_sum_samples`` instead, as ``sweep`` does.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    *rows, provenance = _drive_samples(sys, w, t_grid, method, abs_tol)
+    if t_grid.ndim != 1 or t_grid.size < 1:
+        raise ValueError("t_grid must be a one-dimensional, nonempty array")
+    if t_grid[0] != 0.0:
+        raise ValueError("t_grid must start at 0")
+    if not (np.isfinite(t_grid).all() and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be finite and strictly increasing")
+    if method not in _ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    w._check_domain(t_grid)
+    w_i = internalize(sys, w)[0]
+    *rows, provenance = _route_samples(sys, t_grid, method, abs_tol, (w_i,), w_i.step_terms,
+                                       w_i.breakpoints())
     return DrivePath(t_grid.copy(), *(row.reshape(t_grid.size) for row in rows), provenance)
 
 

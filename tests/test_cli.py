@@ -18,7 +18,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import landau_drive as ld
-from landau_drive import cli, propagator
+from landau_drive import cli, oracle, propagator
 from landau_drive.errors import ConfigError, TruncationError
 from landau_drive.propagator import NORM_TOL
 
@@ -237,6 +237,8 @@ class TestResolveConfig:
             ({"output": {"format": "xml"}}, "output.format"),
             ({"numerics": {"integrator_dt": 1e-300}}, "numerics.integrator_dt"),
             ({"numerics": {"integrator_dt": 9e-5}}, "numerics.integrator_dt"),
+            ({"waveform": {"amplitude": 0.1, "nu": 1.0}}, "waveform.type"),
+            ([{"task": "simulate"}], "config root"),
         ],
     )
     def test_field_level_errors(self, doc, field):
@@ -634,9 +636,9 @@ class TestMainAndOutputs:
         ({"units": "si", "magnetic_field": 15}, {"type": "rotating", "amplitude": 1e-8, "nu": 0},
          1e300, "numeric error: t_final is past float64 in internal time units"),
         # the doubling count passed 1023: a bare OverflowError from
-        # 2.0**level, here with the phase of the field at a knot past float64
+        # 2.0**level; the rate times the last time is past float64
         ({}, {"type": "rotating", "amplitude": 1e-8, "nu": 1.7e308}, 10.0,
-         "numeric error: drive path overflows float64: R is not finite"),
+         "numeric error: drive path overflows float64: a field rate times a time step"),
         # the same, with the rate times a step past float64
         ({}, {"type": "linear_sinusoid", "amplitude": 0.1, "angular_frequency": 1e300}, 1e300,
          "numeric error: drive path overflows float64: a field rate times a time step"),
@@ -1040,6 +1042,19 @@ class TestValidateCommand:
         assert code == 2
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert any(name.startswith("factorization[rotating") for name in failed)
+
+    def test_failed_checks_are_named(self, tmp_path, monkeypatch, capsys):
+        failing = oracle.CheckResult("factorization[rotating]", 1.0, 1e-6, False, {})
+        passing = oracle.CheckResult("unitarity[zero]", 0.0, 1e-6, True, {})
+        monkeypatch.setattr(oracle, "run_validation", lambda *args, **kwargs: [failing, passing])
+        doc = {"task": "validate", "output": {"directory": str(tmp_path / "v")}}
+        assert cli.main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        out, err = capsys.readouterr()
+        assert "FAIL  factorization[rotating]: 1.000e+00 (tol 1.0e-06)" in out
+        assert "pass  unitarity[zero]" in out
+        assert err == "FAILED checks: factorization[rotating]\n"
+        written = json.loads((tmp_path / "v" / "validate_validation.json").read_text())
+        assert not written["all_passed"]
 
     def test_validate_command_writes_report(self, tmp_path):
         doc = {

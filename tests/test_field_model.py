@@ -150,6 +150,15 @@ class TestField:
         with pytest.raises(ValueError, match="finite"):
             ld.SampledField(times, e1, e2)
 
+    @pytest.mark.parametrize("times,e1,e2,message", [
+        ((0.0,), (0.0,), (0.0,), "need at least two samples"),
+        ((0.0, 1.0, 2.0), (0.0, 0.0), (0.0, 0.0, 0.0), "sample arrays must have equal length"),
+        ((0.0, 1.0), (0.0, 0.0), (0.0, 0.0, 0.0), "sample arrays must have equal length"),
+    ], ids=["one_sample", "short_e1", "long_e2"])
+    def test_sampled_requires_equal_tables_of_two_or_more(self, times, e1, e2, message):
+        with pytest.raises(ValueError, match=message):
+            ld.SampledField(times, e1, e2)
+
     @pytest.mark.parametrize("name", ["times", "e1", "e2"])
     def test_sampled_requires_one_dimensional_samples(self, name):
         # a nested list keeps its element count, so no length check sees it

@@ -174,6 +174,10 @@ class TestDisplacementMatrix:
         with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 1.5e\+03, dim = 64"):
             ld.displacement_matrix(math.sqrt(1500.0), 64)
 
+    def test_dimension_check(self):
+        with pytest.raises(ValueError, match="need at least two Fock states"):
+            ld.displacement_matrix(0.3, 1)
+
     @pytest.mark.parametrize("alpha", [complex("nan"), math.inf, complex(0.0, -math.inf)],
                              ids=["nan", "inf", "-inf_j"])
     def test_rejects_nonfinite(self, alpha):

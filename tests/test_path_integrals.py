@@ -244,6 +244,38 @@ class TestBuildDrivePath:
             ld.build_drive_path(natural, w, [0.0, 2.0, 2.0])
         with pytest.raises(ValueError):
             ld.build_drive_path(natural, w, [0.0, 2.0], method="bogus")
+        for shapeless in ([[0.0, 1.0]], []):
+            with pytest.raises(ValueError, match="one-dimensional, nonempty"):
+                ld.build_drive_path(natural, w, shapeless)
+
+    def test_quadrature_refinement_stall_is_accuracy_error(self):
+        # no refinement level gets the area estimate below 1e-300; the
+        # error says so and carries the estimate it did reach
+        stalled = "refinement stalled above abs_tol=1e-300"
+        with pytest.raises(AccuracyError, match=stalled) as caught:
+            ld.build_drive_path(ld.PhysicalSystem(1.0, 1.0, 1.0), ld.RotatingField(0.1, 0.7),
+                                np.linspace(0.0, 10.0, 5), method="quadrature", abs_tol=1e-300)
+        assert 1e-300 < caught.value.achieved < 1e-12
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("mass", [1.0, 1e300], ids=["rate", "internal_rate"])
+    def test_origin_grid_at_rate_past_float64(self, method, mass):
+        # the grid [0] takes no step, so the rate rule lets it through:
+        # the origin, on either route, for a rate whose product with any
+        # time > 0 overflows (nu = 1.7e308, and nu / omega = inf)
+        sys_ = ld.PhysicalSystem(1.0, 1.0, mass)
+        fast = (ld.RotatingField(0.1, 1.7e308), ld.RotatingField(0.0, 1.7e308))
+        for w in fast:
+            dp = ld.build_drive_path(sys_, w, [0.0], method=method)
+            assert dp.provenance == path_integrals._ROUTES[method]
+            for name in ("r", "u", "beta", "gamma", "area_r", "area_u"):
+                assert np.array_equal(getattr(dp, name), [0.0]), name
+            with pytest.raises(ld.DomainError, match="rate times a time step is not finite"):
+                ld.build_drive_path(sys_, w, [0.0, 10.0], method=method)
+        *rows, route = _exp_sum_samples(sys_, stacked_pairs(fast), _endpoint_grid(0.0), method,
+                                        DEFAULT_ABS_TOL)
+        assert route == path_integrals._ROUTES[method]
+        assert all(np.array_equal(row, np.zeros((2, 1))) for row in rows)
 
     @pytest.mark.parametrize("charge", [1.0, -1.0])
     @pytest.mark.parametrize("in_sum", [False, True], ids=["alone", "in_sum"])
@@ -729,6 +761,16 @@ def linspace_refined_grid(t_grid, w, step):
     return np.concatenate(fine), np.array([index[t] for t in t_grid.tolist()])
 
 
+def route_knots(t_grid, w):
+    """The knots of ``t_grid`` and the index of each of its times among
+    them, as ``_route_samples`` builds them: the times plus the
+    breakpoints of ``w`` inside them."""
+    cuts = np.asarray(w.breakpoints(), dtype=float)
+    cuts = cuts[(cuts > 0.0) & (cuts < t_grid[-1])]
+    knots = np.union1d(t_grid, cuts) if cuts.size else t_grid
+    return knots, np.searchsorted(knots, t_grid)
+
+
 class TestRefinedGrid:
     @pytest.fixture
     def trace(self):
@@ -746,7 +788,7 @@ class TestRefinedGrid:
             np.array([0.0, trace.times[700], 7.3, t_end]),   # on and off breakpoints
             np.array([0.0]),
         ):
-            nodes, idx = _refined_grid(t_grid, trace, step)
+            nodes, idx = _refined_grid(*route_knots(t_grid, trace), step)
             ref_nodes, ref_idx = linspace_refined_grid(t_grid, trace, step)
             assert np.array_equal(nodes, ref_nodes)
             assert np.array_equal(idx, ref_idx)
@@ -755,9 +797,10 @@ class TestRefinedGrid:
     @pytest.mark.parametrize("step", [0.02, 0.3])
     def test_each_level_splits_every_span_four_times_finer(self, trace, step):
         t_grid = np.linspace(0.0, trace.times[-1], 101)
-        base, base_idx = _refined_grid(t_grid, trace, step)
+        knots, knot_idx = route_knots(t_grid, trace)
+        base, base_idx = _refined_grid(knots, knot_idx, step)
         for level in (1, 2):
-            nodes, idx = _refined_grid(t_grid, trace, step, level)
+            nodes, idx = _refined_grid(knots, knot_idx, step, level)
             assert nodes.size - 1 == 4**level * (base.size - 1)
             assert np.array_equal(idx, 4**level * base_idx)
             assert np.array_equal(nodes[::4**level], base)
@@ -1063,11 +1106,11 @@ class TestStepTable:
                                             (1.0, math.inf), (math.nan, 1.0)])
     def test_doublings_past_float64_raise(self, fastest, h):
         # frexp gives an exponent of 0 for inf and NaN, so the closed form
-        # alone would read them as p = 0; overflow is ignored, as in the
-        # route switch that calls it
-        with np.errstate(over="ignore"), pytest.raises(
-                ld.DomainError, match="rate times a time step is not finite"):
-            path_integrals._doublings(np.array([fastest]), np.array([h]))
+        # alone would read them as p = 0; each route's rate rule, the
+        # fastest rate times the last knot, refuses them first (no step is
+        # longer than the last knot), with no numpy warning
+        with pytest.raises(ld.DomainError, match="rate times a time step is not finite"):
+            path_integrals._require_finite_phase(np.float64(fastest), np.float64(h))
 
     def test_irregular_trace_memory_bounded(self, natural):
         # a jittered 40 001-node trace with a 1001-sample grid has 40 999

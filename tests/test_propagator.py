@@ -220,6 +220,9 @@ class TestTransitionProbabilities:
         p, *_ = rotating
         with pytest.raises(TruncationError):
             ld.transition_probabilities(p, ld.healthy_dim(p))
+        for outside in (-1, p.dim):
+            with pytest.raises(IndexError, match=f"level {outside} outside dimension {p.dim}"):
+                ld.transition_probabilities(p, outside)
 
     def test_lossy_level_of_auto_dimension_rejected(self, natural):
         # the resonant point of the benchmark sweep: |alpha|^2 = 18, auto
