@@ -168,8 +168,9 @@ _SCHEMA = {
         "dimension": _Key("integer", 0, lambda v: v == 0 or v >= 2,
                           "must be 0 (auto) or at least 2"),
         "oracle_dimension": _Key("integer", 64, lambda v: v >= 2, "must be at least 2"),
-        "quadrature_tol": _Key("number", 1e-10, lambda v: 0 < v <= 1e-4,
-                               "must lie in (0, 1e-4]"),
+        "quadrature_tol": _Key("number", 1e-10, lambda v: 1e-16 <= v <= 1e-4,
+                               "must lie in [1e-16, 1e-4], got {!r}: 1e-16 is the "
+                               "round-off floor of the enclosed-area error estimate"),
         "integrator_dt": _Key("number", 0.01,
                               lambda v: oracle.DT_RANGE[0] <= v <= oracle.DT_RANGE[1],
                               "must lie in [{:g}, {:g}] (units of 1/omega)".format(

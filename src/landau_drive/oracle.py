@@ -32,9 +32,13 @@ a dense generator: it applies c_a a + c_ad a^dag as two shifted row
 scalings, O(N^2) per stage instead of an O(N^3) matrix product.  One
 kernel, ``_banded_rk4``, runs every step from per-node coefficient pairs
 in fixed work buffers, with 28 numpy calls per step and none on a span
-where the field is exactly zero.  The orbit-center check evaluates
-its field the same way, one call per span, and integrates the drift
-against ``build_drive_path``'s R, the one every output table prints.
+where the field is exactly zero.  The buffers are carved from one slab,
+each starting on a 64-byte cache-line boundary: numpy's SIMD loops run
+about twice as slowly into an output that starts inside a cache line,
+which is where ``malloc``'s 16-byte alignment leaves most separate
+arrays.  The orbit-center check evaluates its field the same way, one
+call per span, and integrates the drift against ``build_drive_path``'s
+R, the one every output table prints.
 
 ``run_validation`` declares each corpus entry's checks as one table of
 (kind, value, tolerance, details) rows that pass when value < tolerance,
@@ -45,6 +49,7 @@ gives every comparison of the integrated U with the factorized one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,6 +101,9 @@ DT_RANGE = (1e-4, 0.05)
 #: Decompositions one expmid run keeps, keyed by the exact |Rdot| float:
 #: a constant-amplitude drive repeats a few values, a varying one none.
 _EIGH_MEMO = 8
+
+#: Bytes per cache line: every RK4 work array starts on a multiple of it.
+_CACHE_LINE = 64
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,19 @@ def _step_nodes(lo: float, h: float, n: int) -> np.ndarray:
     return np.concatenate([starts, starts + h / 2.0, starts + h])
 
 
+def _work_slab(shapes) -> list[np.ndarray]:
+    """Zeroed complex arrays of the given shapes, carved from one buffer,
+    each rounded up to whole cache lines and starting on a cache-line
+    boundary (why: see ``_banded_rk4``)."""
+    per_line = _CACHE_LINE // 16  # complex values per cache line
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = [0, *itertools.accumulate(-(-n // per_line) * per_line for n in sizes)]
+    raw = np.zeros(16 * starts[-1] + _CACHE_LINE, dtype=np.uint8)
+    first = -raw.ctypes.data % _CACHE_LINE
+    slab = raw[first : first + 16 * starts[-1]].view(complex)
+    return [slab[lo : lo + n].reshape(shape) for lo, n, shape in zip(starts, sizes, shapes)]
+
+
 def _banded_rk4(u: np.ndarray, spans) -> None:
     """Advance the column block u in place by RK4 on dW/dt = G W.
 
@@ -166,6 +187,10 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     row scalings instead of a dense product.
 
     Each step makes 28 numpy calls and no temporaries:
+    - The 11 work arrays come from one ``_work_slab``, each on a
+      cache-line boundary, so every output of those calls is aligned;
+      arrays of their own would start 16 bytes into a line three times
+      in four, where numpy's AVX-512 loops take about twice as long.
     - The block and the stage sit between two zero rows, so both shifted
       products are full-height and G v is two multiplies and one add, with
       no edge row to clear.
@@ -184,15 +209,12 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     columns equal such a run's bit for bit, up to the sign of a zero.
     """
     dim, cols = u.shape
-    u_pad = np.zeros((dim + 2, cols), dtype=complex)
-    s_pad = np.zeros_like(u_pad)
+    u_pad, s_pad, root, ca, cad, ca_mid, cad_mid, k1, k2, k3, prod = _work_slab(
+        [(dim + 2, cols)] * 2 + [(dim + 1, cols)] + [(dim, cols)] * 8
+    )
     u_pad[1:-1] = u
-    root = np.empty((dim + 1, cols), dtype=complex)
     root[...] = np.sqrt(np.arange(dim + 1.0))[:, None]
     below, above = root[1:], root[:-1]  # sqrt(m + 1) and sqrt(m) in row m
-    ca, cad, ca_mid, cad_mid, k1, k2, k3, prod = (
-        np.empty((dim, cols), dtype=complex) for _ in range(8)
-    )
     u_up, u_down, s_up, s_down = u_pad[2:], u_pad[:-2], s_pad[2:], s_pad[:-2]
     uf, sf = u_pad[1:-1].view(float), s_pad[1:-1].view(float)
     k1f, k2f, k3f, pf = (b.view(float) for b in (k1, k2, k3, prod))

@@ -803,6 +803,26 @@ class TestMainAndOutputs:
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", [1e-17, 1e-16])
+    def test_quadrature_tol_floor(self, tmp_path, capsys, tol):
+        # below 1e-16 the area-error estimate is round-off, so refinement
+        # would run all its levels and stall; the config check refuses such
+        # a tolerance before any work, and the floor itself runs
+        doc = dict(BASE_SIM, waveform={"type": "linear_sinusoid", "amplitude": 0.1,
+                                       "angular_frequency": 1.3},
+                   numerics={"dimension": 48, "method": "quadrature", "quadrature_tol": tol},
+                   output={"directory": str(tmp_path / "o")})
+        code = cli.main(["simulate", "--config", str(write_config(tmp_path, doc))])
+        err = capsys.readouterr().err
+        if tol < 1e-16:
+            assert code == 1
+            assert err.startswith("config error: numerics.quadrature_tol: must lie in "
+                                  "[1e-16, 1e-4], got 1e-17")
+            assert not (tmp_path / "o").exists()
+        else:
+            assert code == 0 and err == ""
+            assert len(read_csv(tmp_path / "o" / "simulate_samples.csv")) == 11
+
     def test_tiny_integrator_dt_is_config_error(self, tmp_path, capsys):
         # a positive but tiny step would ask the oracle for ~1e301 nodes;
         # the config check stops it before anything is allocated

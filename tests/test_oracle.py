@@ -495,6 +495,24 @@ class TestIntegrateSchrodinger:
         assert not np.array_equal(u, np.eye(dim, dim // 2))
         assert peak <= 12 * u.nbytes
 
+    @pytest.mark.parametrize("dim,cols", [(64, 32), (48, 24), (13, 6), (3, 1)])
+    def test_work_slab_is_aligned_and_disjoint(self, dim, cols):
+        # the kernel's 11 work arrays as it asks for them: each of its shape,
+        # on a cache-line boundary even where a row is not a whole line, no
+        # two sharing memory, and all zero, since the padded blocks' edge
+        # rows must stay so
+        from landau_drive.oracle import _work_slab
+
+        shapes = [(dim + 2, cols)] * 2 + [(dim + 1, cols)] + [(dim, cols)] * 8
+        arrays = _work_slab(shapes)
+        assert [a.shape for a in arrays] == shapes
+        for a in arrays:
+            assert a.dtype == complex and a.flags.c_contiguous and a.flags.writeable
+            assert a.ctypes.data % 64 == 0
+            assert not a.any()
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[:i])
+
     def test_overflowing_columns_raise_accuracy_error(self, natural):
         # non-finite columns fail the edge check rather than passing it
         w = ld.RotatingField(1e300, 0.7)
