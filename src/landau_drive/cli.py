@@ -76,12 +76,21 @@ BENCHMARK_COEFFICIENT = 1.45e-5
 BENCHMARK_DOCUMENTED_DURATION_S = 1.71e-3
 _C_SI = 2.99792458e8
 
+#: Largest value of an integer key.  Each integer key sizes arrays, and up
+#: to this bound an array of two such sizes at 16 bytes an element has a
+#: byte count numpy can represent, so numpy allocates it or raises
+#: MemoryError; far enough past it numpy refuses the shape (ValueError).
+_MAX_COUNT = math.isqrt(_sys.maxsize // 16)
+
 
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_bytes()
+    try:
+        text = path.read_bytes()
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     if path.suffix.lower() == ".toml":
         try:
             import tomllib as toml
@@ -117,13 +126,16 @@ _KINDS = {
 
 
 def _typed(value, kind: str, where: str):
-    """``value`` checked against ``kind`` and converted; numbers must be finite."""
+    """``value`` checked against ``kind`` and converted; numbers must be
+    finite, and integers at most ``_MAX_COUNT``."""
     accepted, expected, convert = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         shown = "" if accepted in (dict, list) else f", got {value!r}"
         raise ConfigError(f"{where}: expected {expected}{shown}")
     if kind == "number" and not abs(value) <= _sys.float_info.max:  # NaN, inf, huge int
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if kind == "integer" and value > _MAX_COUNT:
+        raise ConfigError(f"{where}: expected an integer of at most {_MAX_COUNT}, got {value!r}")
     return value if convert is None else convert(value, where)
 
 
@@ -191,7 +203,8 @@ _SCHEMA = {
         "steps": _Key("integer", 21, lambda v: v >= 1, "must be positive"),
     },
     "output": {
-        "directory": _Key("path", "out"),
+        "directory": _Key("path", "out", lambda v: Path(v).is_dir() or not Path(v).exists(),
+                          "{!r} exists and is not a directory"),
         "format": _Key("lowercase", "csv", ("csv", "json").__contains__,
                        "must be 'csv' or 'json', got {!r}"),
         "basename": _Key("string", lambda task, system: task),
@@ -607,21 +620,25 @@ def main(argv=None) -> int:
             format_override=args.format,
         )
         result = globals()[runner](cfg)
+        report, code = result if args.command == "validate" else (result, 0)
+        try:
+            if args.command == "validate":
+                written = [_output_path(cfg, f"{suffix}.json")]
+                _write_json(written[0], report)
+            else:
+                written = _emit(cfg, report, suffix)
+        except OSError as exc:  # writing the outputs
+            raise ConfigError(f"output.directory: {exc}") from None
         if args.command == "validate":
-            report, code = result
-            path = _output_path(cfg, f"{suffix}.json")
-            _write_json(path, report)
-            failed = [c["name"] for c in report["checks"] if not c["passed"]]
             for c in report["checks"]:
                 status = "pass" if c["passed"] else "FAIL"
                 print(f"{status}  {c['name']}: {c['value']:.3e} (tol {c['tolerance']:.1e})")
-            print(f"wrote {path}")
-            if failed:
-                print(f"FAILED checks: {', '.join(failed)}", file=_sys.stderr)
-            return code
-        for p in _emit(cfg, result, suffix):
+        for p in written:
             print(f"wrote {p}")
-        return 0
+        if code:  # only validate fails a run that returned
+            failed = [c["name"] for c in report["checks"] if not c["passed"]]
+            print(f"FAILED checks: {', '.join(failed)}", file=_sys.stderr)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 1

@@ -18,7 +18,13 @@ the frame that removes the stiff static diagonal (required to reach 1e-6
 accuracy at dt = 0.01/omega), and a second-order midpoint rule that
 exponentiates the full Hamiltonian without any frame change, by numpy's
 ``eigh`` (H is Hermitian), so the oracle needs no scipy.  Both read one
-span list, with E(t) at every node of a span from one vectorized call.
+span list, with E(t) at every node of a span from one vectorized call:
+a span of n steps has 2n + 1 nodes, its n + 1 knots and then its n
+midpoints, so each node is sampled once and a step ends on the very
+knot the next one starts from.  User time becomes internal time by the
+drive path's own rule (``path_integrals._internal_times`` on
+``_endpoint_grid``), so every entry point refuses a bad t with one
+message.
 
 The midpoint rule works in a gauge.  The drive's phase is a rotation
 generated by the number operator, H(Rdot) = P H(|Rdot|) P^dag with
@@ -67,7 +73,7 @@ from .field_model import (
     internalize,
 )
 from .fock_algebra import column_unitarity_defect, ladder_ops
-from .path_integrals import build_drive_path
+from .path_integrals import _endpoint_grid, _internal_times, build_drive_path
 from .propagator import (
     assemble,
     resonance_survival,
@@ -152,15 +158,17 @@ def _spans(w: FieldWaveform, t_end: float):
 
 
 def _step_nodes(lo: float, h: float, n: int) -> np.ndarray:
-    """Start, midpoint and end times of n steps of size h from lo, in blocks.
+    """The n + 1 knots of n steps of size h from lo, then the n midpoints.
 
-    The start times are accumulated one step at a time (t += h), so every
-    node is the float a sequential step loop would evaluate.
+    The knots are accumulated one step at a time (t += h), so every node
+    is the float a sequential step loop would evaluate.  Step k runs from
+    knot k to knot k + 1 through midpoint n + 1 + k: 2n + 1 nodes, each
+    sampled once.
     """
-    increments = np.full(n, h)
+    increments = np.full(n + 1, h)
     increments[0] = lo
-    starts = np.cumsum(increments)
-    return np.concatenate([starts, starts + h / 2.0, starts + h])
+    knots = np.cumsum(increments)
+    return np.concatenate([knots, knots[:n] + h / 2.0])
 
 
 def _work_slab(shapes) -> list[np.ndarray]:
@@ -180,11 +188,12 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     """Advance the column block u in place by RK4 on dW/dt = G W.
 
     G = c_a a + c_ad a^dag.  ``spans`` holds one (h, c_a, c_ad) per smooth
-    span: its step size and the two coefficients at the start, midpoint
-    and end nodes of its n steps, laid out as ``_step_nodes`` lays out the
-    times (3n values each).  a and a^dag are single off-diagonals, so row
-    m of G v is c_a sqrt(m+1) v[m+1] + c_ad sqrt(m) v[m-1]: two shifted
-    row scalings instead of a dense product.
+    span: its step size and the two coefficients at the nodes of its n
+    steps, laid out as ``_step_nodes`` lays out the times (2n + 1 values
+    each: step k reads knot k, midpoint n + 1 + k and knot k + 1).  a and
+    a^dag are single off-diagonals, so row m of G v is
+    c_a sqrt(m+1) v[m+1] + c_ad sqrt(m) v[m-1]: two shifted row scalings
+    instead of a dense product.
 
     Each step makes 28 numpy calls and no temporaries:
     - The 11 work arrays come from one ``_work_slab``, each on a
@@ -196,9 +205,9 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
       no edge row to clear.
     - Each node's coefficients times sqrt fill two full-shape arrays,
       since a broadcast column makes numpy's complex multiply take a slow
-      loop.  The midpoint fill serves k2 and k3.  Step k ends on the node
-      step k + 1 starts from (``_step_nodes`` makes both start + h, the
-      same float), so its end fill also serves the next k1.
+      loop.  The midpoint fill serves k2 and k3.  Step k ends on the knot
+      step k + 1 starts from, one node by construction, so its end fill
+      also serves the next k1.
     - Scalings by the real h/2, h, 2 and h/6 and every addition run on
       float64 views of the complex buffers.
     - A span whose coefficients are all exactly zero has G = 0, so each
@@ -223,7 +232,7 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     for h, c_a, c_ad in spans:
         if not (c_a.any() or c_ad.any()):
             continue
-        n = len(c_a) // 3
+        n = len(c_a) // 2
         h2, h6 = h / 2.0, h / 6.0
         mul(c_a[0], below, ca)
         mul(c_ad[0], above, cad)
@@ -233,8 +242,8 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
             add(k1f, pf, k1f)
             mul(k1f, h2, sf)
             add(sf, uf, sf)
-            mul(c_a[n + k], below, ca_mid)
-            mul(c_ad[n + k], above, cad_mid)
+            mul(c_a[n + 1 + k], below, ca_mid)
+            mul(c_ad[n + 1 + k], above, cad_mid)
             mul(ca_mid, s_up, k2)
             mul(cad_mid, s_down, prod)
             add(k2f, pf, k2f)
@@ -247,8 +256,8 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
             add(sf, uf, sf)
             add(k2f, k3f, k2f)
             # k3's buffer takes k4, at the end node
-            mul(c_a[2 * n + k], below, ca)
-            mul(c_ad[2 * n + k], above, cad)
+            mul(c_a[k + 1], below, ca)
+            mul(c_ad[k + 1], above, cad)
             mul(ca, s_up, k3)
             mul(cad, s_down, prod)
             add(k3f, pf, k3f)
@@ -278,15 +287,6 @@ def _expmid_step(u: np.ndarray, h: float, r: complex, lam: np.ndarray, v: np.nda
     return y
 
 
-def _internal_time(t: float, scales) -> float:
-    """t in internal units; DomainError when that is past float64."""
-    with np.errstate(over="ignore"):  # raised below
-        t_i = t / scales.time
-    if not math.isfinite(t_i):
-        raise DomainError("t_final is past float64 in internal time units")
-    return t_i
-
-
 def integrate_schrodinger(
     sys: PhysicalSystem, w: FieldWaveform, t_final: float, cfg: IntegratorConfig
 ) -> np.ndarray:
@@ -297,9 +297,10 @@ def integrate_schrodinger(
     from those columns of the identity, and each column evolves on its
     own, so they equal the matching columns of a full-square run.
 
-    Both schemes read one span list: each span holds Rdot at t, t + h/2
-    and t + h for all its steps, from one vectorized field call at the
-    node times a running t += h produces.  Steps never straddle kinks.
+    Both schemes read one span list: each span holds Rdot at the 2n + 1
+    nodes of its n steps (``_step_nodes``: the n + 1 knots a running
+    t += h produces, then the n midpoints), from one vectorized field
+    call.  Steps never straddle kinks.
     rk4 integrates the rotating-frame equation dW/dt = G(t) W with
     G(t) = (i k / 2)(Rdot* e^{-i omega t} a + Rdot e^{i omega t} a^dag),
     banded, by ``_banded_rk4`` (which skips a span where G is exactly
@@ -313,15 +314,13 @@ def integrate_schrodinger(
     so, like rk4, it then returns the identity's columns exactly.
 
     Raises DomainError unless t_final is finite and t_final >= 0, in user
-    and in internal time units, and AccuracyError when the columns put
-    more than 1e-4 of probability on the truncation edge (or are not
-    finite): past that point the basis is too small for the drive and the
-    result is junk.
+    and in internal time units (the drive path's rule and message), and
+    AccuracyError when the columns put more than 1e-4 of probability on
+    the truncation edge (or are not finite): past that point the basis is
+    too small for the drive and the result is junk.
     """
-    if not 0 <= t_final < math.inf:
-        raise DomainError(f"integration requires a finite t_final >= 0, got {t_final!r}")
-    w_i, scales, _ = internalize(sys, w)
-    t_i = _internal_time(t_final, scales)
+    t_i = _internal_times(sys, _endpoint_grid(t_final))[-1]
+    w_i = internalize(sys, w)[0]
     dim = cfg.dim
     u_mat = np.eye(dim, dim // 2, dtype=complex)
 
@@ -345,8 +344,8 @@ def integrate_schrodinger(
         for h, nodes, rdot in spans:
             if h == 0.0:
                 continue
-            n = len(nodes) // 3
-            for r in rdot[n : 2 * n]:
+            n = len(nodes) // 2
+            for r in rdot[n + 1 :]:
                 u_mat = _expmid_step(u_mat, h, r, *eigh_real(float(abs(r))))
 
     edge = float(np.max(np.abs(u_mat[-2:])))
@@ -412,15 +411,13 @@ def heisenberg_residual(
     part of the ladder operator's Heisenberg solution, evaluated here by
     independent quadrature.  The maximum entry deviation over that b x b
     block is returned; DomainError unless t is finite and t >= 0, in user
-    and in internal time units.
+    and in internal time units, as for ``integrate_schrodinger``.
     """
     u = np.asarray(u_cols)
     if u.ndim != 2 or not 0 < u.shape[1] <= u.shape[0]:
         raise ValueError("u_cols must be a (dim, b) block of columns with b <= dim")
-    if not 0 <= t < math.inf:
-        raise DomainError(f"Heisenberg residual requires a finite t >= 0, got {t!r}")
-    w_i, scales, _ = internalize(sys, w)
-    t_i = _internal_time(t, scales)
+    t_i = _internal_times(sys, _endpoint_grid(t))[-1]
+    w_i = internalize(sys, w)[0]
     b = u.shape[1]
     a = ladder_ops(u.shape[0])[0].matrix
     sigma = 1j * np.exp(-1j * t_i) * _drive_integral(w_i, t_i) / _SQRT2
@@ -439,9 +436,9 @@ def guiding_center_residual(sys: PhysicalSystem, w: FieldWaveform, t_grid) -> fl
     also checks the grid.  Steps split at waveform kinks, so
     piecewise-linear fields integrate exactly.
     """
-    r = build_drive_path(sys, w, t_grid).r
+    dp = build_drive_path(sys, w, t_grid)
     w_i, scales, mirrored = internalize(sys, w)
-    grid_i = np.asarray(t_grid, dtype=float) / scales.time
+    grid_i = _internal_times(sys, dp.times)
     rate = max(w_i.rate(), 1e-12)
     breaks = sorted(w_i.breakpoints())
     steps, ends, count = [], [], 0
@@ -452,14 +449,14 @@ def guiding_center_residual(sys: PhysicalSystem, w: FieldWaveform, t_grid) -> fl
             h = (hi - lo) / n
             f = np.asarray(w_i.field(_step_nodes(lo, h, n)), dtype=complex)
             # RK4 on dw/dt = f(t) reduces to Simpson's rule per step
-            steps.append((h / 6.0) * (f[:n] + 4.0 * f[n : 2 * n] + f[2 * n :]))
+            steps.append((h / 6.0) * (f[:n] + 4.0 * f[n + 1 :] + f[1 : n + 1]))
             count += n
         ends.append(count - 1)
     if not ends:
         return 0.0
     # cumsum adds the steps one at a time, in time order
     wc = np.cumsum(np.concatenate(steps))[ends]
-    r_i = r[1:] / scales.length
+    r_i = dp.r[1:] / scales.length
     if mirrored:
         r_i = np.conj(r_i)
     return float(np.max(np.abs(wc - 1j * r_i)))
@@ -526,19 +523,14 @@ class CheckResult:
     details: dict
 
 
-def _factorized_matrix(sys: PhysicalSystem, w: FieldWaveform, t: float, dim: int):
-    """Dynamical phases times the closed-form level-mixing operator J."""
-    j = assemble(sys, w, t, dim=dim).j_op.matrix
-    phases = np.exp(-1j * (np.arange(dim) + 0.5) * (sys.omega * t))
-    return phases[:, None] * j
-
-
 def _factorization(sys: PhysicalSystem, w: FieldWaveform, t: float, cfg: IntegratorConfig):
     """U's leading columns by ``cfg``, and their largest gap from the
-    factorized U on the leading half block."""
+    factorized U, the dynamical phases times the closed-form level-mixing
+    operator J, on the leading half block."""
     u_cols = integrate_schrodinger(sys, w, t, cfg)
     half = cfg.dim // 2
-    u_fac = _factorized_matrix(sys, w, t, cfg.dim)
+    phases = np.exp(-1j * (np.arange(cfg.dim) + 0.5) * (sys.omega * t))
+    u_fac = phases[:, None] * assemble(sys, w, t, dim=cfg.dim).j_op.matrix
     return u_cols, float(np.max(np.abs(u_cols[:half] - u_fac[:half, :half])))
 
 

@@ -23,7 +23,11 @@ The ingredients assembled here:
   exponential sums, as the ``sweep`` command holds its whole grid,
 * ``magnetic_phase``, beta of a polyline of R points the caller gives,
   by the same closed-chord area as a shoelace sum; every drive path's
-  beta comes from the routes above.
+  beta comes from the routes above,
+* one time rule, ``_internal_times``: user times become internal times
+  t / (1/omega), and a last one past float64 is a DomainError.  The
+  routes and the oracle read times through it, the oracle's endpoints
+  after ``_endpoint_grid``, so a bad t gets one message everywhere.
 
 Everything runs in dimensionless internal units (omega = l_b = 1,
 k = sqrt(2)) and converts at the boundary, so the default absolute
@@ -90,12 +94,17 @@ def magnetic_phase(sys: PhysicalSystem, r_path) -> float:
     beta = -(qB/hbar c) * S, with S the shoelace area of the polyline
     through the points plus the chord closing it back to the first point
     (counterclockwise positive); for a closed loop this is -q*flux/(hbar c).
-    The points must be finite and start at the origin (ValueError naming
-    the first point that is not finite, else the start).  DomainError
+    The points are a one-dimensional sequence of complex numbers x + iy
+    (ValueError naming the shape otherwise: (x, y) pairs are not read as
+    points), finite and starting at the origin (ValueError naming the
+    first point that is not finite, else the start).  DomainError
     when the area or the phase overflows float64, as on the drive-path
     routes.
     """
-    z = np.asarray(r_path, dtype=complex).ravel()
+    z = np.asarray(r_path, dtype=complex)
+    if z.ndim != 1:
+        raise ValueError(f"path must be a one-dimensional sequence of complex points, "
+                         f"got shape {z.shape}")
     finite = np.isfinite(z)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -447,8 +456,9 @@ def _route_samples(sys: PhysicalSystem, t_grid: np.ndarray, method: str, abs_tol
                    waveforms, terms, cuts=()):
     """User-unit (r, u, beta, gamma, area_r, area_u) at the times of
     ``t_grid`` and the route ``_ROUTES[method]`` that gave them.  Both
-    routes walk the same knots, the grid's internal times plus the
-    internal-unit breakpoints ``cuts`` inside it: "quadrature" runs
+    routes walk the same knots, the grid's internal times
+    (``_internal_times``) plus the internal-unit breakpoints ``cuts``
+    inside it: "quadrature" runs
     ``_quadrature_path_samples`` on each internal-unit waveform of the
     iterable ``waveforms`` (a row each), "exact" ``_exact_samples`` of the
     step monomials ``terms``.  DomainError when the grid's last time is
@@ -462,10 +472,8 @@ def _route_samples(sys: PhysicalSystem, t_grid: np.ndarray, method: str, abs_tol
     """
     scales, mirrored = sys.internal_scales(), sys.mirrored
     route = _ROUTES[method]
+    t_i = _internal_times(sys, t_grid)
     with np.errstate(over="ignore", invalid="ignore"):  # _user_frame raises
-        t_i = t_grid / scales.time
-        if not math.isfinite(t_i[-1]):
-            raise DomainError("t_final is past float64 in internal time units")
         cuts = np.asarray(cuts, dtype=float)
         cuts = cuts[(cuts > 0.0) & (cuts < t_i[-1])]
         knots = np.union1d(t_i, cuts) if cuts.size else t_i
@@ -540,5 +548,16 @@ def _endpoint_grid(t: float) -> np.ndarray:
     """The grid [0, t] whose last sample is the drive path at t, [0] at
     t = 0; DomainError unless t is finite and t >= 0."""
     if not 0.0 <= t < math.inf:
-        raise DomainError(f"drive endpoints require a finite t >= 0, got {t!r}")
+        raise DomainError(f"time must be a finite t >= 0, got {t!r}")
     return np.array([0.0, t]) if t > 0 else np.array([0.0])
+
+
+def _internal_times(sys: PhysicalSystem, t_grid: np.ndarray) -> np.ndarray:
+    """The user times ``t_grid`` (an array ending on its largest) in
+    internal units, the one rule for both the drive path and the oracle;
+    DomainError when the last is past float64."""
+    with np.errstate(over="ignore"):  # raised below
+        t_i = t_grid / sys.internal_scales().time
+    if not math.isfinite(t_i[-1]):
+        raise DomainError("t_final is past float64 in internal time units")
+    return t_i

@@ -833,21 +833,86 @@ class TestMainAndOutputs:
         assert "config error: numerics.integrator_dt" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("task,key", [("simulate", "time.samples"),
-                                          ("sweep", "sweep.steps")])
-    def test_oversized_config_is_numeric_error(self, tmp_path, capsys, task, key):
-        # 10**15 float64 values are 7.1 PiB, beyond the 128 TiB user address
-        # space of 64-bit Linux, so the allocation fails at once
+    @pytest.mark.parametrize("task,key,value", [
+        ("phases", "time.samples", 2**62),
+        ("phases", "time.samples", 2**63 - 1),
+        ("simulate", "time.samples", 10**15),
+        ("simulate", "numerics.dimension", 10**20),
+        ("simulate", "initial_state.level", 2**62),
+        ("simulate", "report.population_levels", 2**62),
+        ("sweep", "sweep.steps", 10**15),
+        ("sweep", "sweep.steps", 10**20),
+        ("validate", "numerics.oracle_dimension", 2**50),
+    ])
+    def test_count_past_bound_is_config_error(self, tmp_path, capsys, monkeypatch, task, key,
+                                              value):
+        # numpy refuses such sizes outright (ValueError, IndexError); the
+        # schema refuses them first, naming the key, before any work
+        monkeypatch.setattr(cli, f"run_{task}", None)
         doc = dict(BASE_SIM, task=task, output={"directory": str(tmp_path / "o")})
         if task == "sweep":
             doc["sweep"] = {"parameter": "nu_over_omega"}
         section, name = key.split(".")
-        doc[section] = dict(doc.get(section, {}), **{name: 10**15})
-        assert cli.main([task, "--config", str(write_config(tmp_path, doc))]) == 2
+        doc[section] = dict(doc.get(section, {}), **{name: value})
+        assert cli.main([task, "--config", str(write_config(tmp_path, doc))]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("numeric error: out of memory; reduce ")
-        assert key in err and "Traceback" not in err
-        assert not list(tmp_path.rglob("*.csv"))
+        assert err == (f"config error: {key}: expected an integer of at most "
+                       f"{cli._MAX_COUNT}, got {value}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_count_bound_keeps_two_counts_in_numpy_range(self):
+        # an array of two counts at 16 bytes an element has a byte count
+        # numpy can represent, so it allocates it or raises MemoryError
+        assert cli._MAX_COUNT == math.isqrt(sys.maxsize // 16)
+        assert 16 * cli._MAX_COUNT**2 <= sys.maxsize < 16 * (cli._MAX_COUNT + 1) ** 2
+        assert cli._typed(cli._MAX_COUNT, "integer", "key") == cli._MAX_COUNT
+
+    def test_oversized_config_is_numeric_error(self, tmp_path, capsys):
+        # the oracle's first array at the bound, (dim, dim // 2) complex, is
+        # 4 EiB, beyond any 64-bit user address space, so the allocation
+        # fails at once
+        doc = {"task": "validate", "numerics": {"oracle_dimension": cli._MAX_COUNT},
+               "output": {"directory": str(tmp_path / "o")}}
+        assert cli.main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err == "numeric error: out of memory; reduce numerics.oracle_dimension\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        message = f"cannot read config file {tmp_path}: "
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cli.load_config(tmp_path)
+        assert cli.main(["phases", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["phases", "validate"])
+    @pytest.mark.parametrize("via", ["config", "--out"])
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys, monkeypatch, command, via):
+        # refused before any work: the runner is never reached
+        monkeypatch.setattr(cli, f"run_{command}", None)
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        if via == "config":
+            doc, out = {"task": command, "output": {"directory": str(target)}}, []
+        else:
+            doc, out = {"task": command}, ["--out", str(target)]
+        assert cli.main([command, "--config", str(write_config(tmp_path, doc)), *out]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: output.directory: {str(target)!r} exists and is not "
+                       f"a directory\n")
+        assert target.read_text() == "not a directory"
+
+    def test_output_write_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, columns, fmt):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "_write_table", full_disk)
+        doc = dict(BASE_SIM, task="phases", output={"directory": str(tmp_path / "o")})
+        assert cli.main(["phases", "--config", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.directory: [Errno 28] No space left on device")
+        assert not list((tmp_path / "o").iterdir())
 
     FIVE_NODES = {"type": "sampled", "times": [-0.5, 1.0, 2.5, 3.0, 4.0],
                   "e1": [0.1, -0.05, 0.2, 0.0, 0.12], "e2": [0.0, 0.08, -0.1, 0.15, 0.03]}

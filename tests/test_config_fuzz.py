@@ -28,6 +28,11 @@ from landau_drive.propagator import NORM_TOL
 NUMBERS = (0.0, -0.0, 1.0, -1.0, 0.5, 0.97, 3.0, 7.0, 1e-8, 1e8, 1e-300, 5e-324, 1e300,
            1.7e308, 2**53 + 1)
 
+#: Integers: small counts, and counts past what numpy can size an array by
+#: (it refuses them outright, where a smaller size raises MemoryError).  No
+#: value here is one numpy would try to allocate.
+INTEGERS = (*range(-1, 41), 2**62, 2**63 - 1, 10**20)
+
 #: Strings a string key may take: every name the CLI's tables accept, the
 #: sweep parameters and output formats, and words no table accepts.
 WORDS = (*cli.UNIT_CONSTANTS, *cli._ROUTES, *cli._COMMANDS, *cli._WAVEFORMS,
@@ -52,7 +57,7 @@ def _value(spec, depth):
         default = (spec.default,) if isinstance(spec.default, float) else ()
         values = st.sampled_from(NUMBERS + default)
     elif accepted is int:
-        values = st.integers(-1, 40)
+        values = st.sampled_from(INTEGERS)
     elif accepted is str:
         values = st.sampled_from(WORDS)
     else:

@@ -111,9 +111,10 @@ def square_banded_rk4(sys_, w, t_final, dim, dt):
 def expmid_loop(sys_, w, t_final, dim, dt, step):
     """The expmid scheme of integrate_schrodinger as a plain step loop.
 
-    Node times laid out as ``_step_nodes`` lays them out, one field call
-    per span, and u = step(u, h, Rdot) at every midpoint, from the
-    identity's leading columns.
+    Node times in three blocks of n (starts, midpoints, ends), its own
+    layout rather than ``_step_nodes``', one field call per span, and
+    u = step(u, h, Rdot) at every midpoint, from the identity's leading
+    columns.
     """
     w_i, scales, _ = ld.internalize(sys_, w)
     t_i = t_final / scales.time
@@ -483,7 +484,8 @@ class TestIntegrateSchrodinger:
 
         dim, n = 64, 1000
         rng = np.random.default_rng(7)
-        c_a, c_ad = (0.05 * (rng.standard_normal(3 * n) + 1j * rng.standard_normal(3 * n))
+        c_a, c_ad = (0.05 * (rng.standard_normal(2 * n + 1)
+                             + 1j * rng.standard_normal(2 * n + 1))
                      for _ in range(2))
         u = np.eye(dim, dim // 2, dtype=complex)
         tracemalloc.start()
@@ -532,7 +534,7 @@ def test_oracle_time_must_be_finite_and_nonnegative(natural, t):
     # both count their steps with math.ceil, which raises a bare ValueError
     # on NaN and OverflowError on inf
     w = ld.RotatingField(0.1, 0.9)
-    with pytest.raises(ld.DomainError, match="finite t_final >= 0"):
+    with pytest.raises(ld.DomainError, match="time must be a finite t >= 0"):
         ld.integrate_schrodinger(natural, w, t, ld.IntegratorConfig(dim=8))
     with pytest.raises(ld.DomainError, match="finite t >= 0"):
         ld.heisenberg_residual(np.eye(8, 4), natural, w, t)
@@ -548,6 +550,77 @@ def test_oracle_time_past_float64_in_internal_units(electron_si):
         ld.integrate_schrodinger(electron_si, w, 1e300, ld.IntegratorConfig(dim=8))
     with pytest.raises(ld.DomainError, match="past float64 in internal time units"):
         ld.heisenberg_residual(np.eye(8, 4), electron_si, w, 1e300)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_bad_time_has_one_message(natural, t):
+    # the oracle refuses a t that is not finite and nonnegative by the
+    # production propagator's rule, word for word
+    w = ld.RotatingField(0.1, 0.9)
+    calls = (lambda: ld.assemble(natural, w, t),
+             lambda: ld.integrate_schrodinger(natural, w, t, ld.IntegratorConfig(dim=8)),
+             lambda: ld.heisenberg_residual(np.eye(8, 4), natural, w, t))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ld.DomainError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {f"time must be a finite t >= 0, got {t!r}"}
+
+
+def test_time_past_float64_has_one_message(electron_si):
+    # t = 1e300 s is finite, t / (1/omega) is not: the oracle and the drive
+    # path convert user time by one rule and refuse it with one message
+    w = ld.RotatingField(1e-8, 0.0)
+    calls = (
+        lambda: ld.integrate_schrodinger(electron_si, w, 1e300, ld.IntegratorConfig(dim=8)),
+        lambda: ld.heisenberg_residual(np.eye(8, 4), electron_si, w, 1e300),
+        lambda: ld.build_drive_path(electron_si, w, [0.0, 1e300]),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(ld.DomainError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {"t_final is past float64 in internal time units"}
+
+
+@pytest.mark.parametrize("w", [ld.RotatingField(0.1, 0.9), KINKED], ids=["rotating", "kinked"])
+def test_each_span_node_is_sampled_once(natural, monkeypatch, w):
+    # a span of n steps calls the field once, at its n + 1 knots and then
+    # its n midpoints: 2n + 1 nodes, none repeated, each midpoint between
+    # its step's knots
+    from landau_drive import oracle
+
+    cls = type(ld.internalize(natural, w)[0])
+    field, calls, recording = cls.field, [], [True]
+
+    def recorded(self, t):
+        if recording[0]:
+            calls.append(np.array(t, dtype=float))
+        return field(self, t)
+
+    def unrecorded_path(*args, **kwargs):
+        # the R path the orbit-center check compares with is not its field
+        recording[0] = False
+        try:
+            return build_drive_path(*args, **kwargs)
+        finally:
+            recording[0] = True
+
+    build_drive_path = oracle.build_drive_path
+    monkeypatch.setattr(cls, "field", recorded)
+    monkeypatch.setattr(oracle, "build_drive_path", unrecorded_path)
+    for scheme in ("rk4", "expmid"):
+        cfg = ld.IntegratorConfig(dt=0.02, dim=16, scheme=scheme)
+        ld.integrate_schrodinger(natural, w, 3.3, cfg)
+    ld.guiding_center_residual(natural, w, np.linspace(0.0, 3.3, 21))
+    assert len(calls) >= 22
+    for t in calls:
+        n = t.size // 2
+        knots, mids = t[: n + 1], t[n + 1 :]
+        assert t.size == 2 * n + 1 and np.unique(t).size == t.size
+        assert np.all(knots[:-1] < mids) and np.all(mids < knots[1:])
 
 
 class TestHeisenbergResidual:
@@ -708,16 +781,15 @@ class TestValidationCorpus:
         # flipping the displacement argument in the production route must
         # break the factorization
         from landau_drive import propagator
-        from landau_drive.oracle import _factorized_matrix
+        from landau_drive.oracle import _factorization
 
-        w, t, dim = ld.RotatingField(0.1, 0.7), 6.0, 32
-        u = ld.integrate_schrodinger(natural, w, t, ld.IntegratorConfig(dim=dim))
-        good = _factorized_matrix(natural, w, t, dim)
+        w, t, cfg = ld.RotatingField(0.1, 0.7), 6.0, ld.IntegratorConfig(dim=32)
+        good = _factorization(natural, w, t, cfg)[1]
         argument = propagator.displacement_argument
         monkeypatch.setattr(propagator, "displacement_argument", lambda s, u: -argument(s, u))
-        bad = _factorized_matrix(natural, w, t, dim)
-        assert np.max(np.abs(u[:16] - good[:16, :16])) < 1e-6
-        assert np.max(np.abs(u[:16] - bad[:16, :16])) > 1e-2
+        bad = _factorization(natural, w, t, cfg)[1]
+        assert good < 1e-6
+        assert bad > 1e-2
 
 
 CORPUS_NAMES = ("zero", "constant", "linear_sinusoid", "rotating_off",

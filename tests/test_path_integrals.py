@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -112,6 +113,17 @@ class TestMagneticPhase:
         assert ld.magnetic_phase(natural, pts) == pytest.approx(
             rotating_beta(r0, nu, t), rel=1e-8
         )
+
+    @pytest.mark.parametrize("path,shape", [
+        ([(0, 0), (1, 0), (1, 1)], "(3, 2)"),
+        (np.array([[0, 1], [1 + 1j, 1j]]), "(2, 2)"),
+    ], ids=["xy-pairs", "complex-2x2"])
+    def test_requires_one_dimensional_points(self, natural, path, shape):
+        # (x, y) pairs were flattened into six points on the real axis,
+        # enclosing nothing; the triangle as complex points encloses 1/2
+        assert ld.magnetic_phase(natural, [0, 1, 1 + 1j]) == -0.5
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            ld.magnetic_phase(natural, path)
 
     def test_requires_origin_start(self, natural):
         with pytest.raises(ValueError):
