@@ -1,5 +1,6 @@
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -9,7 +10,14 @@ from numpy.testing import assert_allclose
 
 import landau_drive as ld
 from landau_drive.errors import AccuracyError
-from landau_drive.oracle import _EIGH_MEMO, _expmid_step, _hamiltonian
+from landau_drive import oracle
+from landau_drive.oracle import (
+    _EIGH_MEMO,
+    _banded_rk4,
+    _expmid_step,
+    _hamiltonian,
+    _step_maps,
+)
 
 from _reference import expm, sample_waveform
 
@@ -130,6 +138,83 @@ def expmid_loop(sys_, w, t_final, dim, dt, step):
     return u
 
 
+def kernel_spans(sys_, w, t_final, cfg):
+    """The (h, c_a, c_ad) spans integrate_schrodinger hands the RK4 kernel."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_banded_rk4", lambda u, spans: seen.extend(spans))
+        ld.integrate_schrodinger(sys_, w, t_final, cfg)
+    return seen
+
+
+def longdouble_rk4(u, spans):
+    """Classical RK4 on the kernel's spans in np.clongdouble.
+
+    Stage by stage, on the same float64 coefficients and float64 square
+    roots, so what it measures is the float64 kernel's rounding alone.
+    """
+    u = np.asarray(u, dtype=np.clongdouble)
+    root = np.sqrt(np.arange(1.0, u.shape[0])).astype(np.longdouble)[:, None]
+
+    def gen(c_a, c_ad, v):
+        out = np.zeros_like(v)
+        out[:-1] = (c_a * root) * v[1:]
+        out[1:] += (c_ad * root) * v[:-1]
+        return out
+
+    for h, c_a, c_ad in spans:
+        n = len(c_a) // 2
+        h = np.longdouble(h)
+        c_a, c_ad = c_a.astype(np.clongdouble), c_ad.astype(np.clongdouble)
+        for k in range(n):
+            mid = n + 1 + k
+            k1 = gen(c_a[k], c_ad[k], u)
+            k2 = gen(c_a[mid], c_ad[mid], u + (h / 2) * k1)
+            k3 = gen(c_a[mid], c_ad[mid], u + (h / 2) * k2)
+            k4 = gen(c_a[k + 1], c_ad[k + 1], u + h * k3)
+            u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u
+
+
+def dense_step_maps(u, spans):
+    """Each step map of the kernel's spans as a dense (dim, dim) matrix."""
+    dim = u.shape[0]
+    for h, c_a, c_ad in spans:
+        n = len(c_a) // 2
+        bands = next(_step_maps(dim, h, c_a, c_ad, n))
+        for k in range(n):
+            step_map = np.zeros((dim, dim), dtype=complex)
+            for j, band in enumerate(bands[:, :dim, k]):
+                offset = j - (len(bands) // 2)
+                m = np.arange(max(0, -offset), dim - max(0, offset))
+                step_map[m, m + offset] = band[m]
+            yield step_map
+
+
+def folded_rk4(u, spans):
+    """The kernel's steps with the identity folded into each map:
+    u <- (I + N) u, so the diagonal 1 + N[m, m] is rounded on every step."""
+    u = np.array(u, dtype=complex)
+    for step_map in dense_step_maps(u, spans):
+        step_map += np.eye(u.shape[0])
+        u = step_map @ u
+    return u
+
+
+@functools.cache
+def longdouble_case(name):
+    """(spans, float64 kernel columns, np.clongdouble RK4 columns, t) of
+    one natural-units corpus entry at dim 64 and dt 0.01: 1000 steps."""
+    natural = ld.PhysicalSystem(1.0, 1.0, 1.0)
+    entry = {e.name: e for e in ld.validation_corpus(natural)}[name]
+    spans = kernel_spans(natural, entry.waveform, entry.t_final,
+                         ld.IntegratorConfig(dt=0.01, dim=64))
+    u = np.eye(64, 32, dtype=complex)
+    ref = longdouble_rk4(u, spans)
+    _banded_rk4(u, spans)
+    return spans, u, ref, entry.t_final
+
+
 def complex_eigh_step(u, h, r):
     """exp(-i h H(r)) u by a complex eigh of H(r) itself, at every step."""
     lam, v = np.linalg.eigh(_hamiltonian(r, u.shape[0]))
@@ -215,11 +300,24 @@ class TestIntegratorConfig:
             {"dt": 9e-5},
             {"dim": 1},
             {"scheme": "euler"},
+            # a float dim used to pass, then fail inside np.eye with a bare
+            # TypeError; it would also key the kernel's per-dim tables
+            {"dim": 10.0},
+            {"dim": 7.5},
+            {"dim": np.float64(64.0)},
+            {"dim": True},
+            {"dim": "64"},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the key
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must"):
             ld.IntegratorConfig(**kwargs)
+
+    def test_numpy_integer_dim(self, natural):
+        cfg = ld.IntegratorConfig(dim=np.int64(16))
+        u = ld.integrate_schrodinger(natural, ld.RotatingField(0.05, 0.9), 1.0, cfg)
+        assert u.shape == (16, 8)
 
 
 def pi_sector_hamiltonian(sys_, w, t, dim):
@@ -450,14 +548,15 @@ class TestIntegrateSchrodinger:
         ],
     )
     def test_leading_columns_match_square_run(self, natural, w, t_final, dim):
-        # each column evolves on its own under the row-wise stages, so the
-        # leading columns are the square run's, bit for bit
+        # each column evolves on its own, so the leading columns are the
+        # square run's; the step maps sum the same terms in another order,
+        # which moves them by at most 4e-16 here
         u = ld.integrate_schrodinger(
             natural, w, t_final, ld.IntegratorConfig(dt=0.02, dim=dim)
         )
         assert u.shape == (dim, dim // 2) and not u.flags.writeable
         ref = square_banded_rk4(natural, w, t_final, dim, 0.02)
-        assert np.array_equal(u, ref[:, : dim // 2])
+        assert np.max(np.abs(u - ref[:, : dim // 2])) <= 1e-15
 
     @pytest.mark.parametrize("dim", [13, 64])
     @pytest.mark.parametrize(
@@ -466,11 +565,16 @@ class TestIntegrateSchrodinger:
     )
     def test_zero_spans_skip_exactly(self, natural, w, dim):
         # G = 0 on a zero-field span, so each of its RK4 steps is the
-        # identity: skipping the span keeps the columns bit for bit
+        # identity: with or without those spans, the columns are the same
+        # bit for bit
         assert not np.any(w.field(np.linspace(1.0, 2.0, 41)))
-        u = ld.integrate_schrodinger(natural, w, 3.7, ld.IntegratorConfig(dt=0.02, dim=dim))
-        ref = square_banded_rk4(natural, w, 3.7, dim, 0.02)
-        assert np.array_equal(u, ref[:, : dim // 2])
+        spans = kernel_spans(natural, w, 3.7, ld.IntegratorConfig(dt=0.02, dim=dim))
+        driven = [span for span in spans if span[1].any() or span[2].any()]
+        assert 0 < len(driven) < len(spans)
+        u, ref = (np.eye(dim, dim // 2, dtype=complex) for _ in range(2))
+        _banded_rk4(u, spans)
+        _banded_rk4(ref, driven)
+        assert np.array_equal(u, ref)
 
     def test_zero_field_is_the_static_phases(self, natural):
         dim, t = 16, 6.0
@@ -478,42 +582,65 @@ class TestIntegrateSchrodinger:
         assert np.array_equal(u, dynamical_diag(dim, t)[:, None] * np.eye(dim, dim // 2))
 
     def test_banded_rk4_allocates_no_step_temporaries(self):
-        # 1000 steps run in the kernel's fixed work buffers: the peak stays
-        # under 12 (64, 32) complex blocks, so no step allocates a block
-        from landau_drive.oracle import _banded_rk4
-
-        dim, n = 64, 1000
+        # the step maps are built a chunk at a time into one fixed buffer,
+        # and each step writes into one of two fixed blocks: the peak is
+        # the same at 1000 and 8000 steps, up to a few hundred bytes of
+        # Python objects (one step map is 16 KiB), and under 24 (64, 32)
+        # blocks
+        dim = 64
         rng = np.random.default_rng(7)
-        c_a, c_ad = (0.05 * (rng.standard_normal(2 * n + 1)
-                             + 1j * rng.standard_normal(2 * n + 1))
-                     for _ in range(2))
         u = np.eye(dim, dim // 2, dtype=complex)
-        tracemalloc.start()
-        try:
-            _banded_rk4(u, [(0.01, c_a, c_ad)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not np.array_equal(u, np.eye(dim, dim // 2))
-        assert peak <= 12 * u.nbytes
+        peaks = []
+        for n in (1000, 1000, 8000):  # the first run builds the per-dim table
+            c_a, c_ad = (0.05 * (rng.standard_normal(2 * n + 1)
+                                 + 1j * rng.standard_normal(2 * n + 1))
+                         for _ in range(2))
+            v = u.copy()
+            tracemalloc.start()
+            try:
+                _banded_rk4(v, [(0.01, c_a, c_ad)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert not np.array_equal(v, u)
+        assert abs(peaks[2] - peaks[1]) < 1024 and max(peaks[1:]) <= 24 * u.nbytes
 
-    @pytest.mark.parametrize("dim,cols", [(64, 32), (48, 24), (13, 6), (3, 1)])
-    def test_work_slab_is_aligned_and_disjoint(self, dim, cols):
-        # the kernel's 11 work arrays as it asks for them: each of its shape,
-        # on a cache-line boundary even where a row is not a whole line, no
-        # two sharing memory, and all zero, since the padded blocks' edge
-        # rows must stay so
-        from landau_drive.oracle import _work_slab
+    @pytest.mark.parametrize("name", ["constant", "rotating_near", "sampled_random"])
+    def test_kernel_matches_longdouble_rk4(self, name):
+        # 1000 steps at dim 64 against the same RK4 in extended precision:
+        # the kernel and the stage-by-stage square run both read 1.8-3.2e-15
+        spans, u, ref, t = longdouble_case(name)
+        assert np.max(np.abs(u - ref)) <= 1e-14
+        natural = ld.PhysicalSystem(1.0, 1.0, 1.0)
+        entry = {e.name: e for e in ld.validation_corpus(natural)}[name]
+        square = square_banded_rk4(natural, entry.waveform, t, 64, 0.01)
+        assert np.max(np.abs(square[:, :32] - dynamical_diag(64, t)[:, None] * ref)) <= 1e-14
 
-        shapes = [(dim + 2, cols)] * 2 + [(dim + 1, cols)] + [(dim, cols)] * 8
-        arrays = _work_slab(shapes)
-        assert [a.shape for a in arrays] == shapes
-        for a in arrays:
-            assert a.dtype == complex and a.flags.c_contiguous and a.flags.writeable
-            assert a.ctypes.data % 64 == 0
-            assert not a.any()
-        for i, a in enumerate(arrays):
-            assert not any(np.shares_memory(a, b) for b in arrays[:i])
+    @pytest.mark.parametrize("name", ["constant", "rotating_near"])
+    def test_folded_identity_fails_longdouble_bound(self, name):
+        # negative control: the same step maps with I folded in round
+        # 1 + N[m, m] alike on each step of a steady drive, and drift past
+        # the bound above (5.3e-14 and 4.2e-14)
+        spans, _, ref, _ = longdouble_case(name)
+        u = folded_rk4(np.eye(64, 32, dtype=complex), spans)
+        assert np.max(np.abs(u - ref)) > 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 5, 9, 16])
+    def test_step_map_is_the_rk4_polynomial(self, dim):
+        # N = (h/6)(G1 + 4 Gm + G4) + (h^2/6)(Gm G1 + Gm Gm + G4 Gm)
+        #     + (h^3/12)(Gm Gm G1 + G4 Gm Gm) + (h^4/24) G4 Gm Gm G1,
+        # from the truncated a and a^dag, edge rows included
+        rng = np.random.default_rng(dim)
+        c_a, c_ad = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        h = 0.3
+        a, ad = (op.matrix for op in ld.ladder_ops(dim))
+        g1, g4, gm = (c_a[i] * a + c_ad[i] * ad for i in range(3))
+        expected = ((h / 6) * (g1 + 4 * gm + g4)
+                    + (h**2 / 6) * (gm @ g1 + gm @ gm + g4 @ gm)
+                    + (h**3 / 12) * (gm @ gm @ g1 + g4 @ gm @ gm)
+                    + (h**4 / 24) * (g4 @ gm @ gm @ g1))
+        (step_map,) = dense_step_maps(np.eye(dim), [(h, c_a, c_ad)])
+        assert np.max(np.abs(step_map - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_overflowing_columns_raise_accuracy_error(self, natural):
         # non-finite columns fail the edge check rather than passing it

@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -463,6 +463,10 @@ def test_differential_relation_random_rotating(e0, nu, phi, t):
         max_size=3,
     ),
 )
+# three epicycles that nearly cancel: gamma is only 6.5e-4, and the grid
+# route's gap of 1.77e-11 on it is 2.7e-8 relative, inside its area promise
+@example(terms=[(0.03125, 2.0, -1.0, 0.0), (0.0234375, 0.25, -1.0, 0.0),
+                (0.020000000000000004, 1.5, 1.0, 0.0)])
 def test_multiterm_sum_quadrature_vs_closed(terms):
     # epicycle superpositions: the exact route against the grid route
     natural = ld.PhysicalSystem(1.0, 1.0, 1.0)
@@ -476,7 +480,12 @@ def test_multiterm_sum_quadrature_vs_closed(terms):
     for name in ("r", "u", "beta", "gamma"):
         a, b = getattr(cf, name), getattr(q, name)
         scale = max(float(np.max(np.abs(a))), 1e-6)
-        assert float(np.max(np.abs(a - b))) / scale < 1e-8, name
+        bound = 1e-8 * scale
+        if name in ("beta", "gamma"):
+            # the grid route promises its areas to abs_tol, not relative to
+            # them, and gamma = -4 area_u
+            bound = max(bound, 4.0 * DEFAULT_ABS_TOL)
+        assert float(np.max(np.abs(a - b))) < bound, name
 
 
 def test_slow_rotation_falls_back_to_grid_route(natural):
