@@ -207,7 +207,10 @@ _SCHEMA = {
                           "{!r} exists and is not a directory"),
         "format": _Key("lowercase", "csv", ("csv", "json").__contains__,
                        "must be 'csv' or 'json', got {!r}"),
-        "basename": _Key("string", lambda task, system: task),
+        # a file name alone: the outputs stay inside output.directory
+        "basename": _Key("string", lambda task, system: task,
+                         lambda v: v not in ("", ".", "..") and Path(v).name == v,
+                         "must be a plain file name, got {!r}"),
     },
 }
 

@@ -70,10 +70,16 @@ def column_unitarity_defect(columns: np.ndarray) -> float:
     return float(np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1]))))
 
 
+def _require_basis(dim) -> None:
+    """A Fock basis size is an integer (Python or numpy, not bool) of at
+    least 2; ValueError otherwise."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 2:
+        raise ValueError(f"need at least two Fock states, got dim = {dim!r}")
+
+
 def ladder_ops(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     """Annihilation and creation operators truncated at ``dim`` states."""
-    if dim < 2:
-        raise ValueError("need at least two Fock states")
+    _require_basis(dim)
     a = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
@@ -173,8 +179,7 @@ def displacement_matrix(alpha, dim: int) -> TruncatedOperator:
     most 1, for any ``dim``.
     """
     alpha = complex(alpha)
-    if dim < 2:
-        raise ValueError("need at least two Fock states")
+    _require_basis(dim)
     cols = np.arange(dim)
     offset = cols[:, None] - cols[None, :]
     (_, phi), = _displacement_moduli(np.array([alpha]), cols, dim)
@@ -195,8 +200,7 @@ def _column_probabilities(alphas, n: int, dim: int) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.ndim != 1:
         raise ValueError("amplitudes must be a one-dimensional sequence")
-    if dim < 2:
-        raise ValueError("need at least two Fock states")
+    _require_basis(dim)
     if not 0 <= n < dim:
         raise IndexError(f"level {n} outside dimension {dim}")
     out = np.empty((alphas.size, dim))

@@ -133,8 +133,8 @@ _MAP_ELEMENTS = 1 << 14
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    ``dt`` is measured in internal time units (1/omega) and lies in
-    ``DT_RANGE``, whatever the unit system.
+    ``dt`` is a real number (Python or numpy, not bool) in internal time
+    units (1/omega) and lies in ``DT_RANGE``, whatever the unit system.
     """
 
     dt: float = 0.01
@@ -143,8 +143,10 @@ class IntegratorConfig:
 
     def __post_init__(self):
         lo, hi = DT_RANGE
-        if not lo <= self.dt <= hi:
-            raise ValueError(f"dt must lie in [{lo:g}, {hi:g}] internal time units")
+        real = isinstance(self.dt, (int, float, np.integer, np.floating))
+        if isinstance(self.dt, bool) or not real or not lo <= self.dt <= hi:
+            raise ValueError(f"dt must be a real number in [{lo:g}, {hi:g}] internal time "
+                             f"units, got {self.dt!r}")
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) \
                 or self.dim < 2:
             raise ValueError(f"dim must be an integer of at least 2, got {self.dim!r}")

@@ -59,9 +59,11 @@ class TestLadderOps:
         # truncation corrupts only the last diagonal entry
         assert comm[n - 1, n - 1] == pytest.approx(1 - n)
 
-    def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            ld.ladder_ops(1)
+    @pytest.mark.parametrize("dim", [1, 10.0, np.float64(12.0), True])
+    def test_dimension_check(self, dim):
+        # a float size used to end in a bare TypeError from np.zeros
+        with pytest.raises(ValueError, match="need at least two Fock states"):
+            ld.ladder_ops(dim)
 
 
 class TestDisplacementMatrix:
@@ -174,9 +176,11 @@ class TestDisplacementMatrix:
         with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 1.5e\+03, dim = 64"):
             ld.displacement_matrix(math.sqrt(1500.0), 64)
 
-    def test_dimension_check(self):
+    @pytest.mark.parametrize("dim", [1, 10.0, np.float64(12.0), True])
+    def test_dimension_check(self, dim):
+        # a float size used to end in a bare TypeError from range()
         with pytest.raises(ValueError, match="need at least two Fock states"):
-            ld.displacement_matrix(0.3, 1)
+            ld.displacement_matrix(0.3, dim)
 
     @pytest.mark.parametrize("alpha", [complex("nan"), math.inf, complex(0.0, -math.inf)],
                              ids=["nan", "inf", "-inf_j"])

@@ -307,6 +307,10 @@ class TestIntegratorConfig:
             {"dim": np.float64(64.0)},
             {"dim": True},
             {"dim": "64"},
+            # a non-real dt used to reach the range check: a bare TypeError
+            {"dt": "0.01"},
+            {"dt": None},
+            {"dt": 0.01 + 0j},
         ],
     )
     def test_invalid(self, kwargs):

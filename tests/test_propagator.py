@@ -389,8 +389,11 @@ class TestLevelPopulations:
         # n >= dim, non-finite |alpha|^2 and no samples are pinned above
         with pytest.raises(IndexError):
             ld.level_populations(natural, [0.3], -1)
-        with pytest.raises(ValueError, match="two Fock states"):
-            ld.level_populations(natural, [0.3], 0, 1)
+        for dim in (1, 10.0, np.float64(12.0)):
+            with pytest.raises(ValueError, match="two Fock states"):
+                ld.level_populations(natural, [0.3], 0, dim)
+            with pytest.raises(ValueError, match="two Fock states"):
+                ld.assemble(natural, ld.RotatingField(0.1, 0.9), 3.0, dim=dim)
 
     def test_temporaries_bounded(self, natural):
         # the squares are written block by block into the result, which is
