@@ -77,6 +77,13 @@ def _require_basis(dim) -> None:
         raise ValueError(f"need at least two Fock states, got dim = {dim!r}")
 
 
+def _require_level(n) -> None:
+    """A Fock level is an integer (Python or numpy, not bool); ValueError
+    otherwise.  Its range is each caller's to check."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"a Fock level must be an integer, got n = {n!r}")
+
+
 def ladder_ops(dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     """Annihilation and creation operators truncated at ``dim`` states."""
     _require_basis(dim)
@@ -217,11 +224,12 @@ def suggested_dimension(alpha, n: int = 0) -> int:
     Airy tail; the margin of 4 in the amplitude holds that tail to well
     below ``propagator.NORM_TOL``.  A larger dim only lengthens the column
     (the elements do not depend on dim), so this size holds every column
-    below n too.  Raises IndexError for a negative n, and TruncationError
-    where no truncation holds the amplitude, by the rule the displacement
-    elements obey: when e^{-|alpha|^2/2} is not a normal float (NaN and
-    inf included).
+    below n too.  Raises ValueError unless n is an integer, IndexError for
+    a negative n, and TruncationError where no truncation holds the
+    amplitude, by the rule the displacement elements obey: when
+    e^{-|alpha|^2/2} is not a normal float (NaN and inf included).
     """
+    _require_level(n)
     if n < 0:
         raise IndexError(f"level {n} is negative")
     _require_representable(abs(alpha))

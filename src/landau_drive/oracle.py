@@ -42,8 +42,14 @@ at once, from a per-dim table of the 50 monomials' diagonals, and runs
 each step as two numpy calls: one batched matmul of the map's row
 blocks against overlapping windows of the column block, and one add of
 the old block.  A span where the field is exactly zero costs nothing.
-The orbit-center check evaluates its field the same way, one call per
-span, and integrates the drift against ``build_drive_path``'s R, the
+
+The two checks that need an integral of the field, the Heisenberg drive
+scalar and the orbit-center drift, share one engine, ``_field_integrals``:
+numpy's 8- and 16-point Gauss-Legendre rules on panels of the same
+kink-split spans (``_spans``, the oracle's one rule for kinks), one field
+call per rule.  The two rules must agree to 1e-12 at every edge, so the
+engine measures its own error rather than trusting a step size.  The
+orbit-center check compares its drift with ``build_drive_path``'s R, the
 one every output table prints.
 
 ``run_validation`` declares each corpus entry's checks as one table of
@@ -95,9 +101,6 @@ _SQRT2 = math.sqrt(2.0)
 
 #: Probability on the basis edge past which an integration is junk.
 _EDGE_PROBABILITY = 1e-4
-
-#: Drift phase per step of the orbit-center RK4.
-_PHASE_PER_STEP = 0.005
 
 #: Allowed step sizes in internal time units (1/omega): at most 0.05
 #: resolves the cyclotron oscillation; at least 1e-4 keeps a corpus run
@@ -169,12 +172,13 @@ def _hamiltonian(rdot: complex, dim: int) -> np.ndarray:
     return h
 
 
-def _spans(w: FieldWaveform, t_end: float):
-    """Smooth integration spans of [0, t_end], split at waveform kinks."""
-    edges = [0.0]
-    edges.extend(p for p in sorted(w.breakpoints()) if 0.0 < p < t_end)
-    edges.append(t_end)
-    return list(zip(edges[:-1], edges[1:]))
+def _spans(w: FieldWaveform, edges) -> list[tuple[float, float]]:
+    """Smooth spans (lo, hi) between consecutive edges, each split at the
+    waveform's kinks inside it: the oracle's one rule, so no step or panel
+    straddles a kink.  Each edge after the first ends a span."""
+    kinks = sorted(w.breakpoints())
+    cuts = [[lo, *(p for p in kinks if lo < p < hi), hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    return [span for c in cuts for span in zip(c[:-1], c[1:])]
 
 
 def _step_nodes(lo: float, h: float, n: int) -> np.ndarray:
@@ -391,7 +395,7 @@ def integrate_schrodinger(
     u_mat = np.eye(dim, dim // 2, dtype=complex)
 
     spans = []
-    for lo, hi in _spans(w_i, t_i):
+    for lo, hi in _spans(w_i, [0.0, t_i]):
         n = max(1, math.ceil((hi - lo) / cfg.dt))
         h = (hi - lo) / n
         nodes = _step_nodes(lo, h, n)
@@ -434,35 +438,36 @@ def _gauss_legendre_8_16():
     return tuple(np.polynomial.legendre.leggauss(order) for order in (8, 16))
 
 
-def _drive_integral(w_i: FieldWaveform, t_i: float) -> complex:
-    """Integral of e^{i s} Rdot(s) over [0, t_i] in internal units.
+def _field_integrals(w_i: FieldWaveform, edges, integrand) -> np.ndarray:
+    """Integrals of integrand(s, E(s)) from edges[0] to each later edge, in
+    internal units.
 
     Gauss-Legendre rules from numpy, shared with no production integral,
-    on panels that never straddle a waveform kink and span at most pi/4 of
-    integrand phase.  The 8- and 16-point rules must agree to 1e-12, else
-    AccuracyError; the 16-point value is returned.
+    on panels that split ``_spans``' spans into pieces of at most pi/4 of
+    phase at rate + 1.  Each rule calls the field once, at its nodes on
+    every panel, and a running sum of the panels reads the integral at
+    each edge.  The 8- and 16-point rules must agree to 1e-12 at every
+    edge, else AccuracyError; the 16-point values are returned.
     """
     max_panel = math.pi / (4.0 * (1.0 + w_i.rate()))
-    edges = [
-        np.linspace(lo, hi, max(1, math.ceil((hi - lo) / max_panel)) + 1)
-        for lo, hi in _spans(w_i, t_i)
-    ]
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
+    cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / max_panel)) + 1)
+            for lo, hi in _spans(w_i, edges)]
+    lo = np.concatenate([c[:-1] for c in cuts])
+    hi = np.concatenate([c[1:] for c in cuts])
+    ends = np.searchsorted(hi, edges[1:])  # the last panel up to each later edge
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     values = []
     for x, weights in _gauss_legendre_8_16():
         s = mid[:, None] + half[:, None] * x
         e = np.asarray(w_i.field(s.ravel()), dtype=complex).reshape(s.shape)
-        values.append(np.sum(half * ((np.exp(1j * s) * (-1j * e)) @ weights)))
-    err = abs(values[1] - values[0])
+        values.append(np.cumsum(half * (integrand(s, e) @ weights))[ends])
+    err = float(np.max(np.abs(values[1] - values[0])))
     if err > 1e-12:
         raise AccuracyError(
-            f"Heisenberg drive integral: 8- and 16-point rules differ by "
-            f"{err:.3g} > 1e-12",
+            f"oracle field integral: 8- and 16-point rules differ by {err:.3g} > 1e-12",
             achieved=err,
         )
-    return complex(values[1])
+    return values[1]
 
 
 def heisenberg_residual(
@@ -486,42 +491,29 @@ def heisenberg_residual(
     w_i = internalize(sys, w)[0]
     b = u.shape[1]
     a = ladder_ops(u.shape[0])[0].matrix
-    sigma = 1j * np.exp(-1j * t_i) * _drive_integral(w_i, t_i) / _SQRT2
+    drive = _field_integrals(w_i, [0.0, t_i], lambda s, e: np.exp(1j * s) * (-1j * e))[-1]
+    sigma = 1j * np.exp(-1j * t_i) * drive / _SQRT2
     lhs = u.conj().T @ a @ u
     rhs = a[:b, :b] * np.exp(-1j * t_i) + sigma * np.eye(b)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def guiding_center_residual(sys: PhysicalSystem, w: FieldWaveform, t_grid) -> float:
-    """Gap between an RK4-integrated orbit-center drift and the R path.
+    """Gap between the integrated orbit-center drift and the R path.
 
-    Integrates the center-of-orbit equation of motion (dw/dt = E in complex
-    internal form) and compares, at every grid time, against
-    ``build_drive_path``'s R, taken to internal units (reflected for a
-    mirrored system), which predicts the drift i R(t).  ``build_drive_path``
-    also checks the grid.  Steps split at waveform kinks, so
-    piecewise-linear fields integrate exactly.
+    The center of orbit moves by dw/dt = E in complex internal form, so
+    its drift to each grid time is the integral of E from 0, which the
+    oracle's Gauss-Legendre engine gives (its 8- and 16-point rules agree
+    to 1e-12, else AccuracyError).  That drift is compared, at every grid
+    time, against ``build_drive_path``'s R, taken to internal units
+    (reflected for a mirrored system), which predicts it as i R(t).
+    ``build_drive_path`` also checks the grid.
     """
     dp = build_drive_path(sys, w, t_grid)
-    w_i, scales, mirrored = internalize(sys, w)
-    grid_i = _internal_times(sys, dp.times)
-    rate = max(w_i.rate(), 1e-12)
-    breaks = sorted(w_i.breakpoints())
-    steps, ends, count = [], [], 0
-    for t0, t1 in zip(grid_i[:-1], grid_i[1:]):
-        edges = [t0] + [p for p in breaks if t0 < p < t1] + [t1]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(1, math.ceil((hi - lo) * rate / _PHASE_PER_STEP))
-            h = (hi - lo) / n
-            f = np.asarray(w_i.field(_step_nodes(lo, h, n)), dtype=complex)
-            # RK4 on dw/dt = f(t) reduces to Simpson's rule per step
-            steps.append((h / 6.0) * (f[:n] + 4.0 * f[n + 1 :] + f[1 : n + 1]))
-            count += n
-        ends.append(count - 1)
-    if not ends:
+    if dp.times.size < 2:
         return 0.0
-    # cumsum adds the steps one at a time, in time order
-    wc = np.cumsum(np.concatenate(steps))[ends]
+    w_i, scales, mirrored = internalize(sys, w)
+    wc = _field_integrals(w_i, _internal_times(sys, dp.times), lambda s, e: e)
     r_i = dp.r[1:] / scales.length
     if mirrored:
         r_i = np.conj(r_i)

@@ -22,6 +22,7 @@ from .field_model import FieldWaveform, PhysicalSystem
 from .fock_algebra import (
     TruncatedOperator,
     _column_probabilities,
+    _require_level,
     displacement_matrix,
     suggested_dimension,
 )
@@ -164,7 +165,9 @@ def healthy_dim(p: FactorizedPropagator) -> int:
 
 def j_matrix_element(p: FactorizedPropagator, m: int, n: int) -> complex:
     """<m|J|n> including the e^{i gamma} phase; both indices must lie in
-    the healthy block (see ``healthy_dim``)."""
+    the healthy block (see ``healthy_dim``), and be integers (ValueError)."""
+    _require_level(m)
+    _require_level(n)
     h = healthy_dim(p)
     if not (0 <= m < p.dim and 0 <= n < p.dim):
         raise IndexError(f"indices ({m}, {n}) outside dimension {p.dim}")
@@ -179,9 +182,11 @@ def transition_probabilities(p: FactorizedPropagator, n: int) -> np.ndarray:
     """P(n -> m) = |<m|J|n>|^2 for m = 0 .. dim-1.
 
     Independent of beta, gamma, and the dynamical phases.  Raises
-    TruncationError unless n lies in the healthy block (see
-    ``healthy_dim``), so the returned row sums to 1 within ``NORM_TOL``.
+    ValueError unless n is an integer, and TruncationError unless it lies
+    in the healthy block (see ``healthy_dim``), so the returned row sums
+    to 1 within ``NORM_TOL``.
     """
+    _require_level(n)
     h = healthy_dim(p)
     if not 0 <= n < p.dim:
         raise IndexError(f"level {n} outside dimension {p.dim}")
@@ -217,10 +222,11 @@ def level_populations(
     lossy column is never returned.  Matrix elements do not depend on D,
     so the leading entries of row s match ``transition_probabilities`` of
     that sample's propagator within a few ulp, and entry n bit for bit.
-    ``u`` must be one-dimensional (ValueError).  Also raises
-    TruncationError when n >= dim, an element is not finite, or some
-    |alpha|^2 is not: no basis holds such an amplitude.
+    ``u`` must be one-dimensional and n an integer (ValueError).  Also
+    raises TruncationError when n >= dim, an element is not finite, or
+    some |alpha|^2 is not: no basis holds such an amplitude.
     """
+    _require_level(n)
     alphas = _amplitudes(sys, u)
     if dim is not None and n >= dim:
         raise TruncationError(f"level {n} lies outside dimension {dim}")
@@ -258,8 +264,10 @@ def adiabatic_estimates(sys: PhysicalSystem, n: int, u: complex) -> tuple[float,
     estimates are upper bounds: the relative deficit (est - P)/est of the
     exact Laguerre probabilities lies in [0, n (k|u|)^2] for the down
     transition and in [0, (n+1)(k|u|)^2] for the up transition, and
-    equals that upper end to leading order.
+    equals that upper end to leading order.  ValueError unless n is a
+    nonnegative integer.
     """
+    _require_level(n)
     if n < 0:
         raise ValueError("level must be nonnegative")
     x = (sys.k * _nonnegative("|u|", abs(u))) ** 2

@@ -327,6 +327,14 @@ def test_suggested_dimension_rule():
         ld.suggested_dimension(0.3, -1)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, True, np.float64(4.0)],
+                         ids=["fraction", "float", "bool", "numpy_float"])
+def test_suggested_dimension_level_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="Fock level must be an integer"):
+        ld.suggested_dimension(0.3, n)
+    assert ld.suggested_dimension(0.3, np.int64(4)) == ld.suggested_dimension(0.3, 4)
+
+
 @pytest.mark.parametrize("alpha", [math.inf, complex(0.0, -math.inf), math.nan, 1e200],
                          ids=["inf", "-inf_j", "nan", "square_overflows"])
 def test_suggested_dimension_rejects_non_finite_square(alpha):

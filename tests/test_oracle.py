@@ -4,6 +4,7 @@ import functools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -239,35 +240,29 @@ SYSTEMS = pytest.mark.parametrize(
 )
 
 
-def loop_guiding_center(sys_, w, t_grid):
-    """guiding_center_residual restated as a scalar step loop.
+def quad_guiding_center(sys_, w, t_grid):
+    """guiding_center_residual with the drift from mpmath.
 
-    One field call per node, node times from a running t += h, and the
-    Simpson steps added to the drift one at a time, each grid time's drift
-    compared with i R from ``build_drive_path`` in internal units.
+    The integral of E from 0 to each grid time by ``mpmath.quad`` at 20
+    digits, split at the grid times and at every waveform kink, each grid
+    time's drift compared with i R from ``build_drive_path`` in internal
+    units.
     """
     w_i, scales, mirrored = ld.internalize(sys_, w)
     grid_i = np.asarray(t_grid, dtype=float) / scales.time
-    rate = max(w_i.rate(), 1e-12)
     r_i = ld.build_drive_path(sys_, w, t_grid).r / scales.length
     if mirrored:
         r_i = np.conj(r_i)
 
-    def f(t):
-        return complex(w_i.field(t))
+    def f(s):
+        return complex(w_i.field(float(s)))
 
-    breaks = sorted(w_i.breakpoints())
-    residual, wc = 0.0, 0.0 + 0.0j
-    for t0, t1, r1 in zip(grid_i[:-1], grid_i[1:], r_i[1:]):
-        edges = [t0] + [p for p in breaks if t0 < p < t1] + [t1]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = max(1, math.ceil((hi - lo) * rate / 0.005))
-            h = (hi - lo) / n
-            t = lo
-            for _ in range(n):
-                wc += (h / 6.0) * (f(t) + 4.0 * f(t + h / 2.0) + f(t + h))
-                t += h
-        residual = max(residual, abs(wc - 1j * complex(r1)))
+    kinks = sorted(w_i.breakpoints())
+    residual, drift = 0.0, mpmath.mpc(0)
+    with mpmath.workdps(20):
+        for t0, t1, r1 in zip(grid_i[:-1], grid_i[1:], r_i[1:]):
+            drift += mpmath.quad(f, [t0, *(p for p in kinks if t0 < p < t1), t1])
+            residual = max(residual, abs(complex(drift) - 1j * complex(r1)))
     return residual
 
 
@@ -718,12 +713,15 @@ def test_time_past_float64_has_one_message(electron_si):
 
 @pytest.mark.parametrize("w", [ld.RotatingField(0.1, 0.9), KINKED], ids=["rotating", "kinked"])
 def test_each_span_node_is_sampled_once(natural, monkeypatch, w):
-    # a span of n steps calls the field once, at its n + 1 knots and then
-    # its n midpoints: 2n + 1 nodes, none repeated, each midpoint between
-    # its step's knots
+    # each ODE scheme calls the field once per span of n steps, at its
+    # n + 1 knots and then its n midpoints: 2n + 1 nodes, none repeated,
+    # each midpoint between its step's knots.  The quadrature engine calls
+    # it once per Gauss rule, at that rule's nodes on every panel: none
+    # repeated, and none on a grid time or a kink
     from landau_drive import oracle
 
-    cls = type(ld.internalize(natural, w)[0])
+    w_i = ld.internalize(natural, w)[0]
+    cls = type(w_i)
     field, calls, recording = cls.field, [], [True]
 
     def recorded(self, t):
@@ -745,13 +743,23 @@ def test_each_span_node_is_sampled_once(natural, monkeypatch, w):
     for scheme in ("rk4", "expmid"):
         cfg = ld.IntegratorConfig(dt=0.02, dim=16, scheme=scheme)
         ld.integrate_schrodinger(natural, w, 3.3, cfg)
-    ld.guiding_center_residual(natural, w, np.linspace(0.0, 3.3, 21))
-    assert len(calls) >= 22
+    assert len(calls) == 2 * len(oracle._spans(w_i, [0.0, 3.3]))
     for t in calls:
         n = t.size // 2
         knots, mids = t[: n + 1], t[n + 1 :]
         assert t.size == 2 * n + 1 and np.unique(t).size == t.size
         assert np.all(knots[:-1] < mids) and np.all(mids < knots[1:])
+
+    calls.clear()
+    grid = np.linspace(0.0, 3.3, 21)
+    ld.guiding_center_residual(natural, w, grid)
+    eight, sixteen = calls
+    panels = eight.size // 8
+    assert eight.size == 8 * panels and sixteen.size == 16 * panels and panels >= 20
+    edges = np.concatenate([grid, w_i.breakpoints()])
+    for t in calls:
+        assert np.unique(t).size == t.size and np.all((0.0 < t) & (t < 3.3))
+        assert not np.isin(t, edges).any()
 
 
 class TestHeisenbergResidual:
@@ -775,14 +783,15 @@ class TestHeisenbergResidual:
     def test_columns_match_square_formula(self, natural):
         # U[:, :b]^dag a U[:, :b] is the leading b x b block of the square
         # U^dag a U, so the column form gives the square form's residual
-        from landau_drive.oracle import _drive_integral
+        from landau_drive.oracle import _field_integrals
 
         w = ld.RotatingField(0.12, 0.75)
         t, dim, b = 9.0, 48, 24
         full = factorized(natural, w, t, dim)
         a = ld.ladder_ops(dim)[0].matrix
         w_i = ld.internalize(natural, w)[0]  # natural units: internal t is t
-        sigma = 1j * np.exp(-1j * t) * _drive_integral(w_i, t) / math.sqrt(2.0)
+        drive = _field_integrals(w_i, [0.0, t], lambda s, e: np.exp(1j * s) * (-1j * e))[-1]
+        sigma = 1j * np.exp(-1j * t) * drive / math.sqrt(2.0)
         square = full.conj().T @ a @ full - (a * np.exp(-1j * t) + sigma * np.eye(dim))
         expected = np.max(np.abs(square[:b, :b]))
         got = ld.heisenberg_residual(full[:, :b], natural, w, t)
@@ -809,6 +818,11 @@ class TestHeisenbergResidual:
         with pytest.raises(AccuracyError) as exc:
             ld.heisenberg_residual(u, natural, w, 5.0)
         assert exc.value.achieved > 1e-12
+
+    def test_time_zero(self, natural):
+        # no time has passed, so U = I and the drive scalar is exactly 0
+        u = np.eye(8, 4)
+        assert ld.heisenberg_residual(u, natural, ld.RotatingField(0.1, 0.9), 0.0) == 0.0
 
 
 class TestGuidingCenterResidual:
@@ -842,11 +856,26 @@ class TestGuidingCenterResidual:
         ids=["linear_sinusoid", "rotating", "sampled", "sum"],
     )
     def test_matches_scalar_step_loop(self, natural, w):
-        # same nodes and summation order, so only the field values' last
-        # bits may differ between the vectorized and the scalar calls
+        # the drift from a 20-digit mpmath quadrature gives the same
+        # residual to rounding
         grid = np.linspace(0.0, 4.5, 7)
         got = ld.guiding_center_residual(natural, w, grid)
-        assert abs(got - loop_guiding_center(natural, w, grid)) <= 1e-16
+        assert abs(got - quad_guiding_center(natural, w, grid)) <= 1e-16
+
+    def test_long_resonant_drive(self, natural):
+        # 1000 / omega of a resonant drive, 201 grid times: the drift's own
+        # error stays at rounding, so the check reads R's
+        grid = np.linspace(0.0, 1000.0, 201)
+        assert ld.guiding_center_residual(natural, ld.RotatingField(0.2, 1.0), grid) < 1e-13
+
+    def test_unresolved_drift_integral_raises(self, natural, monkeypatch):
+        # as for the Heisenberg drive integral: an understated rate leaves
+        # panels of 0.5 under a 40-rad/unit field, and the rules disagree
+        w = ld.RotatingField(0.1, 40.0)
+        monkeypatch.setattr(type(ld.internalize(natural, w)[0]), "rate", lambda self: 0.0)
+        with pytest.raises(AccuracyError) as exc:
+            ld.guiding_center_residual(natural, w, np.linspace(0.0, 5.0, 11))
+        assert exc.value.achieved > 1e-12
 
     def test_single_point_grid(self, natural):
         w = ld.RotatingField(0.2, 1.2)

@@ -142,6 +142,14 @@ class TestJMatrixElement:
         with pytest.raises(IndexError):
             ld.j_matrix_element(p, 0, p.dim)
 
+    @pytest.mark.parametrize("m, n", [(1.0, 0), (0, True), (np.float64(1.0), 0)],
+                             ids=["float", "bool", "numpy_float"])
+    def test_index_must_be_an_integer(self, rotating, m, n):
+        p, *_ = rotating
+        with pytest.raises(ValueError, match="Fock level must be an integer"):
+            ld.j_matrix_element(p, m, n)
+        assert ld.j_matrix_element(p, np.int64(1), np.int32(0)) == ld.j_matrix_element(p, 1, 0)
+
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(0.0, 40.0), n=st.integers(0, 40))
     def test_healthy_dim_rule(self, natural, x, n):
@@ -223,6 +231,14 @@ class TestTransitionProbabilities:
         for outside in (-1, p.dim):
             with pytest.raises(IndexError, match=f"level {outside} outside dimension {p.dim}"):
                 ld.transition_probabilities(p, outside)
+
+    @pytest.mark.parametrize("n", [1.0, True, 2.5, "1"], ids=["float", "bool", "fraction", "str"])
+    def test_level_must_be_an_integer(self, rotating, n):
+        p, *_ = rotating
+        with pytest.raises(ValueError, match=f"got n = {n!r}"):
+            ld.transition_probabilities(p, n)
+        assert_allclose(ld.transition_probabilities(p, np.int64(1)),
+                        ld.transition_probabilities(p, 1), rtol=0, atol=0)
 
     def test_lossy_level_of_auto_dimension_rejected(self, natural):
         # the resonant point of the benchmark sweep: |alpha|^2 = 18, auto
@@ -395,6 +411,14 @@ class TestLevelPopulations:
             with pytest.raises(ValueError, match="two Fock states"):
                 ld.assemble(natural, ld.RotatingField(0.1, 0.9), 3.0, dim=dim)
 
+    @pytest.mark.parametrize("n", [1.0, True, np.float64(1.0)], ids=["float", "bool", "numpy_float"])
+    def test_level_must_be_an_integer(self, natural, n):
+        # a float level indexed numpy, and True read as level 1
+        with pytest.raises(ValueError, match="Fock level must be an integer"):
+            ld.level_populations(natural, [0.3], n, 10)
+        assert_allclose(ld.level_populations(natural, [0.3], np.int64(1), 16),
+                        ld.level_populations(natural, [0.3], 1, 16), rtol=0, atol=0)
+
     def test_temporaries_bounded(self, natural):
         # the squares are written block by block into the result, which is
         # most of the peak; squaring a complex column of the elements
@@ -433,6 +457,11 @@ class TestAdiabaticEstimates:
     def test_negative_level_rejected(self, natural):
         with pytest.raises(ValueError):
             ld.adiabatic_estimates(natural, -1, 0.1)
+
+    @pytest.mark.parametrize("n", [1.5, True, np.float64(2.0)], ids=["fraction", "bool", "numpy_float"])
+    def test_level_must_be_an_integer(self, natural, n):
+        with pytest.raises(ValueError, match="Fock level must be an integer"):
+            ld.adiabatic_estimates(natural, n, 0.1)
 
     def test_drive_strength_coefficient_si(self, electron_si):
         coeff = ld.drive_strength_coefficient(electron_si, 1000.0)
