@@ -38,10 +38,13 @@ a dense generator.  For this linear equation an RK4 step is a linear map,
 u <- u + N u, with N a degree-4 polynomial in G = c_a a + c_ad a^dag at
 the step's three nodes, so N is banded to offsets -4 ... 4.  One kernel,
 ``_banded_rk4``, builds the maps' bands ahead of time, a chunk of steps
-at once, from a per-dim table of the 50 monomials' diagonals, and runs
-each step as two numpy calls: one batched matmul of the map's row
-blocks against overlapping windows of the column block, and one add of
-the old block.  A span where the field is exactly zero costs nothing.
+at once, from the 50 monomials' scalars (a chain of outer products of
+the node coefficients) and a per-dim table of their diagonals.  It runs
+each step as two numpy calls on real arrays: one batched matmul of the
+map's row blocks, each in real form [[Re N, -Im N], [Im N, Re N]],
+against overlapping windows of the column block stored as real rows
+(Re u, Im u), and one add of the old block.  A span where the field is
+exactly zero costs nothing.
 
 The two checks that need an integral of the field, the Heisenberg drive
 scalar and the orbit-center drift, share one engine, ``_field_integrals``:
@@ -61,7 +64,6 @@ gives every comparison of the integrated U with the factorized one.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,8 +126,9 @@ _RK4_TERMS = (
 #: N's widest offset from the diagonal: the degree of its longest product.
 _BAND = 4
 
-#: Rows per block of a stored step map; each block reads 2 _BLOCK rows.
-_BLOCK = 2 * _BAND
+#: Rows per block of a stored step map; each block reads _BLOCK + 2 _BAND
+#: rows.  Measured against 1 and 4, which run no faster.
+_BLOCK = 2
 
 #: Complex elements of the step maps built at once: memory stays flat in
 #: the step count.
@@ -196,29 +199,47 @@ def _step_nodes(lo: float, h: float, n: int) -> np.ndarray:
 
 
 def _monomials():
-    """N's 50 monomials as (offset, slot) arrays of weight, power of h and
-    factor columns.
+    """N's monomials: how a chunk builds their scalars, and how they group
+    by offset.
 
     Each ``_RK4_TERMS`` product of G = c_a a + c_ad a^dag expands over its
     factors into words of a (which shifts by +1) and a^dag (-1); a word's
-    matrix has one diagonal, at the sum of its shifts.  The monomials are
-    grouped by that offset, -_BAND ... _BAND, each group padded to the
-    widest with weight 0.  A factor is a coefficient column: 0-2 for c_a
-    and 3-5 for c_ad at the start, midpoint and end node, and 6 for 1,
-    which pads a product to 4 factors.
+    matrix has one diagonal, at the sum of its shifts.  A chunk holds each
+    word's product of node coefficients in one row of an array.  Rows 0-5
+    are c_a, then c_ad, at the start, midpoint and end node: the words of
+    the one-factor terms, two rows each (a, then a^dag).  Every longer
+    term is its first node's pair times the words of the term that drops
+    that node, itself an earlier term of the table: one outer product,
+    into rows of its own.  The last row stays zero.  Returns
+    - the chain: per longer term, the rows of its first node, of the term
+      it extends and of its own words;
+    - each row's weight and power of h (the zero row's are 0);
+    - per offset -_BAND ... _BAND, padded to the widest group with the
+      zero row, each monomial's row and its letters (1 for a, -1 for
+      a^dag, 0 for the 1 that pads a word to _BAND letters).
     """
+    words = {x: (slice("1m4".index(x), 6, 3), ((1,), (-1,))) for x in "1m4"}
+    chain, count = [], 6
+    for nodes in (nodes for _, _, nodes in _RK4_TERMS if len(nodes) > 1):
+        suffix, tails = words[nodes[1:]]
+        own = slice(count, count + 2 * len(tails))
+        count = own.stop
+        chain.append((words[nodes[0]][0], suffix, own))
+        words[nodes] = (own, tuple((s, *t) for s in (1, -1) for t in tails))
+    weight, power = np.zeros(count + 1), np.zeros(count + 1, dtype=int)
     groups = [[] for _ in range(2 * _BAND + 1)]
-    for weight, power, nodes in _RK4_TERMS:
-        for shifts in itertools.product((1, -1), repeat=len(nodes)):
-            factors = [(0 if s > 0 else 3) + "1m4".index(x) for s, x in zip(shifts, nodes)]
-            factors += [6] * (_BAND - len(nodes))
-            groups[_BAND + sum(shifts)].append((weight, power, factors))
+    for w, p, nodes in _RK4_TERMS:
+        rows, letters = words[nodes]
+        weight[rows], power[rows] = w, p
+        for row, word in zip(range(count)[rows], letters):
+            groups[_BAND + sum(word)].append((row, word + (0,) * (_BAND - len(word))))
     width = max(map(len, groups))
-    padded = [g + [(0.0, 0, [6] * _BAND)] * (width - len(g)) for g in groups]
-    return tuple(np.array([[m[i] for m in g] for g in padded]) for i in range(3))
+    padded = [g + [(count, (0,) * _BAND)] * (width - len(g)) for g in groups]
+    slots, letters = (np.array([[m[i] for m in g] for g in padded]) for i in range(2))
+    return chain, weight, power, slots, letters
 
 
-_MONOMIALS = _monomials()
+_CHAIN, _WEIGHT, _POWER, _SLOTS, _LETTERS = _monomials()
 
 
 @functools.lru_cache(maxsize=4)
@@ -233,21 +254,20 @@ def _band_table(dim: int) -> np.ndarray:
     R[m + dL, m + dL + dR] builds it one letter at a time, left to right,
     in O(dim).
     """
-    _, _, factors = _MONOMIALS
     rows = -(-dim // _BLOCK) * _BLOCK
-    # row m + _BAND holds a[m, m + 1], a^dag[m, m - 1] and 1, each zero
-    # off the dim x dim matrix
+    # row m + _BAND holds 1, a[m, m + 1] and a^dag[m, m - 1] (letters 0,
+    # 1, -1), each zero off the dim x dim matrix
     letter = np.zeros((3, dim + 2 * _BAND))
-    letter[0, _BAND : _BAND + dim - 1] = np.sqrt(np.arange(1.0, dim))
-    letter[1, _BAND + 1 : _BAND + dim] = np.sqrt(np.arange(1.0, dim))
-    letter[2, _BAND : _BAND + dim] = 1.0
-    table = np.zeros((factors.shape[0], rows, factors.shape[1]))
-    for j, slot in np.ndindex(factors.shape[:2]):
+    letter[0, _BAND : _BAND + dim] = 1.0
+    letter[1, _BAND : _BAND + dim - 1] = np.sqrt(np.arange(1.0, dim))
+    letter[-1, _BAND + 1 : _BAND + dim] = np.sqrt(np.arange(1.0, dim))
+    table = np.zeros((_LETTERS.shape[0], rows, _LETTERS.shape[1]))
+    for j, slot in np.ndindex(_LETTERS.shape[:2]):
         offset = 0
         table[j, :dim, slot] = 1.0
-        for f in factors[j, slot]:
-            table[j, :dim, slot] *= letter[f // 3, _BAND + offset : _BAND + offset + dim]
-            offset += (1, -1, 0)[f // 3]
+        for f in _LETTERS[j, slot]:
+            table[j, :dim, slot] *= letter[f, _BAND + offset : _BAND + offset + dim]
+            offset += f
     return table
 
 
@@ -255,26 +275,38 @@ def _step_maps(dim: int, h: float, c_a: np.ndarray, c_ad: np.ndarray, chunk: int
     """The RK4 step maps N of one span's steps, ``chunk`` steps at a time.
 
     ``c_a`` and ``c_ad`` are laid out as ``_banded_rk4`` reads them.
-    Yields, per chunk, the (offset, row, step) complex array of
-    N[m, m + offset - _BAND].  Each monomial's scalar is its weight times
-    h to its power times its up to four node coefficients, and the bands
-    are one real product of ``_band_table`` with the scalars' float view.
+    Yields, per chunk, the (offset, row, plane, step) complex array of
+    conj(N)[m, m + offset - _BAND] in plane 0 and i conj(N) in plane 1,
+    the rows of N's real form; each chunk overwrites the last one's array,
+    and the last chunk's steps past the span's end are junk.  The words'
+    products are ``_CHAIN``'s outer products of the conjugated node
+    coefficients; each monomial's scalar is that product times its weight,
+    h to its power and 1 or i, and the bands are one real product of
+    ``_band_table`` with the scalars' float view.
     """
-    weight, power, factors = _MONOMIALS
     n = len(c_a) // 2
-    scale = (weight * h**power)[..., None]
+    c_a, c_ad = (np.asarray(c, dtype=complex) for c in (c_a, c_ad))  # no copy if complex
+    scale = (_WEIGHT * h**_POWER)[:, None, None] * np.array([1.0, 1j])[:, None]
     table = _band_table(dim)
-    ones = np.ones(chunk, dtype=complex)  # real coefficients stack as complex too
+    words = np.zeros((len(_WEIGHT), chunk), dtype=complex)
+    chain = [(words[first, None], words[suffix], words[own].reshape(2, -1, chunk))
+             for first, suffix, own in _CHAIN]
+    scaled = np.empty((len(_WEIGHT), 2, chunk), dtype=complex)
+    planes = np.empty((*_SLOTS.shape, 2, chunk), dtype=complex)
+    bands = np.empty((len(table), table.shape[1], 4 * chunk))
+    # the start, midpoint and end node of each step of the chunk at 0
+    nodes = np.arange(chunk) + np.array([0, n + 1, 1])[:, None]
     for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        # the coefficient columns: c_a, then c_ad, at each step's start,
-        # midpoint and end node, then ones
-        nodes = np.stack(
-            [c[lo + k : hi + k] for c in (c_a, c_ad) for k in (0, n + 1, 1)] + [ones[: hi - lo]]
-        )
-        scalars = nodes[factors].prod(axis=2)
-        scalars *= scale
-        yield (table @ scalars.view(float)).view(complex)
+        at = nodes + lo
+        c_a.take(at, out=words[0:3], mode="clip")
+        c_ad.take(at, out=words[3:6], mode="clip")
+        np.conjugate(words[:6], out=words[:6])
+        for first, suffix, own in chain:
+            np.multiply(first, suffix, out=own)
+        np.multiply(words[:, None], scale, out=scaled)
+        scaled.take(_SLOTS, axis=0, out=planes)
+        np.matmul(table, planes.reshape(len(table), -1, 2 * chunk).view(float), out=bands)
+        yield bands.view(complex).reshape(len(table), -1, 2, chunk)
 
 
 def _banded_rk4(u: np.ndarray, spans) -> None:
@@ -289,15 +321,20 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     u <- u + N u, with N the degree-4 polynomial in G at the step's
     start, midpoint and end nodes that ``_RK4_TERMS`` declares.  a and
     a^dag are single off-diagonals, so N is banded to offsets -_BAND ...
-    _BAND.  ``_step_maps`` gives the bands of a chunk of about
-    ``_MAP_ELEMENTS`` map elements at once, so memory stays flat in the
-    step count.  Each map is stored as row blocks of _BLOCK rows; block b
-    reads the 2 _BLOCK rows from row _BLOCK b - _BAND on.  The column
-    block sits between _BAND zero rows on each side, so a step is two
-    numpy calls and no temporaries:
+    _BAND.  The product runs in real form: the column block is stored as
+    real rows, Re u[m] then Im u[m], and each map as row blocks of
+    _BLOCK rows, block b the real matrix [[Re N, -Im N], [Im N, Re N]]
+    on the _BLOCK + 2 _BAND rows from row _BLOCK b - _BAND on.  That is
+    one small dgemm per block, two to three times as fast as a zgemm of
+    complex blocks with as many flops.  ``_step_maps`` gives the
+    rows of a chunk of steps at once, conj(N) and i conj(N), whose float
+    view is exactly that real matrix; a chunk holds about
+    ``_MAP_ELEMENTS`` complex map elements, so memory stays flat in the
+    step count.  The column block sits between _BAND zero rows on each
+    side, so a step is two numpy calls and no temporaries:
     - one batched matmul of the map's blocks with an overlapping-window
       view of one padded buffer, written into the other buffer;
-    - one float-view add of the old block.
+    - one add of the old block.
     The identity stays out of N.  On a steady drive N's diagonal is about
     the same small number on every step, and 1 + it would round the same
     way each time: 5e-14 from an extended-precision RK4 after 1000 steps
@@ -308,36 +345,39 @@ def _banded_rk4(u: np.ndarray, spans) -> None:
     dim, cols = u.shape
     blocks = -(-dim // _BLOCK)
     rows = blocks * _BLOCK
-    chunk = max(1, _MAP_ELEMENTS // (rows * 2 * _BLOCK))
-    maps = np.zeros((chunk, blocks, _BLOCK, 2 * _BLOCK), dtype=complex)
-    # band j of row _BLOCK b + r is column r + j of block b's window
-    step_s, block_s, row_s, col_s = maps.strides
+    width = _BLOCK + 2 * _BAND
+    chunk = max(1, _MAP_ELEMENTS // (blocks * _BLOCK * 2 * width))
+    maps = np.zeros((chunk, blocks, _BLOCK, 2, width), dtype=complex)
+    step_s, block_s, row_s, plane_s, col_s = maps.strides
     bands = np.lib.stride_tricks.as_strided(
-        maps, (2 * _BAND + 1, blocks, _BLOCK, chunk), (col_s, block_s, row_s + col_s, step_s)
+        maps, (2 * _BAND + 1, blocks, _BLOCK, 2, chunk),
+        (col_s, block_s, row_s + col_s, plane_s, step_s)
     )
-    pads = [np.zeros((rows + 2 * _BAND, cols), dtype=complex) for _ in range(2)]
-    pads[0][_BAND : _BAND + dim] = u
+    real_maps = maps.view(float).reshape(chunk, blocks, 2 * _BLOCK, 2 * width)
+    pads = [np.zeros((rows + 2 * _BAND, 2, cols)) for _ in range(2)]
+    pads[0][_BAND : _BAND + dim, 0] = u.real
+    pads[0][_BAND : _BAND + dim, 1] = u.imag
     windows = [
         np.lib.stride_tricks.as_strided(
-            p, (blocks, 2 * _BLOCK, cols), (_BLOCK * p.strides[0], *p.strides)
+            p, (blocks, 2 * width, cols), (_BLOCK * p.strides[0], *p.strides[1:])
         )
         for p in pads
     ]
-    outs = [p[_BAND : _BAND + rows].reshape(blocks, _BLOCK, cols) for p in pads]
-    flats = [p[_BAND : _BAND + rows].view(float) for p in pads]
+    outs = [p[_BAND : _BAND + rows].reshape(blocks, 2 * _BLOCK, cols) for p in pads]
     src = 0
     for h, c_a, c_ad in spans:
         if not (c_a.any() or c_ad.any()):
             continue
-        for chunk_bands in _step_maps(dim, h, c_a, c_ad, chunk):
-            count = chunk_bands.shape[-1]
-            bands[..., :count] = chunk_bands.reshape(2 * _BAND + 1, blocks, _BLOCK, count)
-            for step_map in maps[:count]:
+        n = len(c_a) // 2
+        for lo, chunk_bands in zip(range(0, n, chunk), _step_maps(dim, h, c_a, c_ad, chunk)):
+            bands[...] = chunk_bands.reshape(bands.shape)
+            for step_map in real_maps[: n - lo]:
                 dst = 1 - src
                 np.matmul(step_map, windows[src], out=outs[dst])
-                np.add(flats[dst], flats[src], flats[dst])
+                np.add(outs[dst], outs[src], outs[dst])
                 src = dst
-    u[...] = pads[src][_BAND : _BAND + dim]
+    u.real = pads[src][_BAND : _BAND + dim, 0]
+    u.imag = pads[src][_BAND : _BAND + dim, 1]
 
 
 def _expmid_step(u: np.ndarray, h: float, r: complex, lam: np.ndarray, v: np.ndarray):
@@ -581,15 +621,24 @@ class CheckResult:
     details: dict
 
 
-def _factorization(sys: PhysicalSystem, w: FieldWaveform, t: float, cfg: IntegratorConfig):
+def _factorized_block(sys: PhysicalSystem, w: FieldWaveform, t: float, dim: int) -> np.ndarray:
+    """The factorized U's leading half block at this dim: the dynamical
+    phases times the closed-form level-mixing operator J."""
+    half = dim // 2
+    phases = np.exp(-1j * (np.arange(half) + 0.5) * (sys.omega * t))
+    return phases[:, None] * assemble(sys, w, t, dim=dim).j_op.matrix[:half, :half]
+
+
+def _factorization(sys: PhysicalSystem, w: FieldWaveform, t: float, cfg: IntegratorConfig,
+                   u_fac: np.ndarray | None = None):
     """U's leading columns by ``cfg``, and their largest gap from the
-    factorized U, the dynamical phases times the closed-form level-mixing
-    operator J, on the leading half block."""
+    factorized U on the leading half block.  ``u_fac`` is that block
+    (``_factorized_block`` at ``cfg.dim``), built here unless given, so
+    runs of one drive at several step sizes share one."""
     u_cols = integrate_schrodinger(sys, w, t, cfg)
-    half = cfg.dim // 2
-    phases = np.exp(-1j * (np.arange(cfg.dim) + 0.5) * (sys.omega * t))
-    u_fac = phases[:, None] * assemble(sys, w, t, dim=cfg.dim).j_op.matrix
-    return u_cols, float(np.max(np.abs(u_cols[:half] - u_fac[:half, :half])))
+    if u_fac is None:
+        u_fac = _factorized_block(sys, w, t, cfg.dim)
+    return u_cols, float(np.max(np.abs(u_cols[: cfg.dim // 2] - u_fac)))
 
 
 def _bounded(name: str, value: float, tolerance: float, details: dict) -> CheckResult:
@@ -663,9 +712,11 @@ def run_validation(
     sign = -1.0 if sys.mirrored else 1.0
     probe = RotatingField(0.18 * scales.field, sign * 0.95 / scales.time)
     probe_dim = max(dim, 48)  # the probe drive reaches k|u| ~ 1.3
+    t_probe = 10.0 * scales.time
+    probe_fac = _factorized_block(sys, probe, t_probe, probe_dim)
     resids = {
         dti: _factorization(
-            sys, probe, 10.0 * scales.time, IntegratorConfig(dt=dti, dim=probe_dim)
+            sys, probe, t_probe, IntegratorConfig(dt=dti, dim=probe_dim), probe_fac
         )[1]
         for dti in (0.01, 0.02, 0.04)
     }

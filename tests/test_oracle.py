@@ -182,7 +182,7 @@ def dense_step_maps(u, spans):
     dim = u.shape[0]
     for h, c_a, c_ad in spans:
         n = len(c_a) // 2
-        bands = next(_step_maps(dim, h, c_a, c_ad, n))
+        bands = next(_step_maps(dim, h, c_a, c_ad, n))[:, :, 0].conj()  # plane 0: conj(N)
         for k in range(n):
             step_map = np.zeros((dim, dim), dtype=complex)
             for j, band in enumerate(bands[:, :dim, k]):
@@ -641,6 +641,33 @@ class TestIntegrateSchrodinger:
         (step_map,) = dense_step_maps(np.eye(dim), [(h, c_a, c_ad)])
         assert np.max(np.abs(step_map - expected)) <= 1e-14 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize(
+        "dim,cols", [(dim, cols) for dim in (2, 3, 5, 13, 64) for cols in sorted({1, dim // 2})]
+    )
+    def test_one_step_is_the_dense_map(self, dim, cols):
+        # one kernel step on random columns is u + N u, with N the dense
+        # map read from the bands; a sign or plane error in N's real form
+        # moves it by about |N| |u|, which columns started from the
+        # identity can miss.  Dim 2 is one row block; 3, 5 and 13 end in
+        # a partial one.  The bound is the rounding of N u and of the
+        # add: 7.3e-16 (1 + |N|) max|u| at worst over 200 seeds
+        rng = np.random.default_rng(dim + cols)
+        c_a, c_ad = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        spans = [(0.3, c_a, c_ad)]
+        u = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+        (step_map,) = dense_step_maps(u, spans)
+        expected = u + step_map @ u
+        bound = 1e-15 * (1.0 + np.linalg.norm(step_map, 2)) * np.max(np.abs(u))
+        _banded_rk4(u, spans)
+        assert np.max(np.abs(u - expected)) <= bound
+
+    def test_real_coefficients_run_as_complex(self):
+        c = np.linspace(-0.5, 0.5, 21)
+        u, ref = (np.eye(13, 6, dtype=complex) for _ in range(2))
+        _banded_rk4(u, [(0.05, c, c[::-1])])
+        _banded_rk4(ref, [(0.05, c + 0j, c[::-1] + 0j)])
+        assert np.array_equal(u, ref)
+
     def test_overflowing_columns_raise_accuracy_error(self, natural):
         # non-finite columns fail the edge check rather than passing it
         w = ld.RotatingField(1e300, 0.7)
@@ -1004,7 +1031,8 @@ class TestRunValidation:
 
             monkeypatch.setattr(oracle, name, counted)
         checks = ld.run_validation(natural)
+        # the convergence probe's three step sizes share one factorized U
         assert calls == {"integrate_schrodinger": 11, "heisenberg_residual": 7,
-                         "guiding_center_residual": 7, "assemble": 11}
+                         "guiding_center_residual": 7, "assemble": 9}
         assert [c.name for c in checks] == [name for name, _, _ in REPORT_SCHEMA]
         assert all(c.passed for c in checks)
